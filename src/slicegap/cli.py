@@ -126,9 +126,14 @@ def _gap_report(cfg: ExperimentConfig) -> GapReport:
     grid = Grid.for_target(target, cfg.cells, cfg.eps_cut)
     m = cfg.levels_m
     w = cfg.sampler.w
-    U = oracle.build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
-    H = oracle.build_full_matrix(target, grid, kind, w, m)
     kstep_grid = grid if tuple(cfg.kstep_cells) == tuple(cfg.cells) else Grid.for_target(target, cfg.kstep_cells, cfg.eps_cut)
+    # the beta profile comes first, so its level matrices never coexist with the assembled kernels
+    beta = oracle.beta_k_numeric_many(target, grid, kind, w, cfg.k_list, m, cfg.norm_bins)[0]
+    # every kernel is assembled once: the k-step set covers k_list and 1..k_max, and its k=1 kernel is H
+    # whenever it lives on the main grid with the main m
+    kmats = oracle.build_k_step_matrices(target, kstep_grid, kind, w, [*cfg.k_list, *range(1, cfg.k_max + 1)], cfg.kstep_m)
+    U = oracle.build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
+    H = kmats[1] if kstep_grid is grid and cfg.kstep_m == m else oracle.build_full_matrix(target, grid, kind, w, m)
     report = oracle.verify_theorem_bounds(
         target,
         grid,
@@ -142,12 +147,11 @@ def _gap_report(cfg: ExperimentConfig) -> GapReport:
         psd_tol=min(1e-10, cfg.tol_exact),
         kstep_grid=kstep_grid,
         kstep_m=cfg.kstep_m,
-        prebuilt={"U": U, "H": H},
+        prebuilt={"U": U, "H": H, "beta": beta, "kstep": kmats},
     )
     rev_tol = min(1e-8, cfg.tol_exact)
     report.checks.append(Check("reversibility_U", lhs=oracle.reversibility_check(U), rhs=0.0, tol=rev_tol))
     report.checks.append(Check("reversibility_H", lhs=oracle.reversibility_check(H), rhs=0.0, tol=rev_tol))
-    kmats = oracle.build_k_step_matrices(target, kstep_grid, kind, w, list(range(1, cfg.k_max + 1)), cfg.kstep_m)
     report.checks.extend(
         oracle.verify_monotonicity(target, kstep_grid, kind, w, cfg.k_max, cfg.kstep_m, tol=cfg.tol_exact, prebuilt=kmats)
     )

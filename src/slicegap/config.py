@@ -75,7 +75,6 @@ _SCHEMA = {
         "kstep_cells": _parse_ints,
         "kstep_m": _parse_int,
         "tol_exact": _parse_float,
-        "tol_grid": _parse_float,
         "tol_theorem": _parse_float,
         "tol_mt": _parse_float,
         "tol_tv": _parse_float,
@@ -105,7 +104,6 @@ class ExperimentConfig:
     kstep_cells: tuple[int, ...] | None = None
     kstep_m: int | None = None
     tol_exact: float = 1e-6
-    tol_grid: float = 5e-3
     tol_theorem: float = 5e-3
     tol_mt: float = 1e-3
     tol_tv: float = 1e-8
@@ -265,7 +263,6 @@ def load_config_text(text: str) -> ExperimentConfig:
             kstep_cells=oracle.get("kstep_cells"),
             kstep_m=oracle.get("kstep_m"),
             tol_exact=oracle.get("tol_exact", 1e-6),
-            tol_grid=oracle.get("tol_grid", 5e-3),
             tol_theorem=oracle.get("tol_theorem", 5e-3),
             tol_mt=oracle.get("tol_mt", 1e-3),
             tol_tv=oracle.get("tol_tv", 1e-8),

@@ -3,9 +3,13 @@
 Every kernel is reduced to a finite row-stochastic matrix on a regular
 grid.  Level kernels live on the sub-grid of cells whose density clears
 the level; full kernels average level kernels with a per-row midpoint rule
-over the level variable.  Operator norms come from singular values of the
-stationary-similarity transform, and each inequality of the gap theory is
-checked with an explicit margin.
+over the level variable.  In 1D all kinds and all k-step powers share one
+level geometry per (target, grid, m): the cell ranges, gap and length of
+the level set at every (row, level) node, computed once in vectorized row
+blocks and cached, so each kernel is one weighted bincount of
+difference-array entries.  Operator norms come from singular values of the
+stationary-similarity transform and are solved once per kernel; each
+inequality of the gap theory is checked with an explicit margin.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, svds
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .errors import CoverageError, EmptyLevelSetError
 from .kernels import sphere_surface_area
@@ -99,6 +103,7 @@ class DiscreteKernel:
     pi: np.ndarray
     label: str = ""
     support: np.ndarray | None = None
+    _norm: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         drift = np.abs(self.P.sum(axis=1) - 1.0).max()
@@ -205,20 +210,19 @@ def _component_bounds(comp, t: np.ndarray):
     return active, comp.mode[0] - r, comp.mode[0] + r
 
 
-def _level_profile_1d(target, t: np.ndarray, x_row: float | None):
+def _level_profile_1d(target, t: np.ndarray, x_row):
     """Continuous geometry of the 1D level sets at levels ``t``.
 
-    Returns interval bounds per component together with merged length, gap
-    and (when ``x_row`` is given) which component interval holds the row
-    point.  Supports one or two components.
+    Returns the (active, lo, hi) interval of two components together with
+    the merged length, the gap between disjoint parts (0 otherwise) and
+    whether the first component's interval holds ``x_row``, which
+    broadcasts against ``t``.  Supports one or two components.
     """
-    comps = target.components
-    a1, lo1, hi1 = _component_bounds(comps[0], t)
-    if len(comps) == 1:
-        length = np.where(a1, hi1 - lo1, 0.0)
-        zeros = np.zeros_like(t)
-        return (a1, lo1, hi1), None, length, zeros, np.ones_like(t, dtype=bool)
-    a2, lo2, hi2 = _component_bounds(comps[1], t)
+    parts = [_component_bounds(comp, t) for comp in target.components]
+    if len(parts) == 1:
+        # a one-component target has a second part that is never active
+        parts.append((np.zeros_like(t, dtype=bool), t, t))
+    (a1, lo1, hi1), (a2, lo2, hi2) = parts
     both = a1 & a2
     gap = np.maximum(lo1, lo2) - np.minimum(hi1, hi2)
     disjoint = both & (gap > LEVEL_TOL)
@@ -227,82 +231,106 @@ def _level_profile_1d(target, t: np.ndarray, x_row: float | None):
     len2 = np.where(a2, hi2 - lo2, 0.0)
     length = len1 + len2 - np.maximum(overlap, 0.0) * both
     delta = np.where(disjoint, gap, 0.0)
-    if x_row is None:
-        in_first = np.ones_like(t, dtype=bool)
-    else:
-        in_first = a1 & (lo1 - LEVEL_TOL <= x_row) & (x_row <= hi1 + LEVEL_TOL)
-    return (a1, lo1, hi1), (a2, lo2, hi2), length, delta, in_first
+    in_first = a1 & (lo1 - LEVEL_TOL <= x_row) & (x_row <= hi1 + LEVEL_TOL)
+    return parts, length, delta, in_first
 
 
-def _assemble_rows_1d(target, centers: np.ndarray, rho: np.ndarray, kind: KernelKind, w, m: int, k: int) -> np.ndarray:
+@dataclass(eq=False)
+class _LevelGeometry1D:
+    """Discretized level sets at every (row, level) node of a 1D grid.
+
+    Node ``i * m + j`` is row ``i`` at the midpoint level (j + 1/2) rho_i / m.
+    Its level set is one cell range, or two when its parts are disjoint.
+    ``ends`` holds range starts and ends as positions in the row-major
+    (n, n + 1) difference array, in six blocks: starts and ends of every
+    node's first range, of every disjoint node's second range, and of the
+    part holding the row point of every disjoint node.  ``gap`` and
+    ``length`` are the continuous gap and total length per node, from which
+    every kind and ``k`` takes its mixture weight.
+    """
+
+    n: int
+    m: int
+    ends: np.ndarray
+    n_slice: np.ndarray
+    disjoint: np.ndarray
+    n_part: np.ndarray
+    gap: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def build(cls, target, centers: np.ndarray, rho: np.ndarray, m: int):
+        n = centers.size
+        offsets = (np.arange(m) + 0.5) / m
+        # positions stay below n * (n + 1) and counts below n * m: int32 for any grid whose matrix fits in memory
+        lo = np.zeros((2, n * m), dtype=np.int32)
+        hi = np.zeros((2, n * m), dtype=np.int32)
+        in_first = np.empty(n * m, dtype=bool)
+        gap = np.empty(n * m)
+        length = np.empty(n * m)
+        # ~4096-node blocks leave less fragmented heap behind than 65536-node blocks, at the same speed
+        rows_per_block = max(1, 4096 // m)
+        for start in range(0, n, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, n))
+            nodes = slice(rows.start * m, rows.stop * m)
+            t = offsets[None, :] * rho[rows, None]
+            parts, length_t, gap_t, in_first_t = _level_profile_1d(target, t, centers[rows, None])
+            length[nodes], gap[nodes], in_first[nodes] = length_t.ravel(), gap_t.ravel(), in_first_t.ravel()
+            ranges = []
+            for active, p_lo, p_hi in parts:
+                l = np.searchsorted(centers, (p_lo - LEVEL_TOL).ravel(), side="left")
+                r = np.searchsorted(centers, (p_hi + LEVEL_TOL).ravel(), side="right")
+                ranges.append((active.ravel(), l, r))
+            (a1, l1, r1), (a2, l2, r2) = ranges
+            disjoint = gap[nodes] > 0.0
+            # merged slices span one contiguous cell range
+            lo_m = np.minimum(np.where(a1, l1, n), np.where(a2, l2, n))
+            hi_m = np.maximum(np.where(a1, r1, 0), np.where(a2, r2, 0))
+            lo[0, nodes], hi[0, nodes] = np.where(disjoint, l1, lo_m), np.where(disjoint, r1, hi_m)
+            lo[1, nodes], hi[1, nodes] = np.where(disjoint, l2, 0), np.where(disjoint, r2, 0)
+        disjoint = gap > 0.0
+        first = in_first[disjoint]
+        counts = hi - lo
+        row = np.repeat(np.arange(n, dtype=np.int32) * (n + 1), m)
+        lo += row
+        hi += row
+        lo_d, hi_d = lo[:, disjoint], hi[:, disjoint]
+        ends = np.concatenate(
+            [lo[0], hi[0], lo_d[1], hi_d[1], np.where(first, lo_d[0], lo_d[1]), np.where(first, hi_d[0], hi_d[1])]
+        )
+        n_slice = np.maximum(counts.sum(axis=0, dtype=np.int32), 1)
+        n_part = np.maximum(np.where(first, counts[0, disjoint], counts[1, disjoint]), 1)
+        return cls(n, m, ends, n_slice, disjoint, n_part, gap, length)
+
+
+@functools.lru_cache(maxsize=2)
+def _level_geometry_1d(target, grid: Grid, m: int) -> _LevelGeometry1D:
+    vals = density_on_grid(target, grid)
+    act = _active_cells(vals)
+    return _LevelGeometry1D.build(target, grid.centers[act, 0], vals[act], m)
+
+
+def _assemble_rows_1d(geo: _LevelGeometry1D, kind: KernelKind, w, k: int) -> np.ndarray:
     """Dense transition matrix for 1D kinds by per-row midpoint level quadrature.
 
-    Each level contributes a mixture row; rows are accumulated through
-    difference arrays over cell-index ranges, so the cost per row is
-    O(m + n) instead of O(m * n).
+    Each node adds gamma_k / |slice| over its slice and (1 - gamma_k) / |part|
+    over the part holding the row point, through weights at the range ends
+    of the difference array; one bincount and one cumsum over all rows turn
+    them into the matrix.  Merged and single-part level sets have gamma = 1,
+    so their local weight is zero.
     """
-    n = centers.size
-    P = np.zeros((n, n))
-    uniform_kind = kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN)
-    offsets = (np.arange(m) + 0.5) / m
-    for i in range(n):
-        t = offsets * rho[i]
-        first, second, length, delta, in_first = _level_profile_1d(target, t, float(centers[i]))
-        a1, lo1, hi1 = first
-        l1 = np.searchsorted(centers, lo1 - LEVEL_TOL, side="left")
-        r1 = np.searchsorted(centers, hi1 + LEVEL_TOL, side="right")
-        c1 = np.where(a1, r1 - l1, 0)
-        if second is None:
-            a2 = np.zeros_like(a1)
-            l2 = r2 = np.zeros_like(l1)
-            c2 = np.zeros_like(c1)
-        else:
-            a2, lo2, hi2 = second
-            l2 = np.searchsorted(centers, lo2 - LEVEL_TOL, side="left")
-            r2 = np.searchsorted(centers, hi2 + LEVEL_TOL, side="right")
-            c2 = np.where(a2, r2 - l2, 0)
-        both = a1 & a2
-        disjoint = both & (delta > 0.0)
-        merged = both & ~disjoint
-        # merged slices span one contiguous cell range
-        lo_m = np.minimum(np.where(a1, l1, n), np.where(a2, l2, n))
-        hi_m = np.maximum(np.where(a1, r1, 0), np.where(a2, r2, 0))
-        n_slice = np.where(disjoint, c1 + c2, hi_m - lo_m)
-        n_slice = np.maximum(n_slice, 1)
-
-        if uniform_kind:
-            gamma_k = np.ones_like(t)
-        else:
-            gamma = ((w - delta) / w) * (length / (length + delta))
-            gamma = np.clip(gamma, 0.0, 1.0)
-            gamma_k = 1.0 - (1.0 - gamma) ** k
-
-        acc = np.zeros(n + 1)
-        cu = gamma_k / (m * n_slice)
-        # uniform term: one range when merged or single-component, two when disjoint
-        sel = disjoint
-        np.add.at(acc, l1[sel], cu[sel])
-        np.add.at(acc, r1[sel], -cu[sel])
-        np.add.at(acc, l2[sel], cu[sel])
-        np.add.at(acc, r2[sel], -cu[sel])
-        sel = ~disjoint
-        np.add.at(acc, lo_m[sel], cu[sel])
-        np.add.at(acc, hi_m[sel], -cu[sel])
-        if not uniform_kind:
-            # local term on the part holding the row point; merged sets have no gap
-            part_lo = np.where(in_first, l1, l2)
-            part_hi = np.where(in_first, r1, r2)
-            n_part = np.maximum(np.where(in_first, c1, c2), 1)
-            cl = (1.0 - gamma_k) / (m * n_part)
-            sel = disjoint & (cl > 0.0)
-            np.add.at(acc, part_lo[sel], cl[sel])
-            np.add.at(acc, part_hi[sel], -cl[sel])
-            # merged levels put the local weight on the whole slice
-            sel = merged & (cl > 0.0)
-            np.add.at(acc, lo_m[sel], cl[sel])
-            np.add.at(acc, hi_m[sel], -cl[sel])
-        P[i] = np.cumsum(acc[:n])
-    return P
+    n, m = geo.n, geo.m
+    if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
+        gamma_k = np.ones(geo.gap.shape)
+    else:
+        gamma = np.clip(((w - geo.gap) / w) * (geo.length / (geo.length + geo.gap)), 0.0, 1.0)
+        gamma_k = 1.0 - (1.0 - gamma) ** k
+    cu = gamma_k / (m * geo.n_slice)
+    cu_d = cu[geo.disjoint]
+    cl = (1.0 - gamma_k[geo.disjoint]) / (m * geo.n_part)
+    weights = np.concatenate([cu, -cu, cu_d, -cu_d, cl, -cl])
+    acc = np.bincount(geo.ends, weights=weights, minlength=n * (n + 1))
+    return np.cumsum(acc.reshape(n, n + 1)[:, :n], axis=1)
 
 
 def _assemble_rows_1d_generic(target, centers, rho, kind, w, m, k) -> np.ndarray:
@@ -606,19 +634,13 @@ def _build_power_matrix(target, grid, kind, w, k_list, m) -> dict[int, DiscreteK
     pi = rho / rho.sum()
     n = act.size
     k_list = tuple(sorted(set(k_list)))
-    out: dict[int, np.ndarray] = {}
-    if grid.dim == 1:
-        centers = grid.centers[act, 0]
-        if isinstance(target, TargetDensity):
-            for k in k_list:
-                out[k] = _assemble_rows_1d(target, centers, rho, kind, w, m, k)
-        else:
-            for k in k_list:
-                out[k] = _assemble_rows_1d_generic(target, centers, rho, kind, w, m, k)
+    # 1D kernels are assembled one k at a time from the shared level geometry
+    if grid.dim == 1 and isinstance(target, TargetDensity):
+        assemble = functools.partial(_assemble_rows_1d, _level_geometry_1d(target, grid, m), kind, w)
+    elif grid.dim == 1:
+        assemble = functools.partial(_assemble_rows_1d_generic, target, grid.centers[act, 0], rho, kind, w, m)
     elif kind is KernelKind.UNIFORM:
-        P = _assemble_uniform_nd(vals, act, m)
-        for k in k_list:
-            out[k] = P
+        assemble = dict.fromkeys(k_list, _assemble_uniform_nd(vals, act, m)).pop
     else:
         if act.size != grid.n:
             raise CoverageError("chord kernels require strictly positive density on the whole grid")
@@ -649,10 +671,10 @@ def _build_power_matrix(target, grid, kind, w, k_list, m) -> dict[int, DiscreteK
                         r = r @ A
                         step += 1
                     mats[k][i, cols] += r / m
-        out = mats
+        assemble = mats.pop
     result: dict[int, DiscreteKernel] = {}
     for k in k_list:
-        P = out[k]
+        P = assemble(k)
         drift = np.abs(P.sum(axis=1) - 1.0).max()
         if drift > 1e-9:
             raise ValueError(f"assembled rows sum to 1 only within {drift:.3e}")
@@ -694,17 +716,23 @@ def _centered_similarity(K: DiscreteKernel) -> np.ndarray:
 def op_norm_centered(K: DiscreteKernel) -> float:
     """Operator norm of the kernel minus its stationary projection on L2(pi).
 
-    Largest singular value of D^(1/2) (P - 1 pi^T) D^(-1/2).
+    Largest singular value of D^(1/2) (P - 1 pi^T) D^(-1/2), solved once
+    per kernel and cached on it.
     """
-    C = _centered_similarity(K)
+    if K._norm is None:
+        K._norm = _largest_singular_value(_centered_similarity(K), dense_max=800)
+    return K._norm
+
+
+def _largest_singular_value(C: np.ndarray, dense_max: int) -> float:
+    """Dense SVD up to ``dense_max`` rows, ARPACK above (dense again if it fails)."""
     n = C.shape[0]
-    if n <= 800:
-        return float(np.linalg.svd(C, compute_uv=False)[0])
-    try:
-        s = svds(C, k=1, v0=_krylov_start(n), return_singular_vectors=False, maxiter=5000, tol=0)
-        return float(s[0])
-    except ArpackNoConvergence:
-        return float(np.linalg.svd(C, compute_uv=False)[0])
+    if n > dense_max:
+        try:
+            return float(svds(C, k=1, v0=_krylov_start(n), return_singular_vectors=False, maxiter=5000, tol=0)[0])
+        except ArpackNoConvergence:
+            pass
+    return float(np.linalg.svd(C, compute_uv=False)[0])
 
 
 def _krylov_start(n: int) -> np.ndarray:
@@ -744,56 +772,27 @@ def reversibility_check(K: DiscreteKernel) -> float:
 def _level_norm(target, grid: Grid, vals: np.ndarray, t: float, kind: KernelKind, w) -> float:
     """Distance of one discretized level kernel to its uniform refresh.
 
-    Computed as the largest-magnitude eigenvalue of the centered symmetric
-    operator, applied matrix-free for the mixture kinds and from the dense
-    block otherwise.
+    In 1D the centered two-part mixture kernel is (1 - gamma) times the
+    difference of two orthogonal projections of rank two and one, so its
+    norm is 1 - gamma whenever both parts hold grid cells.  In higher
+    dimensions it is the largest singular value of the centered density
+    kernel.
     """
     idx = _slice_indices(vals, t)
     n_s = idx.size
-    if n_s == 0:
-        return 0.0
-    if kind is KernelKind.UNIFORM or (grid.dim == 1 and kind is KernelKind.HIT_AND_RUN):
+    if n_s == 0 or kind is KernelKind.UNIFORM or (grid.dim == 1 and kind is KernelKind.HIT_AND_RUN):
         return 0.0
     if grid.dim == 1:
         ls = level_set_1d(target, t)
-        if ls.parts.nparts == 1:
+        in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
+        if ls.parts.nparts == 1 or in_first.all() or not in_first.any():
             return 0.0
         gamma = np.clip(((w - ls.delta_t) / w) * (ls.length / (ls.length + ls.delta_t)), 0.0, 1.0)
-        centers = grid.centers[idx, 0]
-        in_first = centers <= ls.parts.intervals[0].hi + LEVEL_TOL
-        n1, n2 = int(in_first.sum()), int((~in_first).sum())
-        if n1 == 0 or n2 == 0:
-            return 0.0
-        if n_s > 4:
-            # the centered similarity is symmetric (uniform weights); apply it matrix-free
-            def matvec(z):
-                z = np.asarray(z).ravel()
-                mean_full = z.mean()
-                out = np.empty_like(z)
-                out[in_first] = z[in_first].mean() - mean_full
-                out[~in_first] = z[~in_first].mean() - mean_full
-                return (1.0 - gamma) * out
-
-            op = LinearOperator((n_s, n_s), matvec=matvec, dtype=float)
-            try:
-                vals_eig = eigsh(op, k=1, which="LM", v0=_krylov_start(n_s), return_eigenvectors=False)
-                return float(abs(vals_eig[0]))
-            except ArpackNoConvergence:
-                pass
-        kernel = build_level_matrix(target, grid, t, kind, w)
-        return op_norm_centered_eig(kernel)
-    # dimension >= 2: centered norm of the row-normalised density kernel
+        return float(1.0 - gamma)
     pg = _pair_geometry(target, grid)
     A, atoms = _density_level_rows(pg, target, grid, t, idx, idx, kind, w)
     A[np.diag_indices_from(A)] += atoms
-    C = A - 1.0 / n_s
-    if n_s <= 700:
-        return float(np.linalg.svd(C, compute_uv=False)[0])
-    try:
-        s = svds(C, k=1, v0=_krylov_start(n_s), return_singular_vectors=False, maxiter=5000, tol=0)
-        return float(s[0])
-    except ArpackNoConvergence:
-        return float(np.linalg.svd(C, compute_uv=False)[0])
+    return _largest_singular_value(A - 1.0 / n_s, dense_max=700)
 
 
 def beta_profile(

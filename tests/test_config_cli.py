@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from slicegap.cli import main
@@ -176,6 +178,68 @@ class TestCliGap:
         assert any(ln.endswith("False") for ln in lines[2:])
 
 
+class TestGapReportSharing:
+    TEXT = MINIMAL.replace("levels_m = 50", "levels_m = 40").replace("k_list = 1,2", "k_list = 1,2,5").replace(
+        "k_max = 3", "k_max = 5"
+    )
+
+    @staticmethod
+    def _reference_checks(cfg):
+        """The report composed from independent calls, each assembling its own kernels."""
+        from slicegap import spectral_oracle as oracle
+        from slicegap.cli import _kernel_kind
+        from slicegap.spectral_oracle import Check, Grid, KernelKind
+
+        target, kind, w, m = cfg.target, _kernel_kind(cfg), cfg.sampler.w, cfg.levels_m
+        grid = Grid.for_target(target, cfg.cells, cfg.eps_cut)
+        checks = oracle.verify_theorem_bounds(
+            target, grid, kind, w, cfg.k_list, m, tol=cfg.tol_theorem, norm_bins=cfg.norm_bins,
+            psd_probe_levels=cfg.psd_probe_levels, psd_tol=min(1e-10, cfg.tol_exact),
+        ).checks
+        rev_tol = min(1e-8, cfg.tol_exact)
+        for name, kk in (("reversibility_U", KernelKind.UNIFORM), ("reversibility_H", kind)):
+            K = oracle.build_full_matrix(target, grid, kk, w, m)
+            checks.append(Check(name, lhs=oracle.reversibility_check(K), rhs=0.0, tol=rev_tol))
+        checks += oracle.verify_monotonicity(target, grid, kind, w, cfg.k_max, m, tol=cfg.tol_exact)
+        checks += oracle.verify_power_bound(target, grid, kind, w, cfg.k_max, m, tol=cfg.tol_exact)
+        U = oracle.build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
+        checks.append(oracle.verify_mt_bound(target, grid, tol=cfg.tol_mt, prebuilt_u=U))
+        checks += oracle.verify_tv_bound(target, grid, kind, w, n_max=cfg.tv_n_max, tol=cfg.tol_tv, m=m)
+        return checks
+
+    def test_each_kernel_assembled_and_solved_once(self, monkeypatch):
+        from collections import Counter
+
+        from slicegap import spectral_oracle as oracle
+        from slicegap.cli import _gap_report
+
+        cfg = load_config_text(self.TEXT)
+        reference = self._reference_checks(cfg)
+        assembled, solved, kernels = Counter(), Counter(), []
+        build, similarity = oracle._build_power_matrix, oracle._centered_similarity
+
+        def counting_build(target, grid, kind, w, k_list, m):
+            for k in set(k_list):
+                assembled[(grid.bounds, grid.shape, kind, m, k)] += 1
+            return build(target, grid, kind, w, k_list, m)
+
+        def counting_similarity(K):
+            kernels.append(K)  # keeps every kernel alive, so ids stay unique
+            solved[id(K)] += 1
+            return similarity(K)
+
+        monkeypatch.setattr(oracle, "_build_power_matrix", counting_build)
+        monkeypatch.setattr(oracle, "_centered_similarity", counting_similarity)
+        report = _gap_report(cfg)
+        assert len(assembled) == 1 + 5  # U and the k-step kernels 1..5, k=1 being H
+        assert set(assembled.values()) == {1}
+        assert set(solved.values()) == {1}
+        assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in reference]
+        for got, ref in zip(report.checks, reference):
+            assert got.lhs == pytest.approx(ref.lhs, abs=1e-12)
+            assert got.rhs == pytest.approx(ref.rhs, abs=1e-12)
+
+
 class TestCliVerify:
     def test_suite_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 0
@@ -207,5 +271,6 @@ class TestCliDiag:
         code = main(
             ["diag", "--config", str(cfg_path), "--out", str(out2), "--trace", str(out / "trace.csv")]
         )
-        assert code in (0, 4)
-        assert (out2 / "diagnostics.csv").exists()
+        rows = list(csv.DictReader((out2 / "diagnostics.csv").read_text().splitlines()[1:]))
+        assert rows
+        assert code == (0 if all(r["pass"] == "True" for r in rows) else 4)

@@ -5,6 +5,10 @@ from oracles import bin_masses_1d
 from slicegap.errors import CoverageError, EmptyLevelSetError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.spectral_oracle import (
+    _active_cells,
+    _assemble_rows_1d,
+    _assemble_rows_1d_generic,
+    _level_geometry_1d,
     Check,
     DiscreteKernel,
     Grid,
@@ -15,6 +19,7 @@ from slicegap.spectral_oracle import (
     build_k_step_matrices,
     build_k_step_matrix,
     build_level_matrix,
+    density_on_grid,
     discretize_target,
     op_norm_centered,
     op_norm_centered_eig,
@@ -27,7 +32,7 @@ from slicegap.spectral_oracle import (
     verify_theorem_bounds,
     verify_tv_bound,
 )
-from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformInterval
+from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformInterval, twin_triangles
 
 
 def two_state(p: float) -> DiscreteKernel:
@@ -169,6 +174,32 @@ class TestKStep:
         assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
 
+class TestLevelGeometryAssembly:
+    """The shared-geometry assembler against the per-level path built on ``level_set_1d``."""
+
+    TARGETS = {
+        "twin_triangles": twin_triangles(),
+        "one_component": TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.3,), 1.2, 2.0),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    @pytest.mark.parametrize("kind", [KernelKind.UNIFORM, KernelKind.SO_SH])
+    def test_matches_per_level_path(self, name, kind):
+        target = self.TARGETS[name]
+        grid = Grid.for_target(target, 300)
+        m = 60
+        vals = density_on_grid(target, grid)
+        act = _active_cells(vals)
+        geo = _level_geometry_1d(target, grid, m)
+        for k in (1, 2, 5):
+            P = _assemble_rows_1d(geo, kind, 3.0, k)
+            if kind is KernelKind.SO_SH or k == 1:
+                # the per-level path ignores k for the uniform kind
+                ref = _assemble_rows_1d_generic(target, grid.centers[act, 0], vals[act], kind, 3.0, m, k)
+            assert np.abs(P - ref).max() <= 1e-12
+            assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 class TestOpNorm:
     def test_rank_one(self):
         pi = np.array([0.2, 0.3, 0.5])
@@ -184,6 +215,17 @@ class TestOpNorm:
         grid = Grid.for_target(t1, 300)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=60)
         assert op_norm_centered(H) == pytest.approx(op_norm_centered_eig(H), abs=1e-10)
+
+    def test_norm_is_solved_once_per_kernel(self, monkeypatch):
+        import slicegap.spectral_oracle as oracle
+
+        calls = []
+        solve = oracle._centered_similarity
+        monkeypatch.setattr(oracle, "_centered_similarity", lambda K: calls.append(K) or solve(K))
+        K = two_state(0.9)
+        assert spectral_gap(K) == pytest.approx(0.2, abs=1e-12)
+        assert op_norm_centered(K) == pytest.approx(0.8, abs=1e-12)
+        assert len(calls) == 1
 
     def test_row_sum_validation(self):
         P = np.array([[0.7, 0.2], [0.5, 0.5]])
