@@ -10,6 +10,7 @@ from .kernels import (
     gamma_t,
     har_kernel_density,
     har_level_norm_bound,
+    mixture_weight,
     op_norm_so_sh,
     so_sh_level_kernel_measure,
 )
@@ -39,7 +40,7 @@ from .spectral_oracle import (
     KernelKind,
     beta_k_numeric,
     build_full_matrix,
-    build_k_step_matrix,
+    build_k_step_matrices,
     build_level_matrix,
     discretize_target,
     op_norm_centered,
@@ -49,6 +50,7 @@ from .spectral_oracle import (
     verify_monotonicity,
     verify_mt_bound,
     verify_power_bound,
+    verify_sandwich,
     verify_theorem_bounds,
     verify_tv_bound,
 )

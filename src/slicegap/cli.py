@@ -24,7 +24,7 @@ from . import diagnostics, spectral_oracle as oracle
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SliceGapError
 from .samplers import SamplerKind, Trace, read_trace_csv, run_chain
-from .spectral_oracle import Check, GapReport, Grid, KernelKind
+from .spectral_oracle import GapReport, Grid, KernelKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,48 +121,26 @@ def cmd_diag(cfg: ExperimentConfig, out_dir: Path, trace_path: str | None) -> in
 
 
 def _gap_report(cfg: ExperimentConfig) -> GapReport:
-    target = cfg.target
-    kind = _kernel_kind(cfg)
-    grid = Grid.for_target(target, cfg.cells, cfg.eps_cut)
-    m = cfg.levels_m
-    w = cfg.sampler.w
-    kstep_grid = grid if tuple(cfg.kstep_cells) == tuple(cfg.cells) else Grid.for_target(target, cfg.kstep_cells, cfg.eps_cut)
-    # the beta profile comes first, so its level matrices never coexist with the assembled kernels
-    beta = oracle.beta_k_numeric_many(target, grid, kind, w, cfg.k_list, m, cfg.norm_bins)[0]
-    # every kernel is assembled once: the k-step set covers k_list and 1..k_max, and its k=1 kernel is H
-    # whenever it lives on the main grid with the main m
-    kmats = oracle.build_k_step_matrices(target, kstep_grid, kind, w, [*cfg.k_list, *range(1, cfg.k_max + 1)], cfg.kstep_m)
-    U = oracle.build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
-    H = kmats[1] if kstep_grid is grid and cfg.kstep_m == m else oracle.build_full_matrix(target, grid, kind, w, m)
-    report = oracle.verify_theorem_bounds(
-        target,
+    grid = Grid.for_target(cfg.target, cfg.cells, cfg.eps_cut)
+    same_cells = tuple(cfg.kstep_cells) == tuple(cfg.cells)
+    return oracle.verify_theorem_bounds(
+        cfg.target,
         grid,
-        kind,
-        w,
+        _kernel_kind(cfg),
+        cfg.sampler.w,
         cfg.k_list,
-        m,
+        cfg.levels_m,
+        k_max=cfg.k_max,
         tol=cfg.tol_theorem,
+        exact_tol=cfg.tol_exact,
+        mt_tol=cfg.tol_mt,
+        tv_tol=cfg.tol_tv,
+        tv_n_max=cfg.tv_n_max,
         norm_bins=cfg.norm_bins,
         psd_probe_levels=cfg.psd_probe_levels,
-        psd_tol=min(1e-10, cfg.tol_exact),
-        kstep_grid=kstep_grid,
+        kstep_grid=grid if same_cells else Grid.for_target(cfg.target, cfg.kstep_cells, cfg.eps_cut),
         kstep_m=cfg.kstep_m,
-        prebuilt={"U": U, "H": H, "beta": beta, "kstep": kmats},
     )
-    rev_tol = min(1e-8, cfg.tol_exact)
-    report.checks.append(Check("reversibility_U", lhs=oracle.reversibility_check(U), rhs=0.0, tol=rev_tol))
-    report.checks.append(Check("reversibility_H", lhs=oracle.reversibility_check(H), rhs=0.0, tol=rev_tol))
-    report.checks.extend(
-        oracle.verify_monotonicity(target, kstep_grid, kind, w, cfg.k_max, cfg.kstep_m, tol=cfg.tol_exact, prebuilt=kmats)
-    )
-    report.checks.extend(
-        oracle.verify_power_bound(target, kstep_grid, kind, w, cfg.k_max, cfg.kstep_m, tol=cfg.tol_exact, prebuilt=kmats)
-    )
-    report.checks.append(oracle.verify_mt_bound(target, grid, tol=cfg.tol_mt, prebuilt_u=U))
-    report.checks.extend(
-        oracle.verify_tv_bound(target, grid, kind, w, n_max=cfg.tv_n_max, tol=cfg.tol_tv, prebuilt_h=H)
-    )
-    return report
 
 
 def cmd_gap(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -28,9 +28,6 @@ from .slice_geometry import (
 )
 from .targets import RwCertificate, TargetDensity, check_Rw
 
-#: clamp slack for mixture weights close to 0 or 1
-GAMMA_CLAMP = 1e-12
-
 
 def sphere_surface_area(d: int) -> float:
     """Surface measure of the unit sphere in d dimensions (2, 2*pi, 4*pi, ...)."""
@@ -39,16 +36,22 @@ def sphere_surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _mixture_weight(length: float, delta: float, w: float) -> float:
-    """Weight of the full uniform refresh given slice length, gap and step width."""
-    if delta >= w:
-        raise OutOfClassError(f"level-set gap {delta} reaches the step width {w}")
-    if length <= 0.0:
-        return 1.0
-    g = ((w - delta) / w) * (length / (length + delta))
-    if g < -GAMMA_CLAMP or g > 1.0 + GAMMA_CLAMP:
-        raise ValueError(f"mixture weight {g} outside [0, 1]")
-    return min(max(g, 0.0), 1.0)
+def mixture_weight(length, delta, w: float):
+    """Weight ((w - delta)/w) * L / (L + delta) of the full uniform refresh, elementwise.
+
+    Takes slice lengths L and gaps delta as scalars or arrays of one shape;
+    an empty slice refreshes fully.  A gap reaching the step width puts the
+    target outside the supported class and raises; with 0 <= delta < w the
+    weight lies in [0, 1].
+    """
+    length = np.asarray(length, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if (delta >= w).any():
+        raise OutOfClassError(f"level-set gap {delta.max()} reaches the step width {w}")
+    if (delta < 0.0).any():
+        raise ValueError(f"level-set gap {delta.min()} is negative")
+    g = ((w - delta) / w) * np.divide(length, length + delta, out=np.ones_like(length), where=length > 0.0)
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,8 @@ class MixtureMeasure:
 
 
 def gamma_t(level_set: LevelSet1D, w: float) -> float:
-    """Mixture weight ((w - delta)/w) * |K| / (|K| + delta), clamped to [0, 1]."""
-    return _mixture_weight(level_set.length, level_set.delta_t, w)
+    """Mixture weight ((w - delta)/w) * |K| / (|K| + delta) of one level set."""
+    return mixture_weight(level_set.length, level_set.delta_t, w)
 
 
 def make_so_sh_kernel(level_set: LevelSet1D, w: float) -> SoShLevelKernel:
@@ -90,7 +93,7 @@ def make_so_sh_kernel(level_set: LevelSet1D, w: float) -> SoShLevelKernel:
 
 def line_kernel_weights(section: LineSection, w: float) -> LineKernelWeights:
     """Chord analogue of ``gamma_t`` for the combined sampler."""
-    return LineKernelWeights(section=section, w=w, gamma=_mixture_weight(section.total_length, section.delta, w))
+    return LineKernelWeights(section=section, w=w, gamma=mixture_weight(section.total_length, section.delta, w))
 
 
 def so_sh_level_kernel_measure(kernel: SoShLevelKernel, x: float) -> MixtureMeasure:

@@ -8,8 +8,12 @@ level geometry per (target, grid, m): the cell ranges, gap and length of
 the level set at every (row, level) node, computed once in vectorized row
 blocks and cached, so each kernel is one weighted bincount of
 difference-array entries.  Operator norms come from singular values of the
-stationary-similarity transform and are solved once per kernel; each
-inequality of the gap theory is checked with an explicit margin.
+stationary-similarity transform and are solved once per kernel.
+
+Each ``verify_*`` function checks inequalities of the gap theory, with an
+explicit margin, on kernels it is given.  ``verify_theorem_bounds`` is the
+one place that assembles the kernels of a gap report, each once, and runs
+every check on them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .errors import CoverageError, EmptyLevelSetError
-from .kernels import sphere_surface_area
+from .kernels import mixture_weight, sphere_surface_area
 from .slice_geometry import level_set_1d
 from .targets import Shape, TargetDensity
 
@@ -323,8 +327,7 @@ def _assemble_rows_1d(geo: _LevelGeometry1D, kind: KernelKind, w, k: int) -> np.
     if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
         gamma_k = np.ones(geo.gap.shape)
     else:
-        gamma = np.clip(((w - geo.gap) / w) * (geo.length / (geo.length + geo.gap)), 0.0, 1.0)
-        gamma_k = 1.0 - (1.0 - gamma) ** k
+        gamma_k = 1.0 - (1.0 - mixture_weight(geo.length, geo.gap, w)) ** k
     cu = gamma_k / (m * geo.n_slice)
     cu_d = cu[geo.disjoint]
     cl = (1.0 - gamma_k[geo.disjoint]) / (m * geo.n_part)
@@ -349,8 +352,7 @@ def _assemble_rows_1d_generic(target, centers, rho, kind, w, m, k) -> np.ndarray
             if uniform_kind or ls.parts.nparts == 1:
                 P[i] += u / m
             else:
-                gamma = ((w - ls.delta_t) / w) * (ls.length / (ls.length + ls.delta_t))
-                gamma_k = 1.0 - (1.0 - gamma) ** k
+                gamma_k = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta_t, w)) ** k
                 part = ls.parts.intervals[ls.parts.part_index(float(centers[i]), LEVEL_TOL)]
                 pmask = (centers >= part.lo - LEVEL_TOL) & (centers <= part.hi + LEVEL_TOL)
                 P[i] += (gamma_k * u + (1.0 - gamma_k) * pmask / pmask.sum()) / m
@@ -455,7 +457,7 @@ def _chord_density_block(pg: _PairGeometry, target, t: float, rows, cols, kind: 
         if kind is KernelKind.HIT_AND_RUN:
             dens = (2.0 / sigma) / (dist ** (d - 1) * length)
         else:
-            gamma = np.clip(((w - delta) / w) * (length / (length + delta)), 0.0, 1.0)
+            gamma = mixture_weight(length, delta, w)
             dens = (2.0 / sigma) * dist ** (1 - d) * (
                 gamma / length + (1.0 - gamma) * same / np.where(local_len > 0, local_len, np.inf)
             )
@@ -544,12 +546,7 @@ def _add_strip_blocks(P, cells, eta, eta_w, memberships, kind, w, weight):
     # chord geometry from the projected cell footprints along the direction
     lo1, hi1 = eta[part1].min() - eta_w / 2, eta[part1].max() + eta_w / 2
     lo2, hi2 = eta[part2].min() - eta_w / 2, eta[part2].max() + eta_w / 2
-    delta = max(max(lo1, lo2) - min(hi1, hi2), 0.0)
-    length = (hi1 - lo1) + (hi2 - lo2)
-    if delta >= w:
-        gamma = 0.0
-    else:
-        gamma = min(max(((w - delta) / w) * (length / (length + delta)), 0.0), 1.0)
+    gamma = mixture_weight((hi1 - lo1) + (hi2 - lo2), max(max(lo1, lo2) - min(hi1, hi2), 0.0), w)
     P[np.ix_(cells, cells)] += weight * gamma / n_c
     P[np.ix_(part1, part1)] += weight * (1.0 - gamma) / part1.size
     P[np.ix_(part2, part2)] += weight * (1.0 - gamma) / part2.size
@@ -575,8 +572,7 @@ def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float 
         if ls.parts.nparts == 1:
             P = np.tile(u, (n_s, 1))
             return DiscreteKernel(P=P, pi=u, label=label, support=idx)
-        gamma = ((w - ls.delta_t) / w) * (ls.length / (ls.length + ls.delta_t))
-        gamma = min(max(gamma, 0.0), 1.0)
+        gamma = mixture_weight(ls.length, ls.delta_t, w)
         centers = grid.centers[idx, 0]
         first = ls.parts.intervals[0]
         in_first = centers <= first.hi + LEVEL_TOL
@@ -603,19 +599,13 @@ def _flow_symmetrize(P: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndar
     r = flow.sum(axis=1)
     if np.abs(r / pi - 1.0).max() > 0.55:
         raise ValueError("flow symmetrization moved too much mass; quadrature inconsistent")
-    return flow / r[:, None], r / r.sum()
+    flow /= r[:, None]
+    return flow, r / r.sum()
 
 
 def build_full_matrix(target, grid: Grid, kind: KernelKind, w: float | None = None, m: int = 64) -> DiscreteKernel:
     """Full transition matrix: per-row midpoint average of level kernels."""
     return _build_power_matrix(target, grid, kind, w, (1,), m)[1]
-
-
-def build_k_step_matrix(
-    target, grid: Grid, kind: KernelKind, w: float | None, k: int, m: int = 64
-) -> DiscreteKernel:
-    """Like the full matrix but with ``k`` level-kernel applications per level."""
-    return _build_power_matrix(target, grid, kind, w, (k,), m)[k]
 
 
 def build_k_step_matrices(
@@ -678,7 +668,6 @@ def _build_power_matrix(target, grid, kind, w, k_list, m) -> dict[int, DiscreteK
         drift = np.abs(P.sum(axis=1) - 1.0).max()
         if drift > 1e-9:
             raise ValueError(f"assembled rows sum to 1 only within {drift:.3e}")
-        P = P / P.sum(axis=1, keepdims=True)
         # per-row level quadrature leaves a small detailed-balance residual;
         # project it out so the assembled kernel is exactly reversible
         P, pi_k = _flow_symmetrize(P, pi)
@@ -787,8 +776,7 @@ def _level_norm(target, grid: Grid, vals: np.ndarray, t: float, kind: KernelKind
         in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
         if ls.parts.nparts == 1 or in_first.all() or not in_first.any():
             return 0.0
-        gamma = np.clip(((w - ls.delta_t) / w) * (ls.length / (ls.length + ls.delta_t)), 0.0, 1.0)
-        return float(1.0 - gamma)
+        return 1.0 - mixture_weight(ls.length, ls.delta_t, w)
     pg = _pair_geometry(target, grid)
     A, atoms = _density_level_rows(pg, target, grid, t, idx, idx, kind, w)
     A[np.diag_indices_from(A)] += atoms
@@ -851,107 +839,93 @@ def verify_theorem_bounds(
     w,
     k_list,
     m: int,
+    k_max: int = 1,
     tol: float = 5e-3,
+    exact_tol: float = 1e-6,
+    mt_tol: float = 1e-3,
+    tv_tol: float = 1e-8,
+    tv_n_max: int = 50,
     norm_bins: int = 1024,
     psd_probe_levels: int = 8,
-    psd_tol: float = 1e-10,
     kstep_grid: Grid | None = None,
     kstep_m: int | None = None,
-    prebuilt: dict | None = None,
 ) -> GapReport:
-    """Check the gap sandwich and the k-step lower bound with explicit margins.
+    """Assemble the kernels of a gap report once and run every check on them.
 
-    ``prebuilt`` may carry matrices/values from an earlier run (keys
-    ``U``, ``H``, ``beta``, ``kstep``) to avoid recomputation.
+    The beta profile comes first, so its level matrices never coexist with
+    the kernels.  The k-step set covers ``k_list`` and 1..``k_max`` on
+    ``kstep_grid`` with ``kstep_m`` levels (by default the main grid and
+    ``m``); when those are the main ones, its k=1 kernel is H and the
+    corollary reuses gap(U) and beta.  The exact checks use ``exact_tol``,
+    capped at 1e-10 for positivity and 1e-8 for reversibility.
     """
-    prebuilt = prebuilt or {}
     k_list = sorted(set(k_list))
-    U = prebuilt.get("U") or build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
-    H = prebuilt.get("H") or build_full_matrix(target, grid, kind, w, m)
-    gap_u = spectral_gap(U)
-    gap_h = spectral_gap(H)
-    beta = prebuilt.get("beta") or beta_k_numeric_many(target, grid, kind, w, k_list, m, norm_bins)[0]
-    checks: list[Check] = []
+    kgrid, km = kstep_grid or grid, kstep_m or m
+    shared = kgrid is grid and km == m
+    beta = beta_k_numeric_many(target, grid, kind, w, k_list, m, norm_bins)[0]
+    ksteps = build_k_step_matrices(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km)
+    U = build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
+    H = ksteps[1] if shared else build_full_matrix(target, grid, kind, w, m)
+    gap_u, gap_h = spectral_gap(U), spectral_gap(H)
 
-    vals = density_on_grid(target, grid)
-    top = float(vals.max())
-    min_eig = math.inf
-    for j in range(psd_probe_levels):
-        t = (j + 0.5) * top / psd_probe_levels
-        try:
-            min_eig = min(min_eig, psd_check(build_level_matrix(target, grid, t, kind, w)))
-        except EmptyLevelSetError:
-            continue
-    checks.append(Check("psd_level_kernels", lhs=-min_eig, rhs=0.0, tol=psd_tol))
+    top = float(density_on_grid(target, grid).max())
+    levels = [(j + 0.5) * top / psd_probe_levels for j in range(psd_probe_levels)]
+    min_eig = min(psd_check(build_level_matrix(target, grid, t, kind, w)) for t in levels)
+    checks = [Check("psd_level_kernels", lhs=-min_eig, rhs=0.0, tol=min(1e-10, exact_tol))]
+    checks += verify_sandwich(U, H, beta, tol)
 
-    checks.append(Check("sandwich_upper_gapH_le_gapU", lhs=gap_h, rhs=gap_u, tol=tol))
-    for k in k_list:
-        checks.append(Check(f"sandwich_lower_k{k}", lhs=(gap_u - beta[k]) / k, rhs=gap_h, tol=tol))
-
-    kgrid = kstep_grid or grid
-    km = kstep_m or m
-    if kgrid is grid and km == m:
+    if shared:
         gap_u_k, beta_k = gap_u, beta
     else:
         gap_u_k = spectral_gap(build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km))
         beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)[0]
-    ksteps = prebuilt.get("kstep") or build_k_step_matrices(target, kgrid, kind, w, k_list, km)
     for k in k_list:
-        gap_k = spectral_gap(ksteps[k])
-        checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u_k - beta_k[k], rhs=gap_k, tol=tol))
+        checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u_k - beta_k[k], rhs=spectral_gap(ksteps[k]), tol=tol))
 
+    for name, K in (("reversibility_U", U), ("reversibility_H", H)):
+        checks.append(Check(name, lhs=reversibility_check(K), rhs=0.0, tol=min(1e-8, exact_tol)))
+    checks += verify_monotonicity(ksteps, k_max, exact_tol)
+    checks += verify_power_bound(ksteps, k_max, exact_tol)
+    checks.append(verify_mt_bound(target, grid, U, mt_tol))
+    checks += verify_tv_bound(H, n_max=tv_n_max, tol=tv_tol)
     return GapReport(gap_u=gap_u, gap_h=gap_h, beta=beta, checks=checks)
 
 
-def verify_monotonicity(
-    target, grid: Grid, kind: KernelKind, w, k_max: int, m: int, tol: float = 1e-6, prebuilt: dict | None = None
-) -> list[Check]:
-    """Centered norms of the k-step kernels must not increase with ``k``."""
-    ks = list(range(1, k_max + 1))
-    mats = prebuilt or build_k_step_matrices(target, grid, kind, w, ks, m)
-    norms = {k: op_norm_centered(mats[k]) for k in ks}
+def verify_sandwich(U: DiscreteKernel, H: DiscreteKernel, beta: dict[int, float], tol: float = 5e-3) -> list[Check]:
+    """gap(H) <= gap(U), and (gap(U) - beta_k) / k <= gap(H) for every k of ``beta``."""
+    gap_u, gap_h = spectral_gap(U), spectral_gap(H)
+    checks = [Check("sandwich_upper_gapH_le_gapU", lhs=gap_h, rhs=gap_u, tol=tol)]
+    return checks + [Check(f"sandwich_lower_k{k}", lhs=(gap_u - beta[k]) / k, rhs=gap_h, tol=tol) for k in sorted(beta)]
+
+
+def verify_monotonicity(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = 1e-6) -> list[Check]:
+    """Centered norms of the k-step kernels must not increase with ``k`` up to ``k_max``."""
+    norms = [op_norm_centered(ksteps[k]) for k in range(1, k_max + 1)]
     return [
-        Check(f"monotone_norm_k{k + 1}_le_k{k}", lhs=norms[k + 1], rhs=norms[k], tol=tol)
-        for k in ks[:-1]
+        Check(f"monotone_norm_k{k + 1}_le_k{k}", lhs=norms[k], rhs=norms[k - 1], tol=tol) for k in range(1, k_max)
     ]
 
 
-def verify_power_bound(
-    target, grid: Grid, kind: KernelKind, w, k_max: int, m: int, tol: float = 1e-6, prebuilt: dict | None = None
-) -> list[Check]:
+def verify_power_bound(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = 1e-6) -> list[Check]:
     """The one-step norm to the k-th power is bounded by the k-step norm."""
-    ks = list(range(1, k_max + 1))
-    mats = prebuilt or build_k_step_matrices(target, grid, kind, w, ks, m)
-    norm_h = op_norm_centered(mats[1])
+    norm_h = op_norm_centered(ksteps[1])
     return [
-        Check(f"power_bound_k{k}", lhs=norm_h**k, rhs=op_norm_centered(mats[k]), tol=tol)
-        for k in ks
+        Check(f"power_bound_k{k}", lhs=norm_h**k, rhs=op_norm_centered(ksteps[k]), tol=tol)
+        for k in range(1, k_max + 1)
     ]
 
 
-def verify_mt_bound(target, grid: Grid, tol: float = 1e-3, prebuilt_u: DiscreteKernel | None = None) -> Check:
+def verify_mt_bound(target, grid: Grid, U: DiscreteKernel, tol: float = 1e-3) -> Check:
     """Doeblin lower bound on the exact-refresh gap from mass over box volume."""
     vals = density_on_grid(target, grid)
     act = _active_cells(vals)
     mass = float(vals[act].sum()) * grid.cell_vol
     bound = mass / (float(vals.max()) * act.size * grid.cell_vol)
-    U = prebuilt_u or build_full_matrix(target, grid, KernelKind.UNIFORM, None, m=64)
     return Check("mt_lower_bound_gapU", lhs=bound, rhs=spectral_gap(U), tol=tol)
 
 
-def verify_tv_bound(
-    target,
-    grid: Grid,
-    kind: KernelKind,
-    w,
-    nu: np.ndarray | None = None,
-    n_max: int = 50,
-    tol: float = 1e-8,
-    m: int = 64,
-    prebuilt_h: DiscreteKernel | None = None,
-) -> list[Check]:
+def verify_tv_bound(H: DiscreteKernel, nu: np.ndarray | None = None, n_max: int = 50, tol: float = 1e-8) -> list[Check]:
     """Iterated total-variation distance against the geometric gap bound."""
-    H = prebuilt_h or build_full_matrix(target, grid, kind, w, m)
     gap = spectral_gap(H)
     pi = H.pi
     if nu is None:

@@ -63,21 +63,21 @@ def run_verification_suite(seed: int = 20_240_817) -> list[SuiteResult]:
     # assembled kernels: reversibility, sandwich, monotonicity, power, TV, Doeblin bound
     g_full = oracle.Grid.for_target(t1, 600)
     U = oracle.build_full_matrix(t1, g_full, oracle.KernelKind.UNIFORM, None, m=150)
-    H = oracle.build_full_matrix(t1, g_full, oracle.KernelKind.SO_SH, w, m=150)
+    mats = oracle.build_k_step_matrices(t1, g_full, oracle.KernelKind.SO_SH, w, list(range(1, 6)), m=150)
+    H = mats[1]
     resid = max(oracle.reversibility_check(U), oracle.reversibility_check(H))
     results.append(SuiteResult("full_kernel_reversibility", resid < 1e-8, f"max residual = {resid:.3e}"))
     gap_u, gap_h = oracle.spectral_gap(U), oracle.spectral_gap(H)
     betas, _ = oracle.beta_k_numeric_many(t1, g_full, oracle.KernelKind.SO_SH, w, [1, 5], m=150, norm_bins=512)
-    ok = gap_h <= gap_u + 5e-3 and all((gap_u - betas[k]) / k <= gap_h + 5e-3 for k in (1, 5))
-    results.append(SuiteResult("gap_sandwich", ok, f"gap_U={gap_u:.4f} gap_H={gap_h:.4f}"))
-    mats = oracle.build_k_step_matrices(t1, g_full, oracle.KernelKind.SO_SH, w, list(range(1, 6)), m=150)
-    mono = oracle.verify_monotonicity(t1, g_full, oracle.KernelKind.SO_SH, w, 5, 150, prebuilt=mats)
-    powr = oracle.verify_power_bound(t1, g_full, oracle.KernelKind.SO_SH, w, 5, 150, prebuilt=mats)
+    sandwich = oracle.verify_sandwich(U, H, betas)
+    results.append(SuiteResult("gap_sandwich", all(c.passed for c in sandwich), f"gap_U={gap_u:.4f} gap_H={gap_h:.4f}"))
+    mono = oracle.verify_monotonicity(mats, 5)
+    powr = oracle.verify_power_bound(mats, 5)
     results.append(SuiteResult("kstep_monotonicity", all(c.passed for c in mono), f"{len(mono)} comparisons"))
     results.append(SuiteResult("kstep_power_bound", all(c.passed for c in powr), f"{len(powr)} comparisons"))
-    mt = oracle.verify_mt_bound(t1, g_full, prebuilt_u=U)
+    mt = oracle.verify_mt_bound(t1, g_full, U)
     results.append(SuiteResult("doeblin_gap_bound", mt.passed, f"{mt.lhs:.4f} <= {mt.rhs:.4f}"))
-    tv = oracle.verify_tv_bound(t1, g_full, oracle.KernelKind.SO_SH, w, n_max=30, prebuilt_h=H)
+    tv = oracle.verify_tv_bound(H, n_max=30)
     results.append(SuiteResult("tv_decay_bound", all(c.passed for c in tv), f"{len(tv)} steps"))
     psd1 = min(
         oracle.psd_check(oracle.build_level_matrix(t1, g_id, t, oracle.KernelKind.SO_SH, w)) for t in levels

@@ -177,6 +177,12 @@ class TestCliGap:
         lines = (out / "gap_report.csv").read_text().splitlines()
         assert any(ln.endswith("False") for ln in lines[2:])
 
+    def test_gap_reaching_width_is_runtime_error(self, tmp_path):
+        # the twin triangles' level sets split by gaps up to 1.8, so w = 1.0 leaves the class R_w
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace("w = 3.0", "w = 1.0"))
+        assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / "gap")]) == 3
+
 
 class TestGapReportSharing:
     TEXT = MINIMAL.replace("levels_m = 50", "levels_m = 40").replace("k_list = 1,2", "k_list = 1,2,5").replace(
@@ -185,26 +191,38 @@ class TestGapReportSharing:
 
     @staticmethod
     def _reference_checks(cfg):
-        """The report composed from independent calls, each assembling its own kernels."""
+        """The report composed from the verifiers, each given kernels assembled for it alone."""
         from slicegap import spectral_oracle as oracle
         from slicegap.cli import _kernel_kind
         from slicegap.spectral_oracle import Check, Grid, KernelKind
 
         target, kind, w, m = cfg.target, _kernel_kind(cfg), cfg.sampler.w, cfg.levels_m
         grid = Grid.for_target(target, cfg.cells, cfg.eps_cut)
-        checks = oracle.verify_theorem_bounds(
-            target, grid, kind, w, cfg.k_list, m, tol=cfg.tol_theorem, norm_bins=cfg.norm_bins,
-            psd_probe_levels=cfg.psd_probe_levels, psd_tol=min(1e-10, cfg.tol_exact),
-        ).checks
+        k_list = sorted(set(cfg.k_list))
+
+        def full(kk):
+            return oracle.build_full_matrix(target, grid, kk, w, m)
+
+        def ksteps(ks):
+            return oracle.build_k_step_matrices(target, grid, kind, w, ks, m)
+
+        beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)[0]
+        top = float(oracle.density_on_grid(target, grid).max())
+        levels = [(j + 0.5) * top / cfg.psd_probe_levels for j in range(cfg.psd_probe_levels)]
+        min_eig = min(oracle.psd_check(oracle.build_level_matrix(target, grid, t, kind, w)) for t in levels)
+        checks = [Check("psd_level_kernels", lhs=-min_eig, rhs=0.0, tol=min(1e-10, cfg.tol_exact))]
+        checks += oracle.verify_sandwich(full(KernelKind.UNIFORM), full(kind), beta, tol=cfg.tol_theorem)
+        gap_u, kmats = oracle.spectral_gap(full(KernelKind.UNIFORM)), ksteps(k_list)
+        for k in k_list:
+            gap_k = oracle.spectral_gap(kmats[k])
+            checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u - beta[k], rhs=gap_k, tol=cfg.tol_theorem))
         rev_tol = min(1e-8, cfg.tol_exact)
         for name, kk in (("reversibility_U", KernelKind.UNIFORM), ("reversibility_H", kind)):
-            K = oracle.build_full_matrix(target, grid, kk, w, m)
-            checks.append(Check(name, lhs=oracle.reversibility_check(K), rhs=0.0, tol=rev_tol))
-        checks += oracle.verify_monotonicity(target, grid, kind, w, cfg.k_max, m, tol=cfg.tol_exact)
-        checks += oracle.verify_power_bound(target, grid, kind, w, cfg.k_max, m, tol=cfg.tol_exact)
-        U = oracle.build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
-        checks.append(oracle.verify_mt_bound(target, grid, tol=cfg.tol_mt, prebuilt_u=U))
-        checks += oracle.verify_tv_bound(target, grid, kind, w, n_max=cfg.tv_n_max, tol=cfg.tol_tv, m=m)
+            checks.append(Check(name, lhs=oracle.reversibility_check(full(kk)), rhs=0.0, tol=rev_tol))
+        checks += oracle.verify_monotonicity(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=cfg.tol_exact)
+        checks += oracle.verify_power_bound(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=cfg.tol_exact)
+        checks.append(oracle.verify_mt_bound(target, grid, full(KernelKind.UNIFORM), tol=cfg.tol_mt))
+        checks += oracle.verify_tv_bound(full(kind), n_max=cfg.tv_n_max, tol=cfg.tol_tv)
         return checks
 
     def test_each_kernel_assembled_and_solved_once(self, monkeypatch):

@@ -17,7 +17,6 @@ from slicegap.spectral_oracle import (
     beta_k_numeric_many,
     build_full_matrix,
     build_k_step_matrices,
-    build_k_step_matrix,
     build_level_matrix,
     density_on_grid,
     discretize_target,
@@ -29,6 +28,7 @@ from slicegap.spectral_oracle import (
     verify_monotonicity,
     verify_mt_bound,
     verify_power_bound,
+    verify_sandwich,
     verify_theorem_bounds,
     verify_tv_bound,
 )
@@ -148,13 +148,14 @@ class TestBuildFullMatrix:
 
 class TestKStep:
     def test_k1_equals_full(self, t1, t2):
+        # a k-step set holding k > 1 builds its k=1 kernel alongside the others (in 2D from level matrices)
         grid = Grid.for_target(t1, 200)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=50)
-        M1 = build_k_step_matrix(t1, grid, KernelKind.SO_SH, 3.0, 1, m=50)
+        M1 = build_k_step_matrices(t1, grid, KernelKind.SO_SH, 3.0, [1, 2], m=50)[1]
         assert np.abs(H.P - M1.P).max() < 1e-12
         grid2 = Grid.for_target(t2, (14, 14))
         H2 = build_full_matrix(t2, grid2, KernelKind.COMBINED, 3.0, m=8)
-        M2 = build_k_step_matrix(t2, grid2, KernelKind.COMBINED, 3.0, 1, m=8)
+        M2 = build_k_step_matrices(t2, grid2, KernelKind.COMBINED, 3.0, [1, 2], m=8)[1]
         assert np.abs(H2.P - M2.P).max() < 1e-12
 
     def test_uniform_inner_is_k_independent(self, t1):
@@ -283,20 +284,21 @@ class TestVerifiers:
 
     def test_monotonicity_and_power(self, t1):
         grid = Grid.for_target(t1, 300)
-        mono = verify_monotonicity(t1, grid, KernelKind.SO_SH, 3.0, 6, m=80)
-        power = verify_power_bound(t1, grid, KernelKind.SO_SH, 3.0, 6, m=80)
+        ksteps = build_k_step_matrices(t1, grid, KernelKind.SO_SH, 3.0, range(1, 7), m=80)
+        mono = verify_monotonicity(ksteps, 6)
+        power = verify_power_bound(ksteps, 6)
         assert all(c.passed for c in mono)
         assert all(c.passed for c in power)
 
     def test_monotonicity_constant_for_uniform(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
-        mono = verify_monotonicity(u, grid, KernelKind.UNIFORM, None, 4, m=10)
+        mono = verify_monotonicity(build_k_step_matrices(u, grid, KernelKind.UNIFORM, None, range(1, 5), m=10), 4)
         assert all(abs(c.margin) < 1e-12 for c in mono)
 
     def test_mt_bound(self, t1):
         grid = Grid.for_target(t1, 300)
-        check = verify_mt_bound(t1, grid)
+        check = verify_mt_bound(t1, grid, build_full_matrix(t1, grid, KernelKind.UNIFORM, None, m=64))
         assert check.passed
         # mass 1.8 over height 1 times support length 4
         assert check.lhs == pytest.approx(0.45, abs=5e-3)
@@ -304,26 +306,63 @@ class TestVerifiers:
     def test_mt_bound_uniform_equality(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
-        check = verify_mt_bound(u, grid)
+        check = verify_mt_bound(u, grid, build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=64))
         assert check.lhs == pytest.approx(1.0)
         assert check.rhs == pytest.approx(1.0, abs=1e-10)
 
     def test_tv_bound_from_stationarity_is_zero(self, t1):
         grid = Grid.for_target(t1, 200)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=50)
-        checks = verify_tv_bound(t1, grid, KernelKind.SO_SH, 3.0, nu=H.pi.copy(), n_max=5, prebuilt_h=H)
+        checks = verify_tv_bound(H, nu=H.pi.copy(), n_max=5)
         assert all(c.lhs < 1e-12 for c in checks)
 
     def test_tv_bound_point_mass(self, t1):
         grid = Grid.for_target(t1, 300)
-        checks = verify_tv_bound(t1, grid, KernelKind.SO_SH, 3.0, n_max=50, m=80)
+        checks = verify_tv_bound(build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=80), n_max=50)
         assert all(c.passed for c in checks)
 
     def test_tv_rank_one_collapses_in_one_step(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
-        checks = verify_tv_bound(u, grid, KernelKind.UNIFORM, None, n_max=3, m=10)
+        checks = verify_tv_bound(build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=10), n_max=3)
         assert checks[0].lhs < 1e-12
+
+
+class TestVerifierNegativeControls:
+    """Hand-built kernels that break an inequality must be reported as failed."""
+
+    @staticmethod
+    def _lazy(K: DiscreteKernel, hold: float) -> DiscreteKernel:
+        return DiscreteKernel(P=hold * np.eye(K.n) + (1.0 - hold) * K.P, pi=K.pi, label=f"lazy-{hold}")
+
+    @pytest.fixture(scope="class")
+    def U(self, t1):
+        grid = Grid.for_target(t1, 120)
+        return build_full_matrix(t1, grid, KernelKind.UNIFORM, None, m=30)
+
+    def test_lazier_k2_breaks_monotonicity(self, U):
+        (check,) = verify_monotonicity({1: U, 2: self._lazy(U, 0.5)}, 2)
+        assert not check.passed
+
+    def test_faster_k2_breaks_power_bound(self, U):
+        # norm(H)^2 exceeds the norm of a k=2 kernel that mixes in one step
+        rank_one = DiscreteKernel(P=np.tile(U.pi, (U.n, 1)), pi=U.pi)
+        checks = verify_power_bound({1: self._lazy(U, 0.5), 2: rank_one}, 2)
+        assert [c.passed for c in checks] == [True, False]
+
+    def test_lazy_kernel_breaks_doeblin_bound(self, t1, U):
+        grid = Grid.for_target(t1, 120)
+        assert verify_mt_bound(t1, grid, U).passed
+        assert not verify_mt_bound(t1, grid, self._lazy(U, 0.99)).passed
+
+    def test_swapped_kernels_break_sandwich(self, U):
+        lazy = self._lazy(U, 0.5)
+        assert all(c.passed for c in verify_sandwich(U, lazy, {1: 1.0}))
+        upper, _ = verify_sandwich(lazy, U, {1: 1.0})
+        assert not upper.passed
+        # beta_1 = 0 would make the lazy kernel as fast as the exact refresh
+        _, lower = verify_sandwich(U, lazy, {1: 0.0})
+        assert not lower.passed
 
 
 class TestPsdAndReversibility:
