@@ -2,13 +2,17 @@
 
 Every kernel is reduced to a finite row-stochastic matrix on a regular
 grid.  Level kernels live on the sub-grid of cells whose density clears
-the level; full kernels average level kernels with a per-row midpoint rule
-over the level variable.  In 1D all kinds and all k-step powers share one
-level geometry per (target, grid, m): the cell ranges, gap and length of
-the level set at every (row, level) node, computed once in vectorized row
-blocks and cached, so each kernel is one weighted bincount of
-difference-array entries.  Operator norms come from singular values of the
-stationary-similarity transform and are solved once per kernel.
+the level.  A full kernel is the level integral of the paper,
+rho(x) H(x, dy) = int_0^rho(x) H_t(x, dy) dt.  Every 1D kernel and every
+uniform kernel takes it from one cached level plan per (target, grid, m):
+level nodes shared by all cells, with breakpoints at the sorted cell
+densities.  Its flow is one prefix sum over nodes, gathered at the
+smaller rank of each pair, so these kernels are stochastic and reversible
+by construction, with the discretized target as stationary weights.  The
+2D chord kernels still average level kernels with a per-row midpoint rule
+and symmetrise the resulting flow.  Operator norms are the largest
+absolute eigenvalues of the symmetric stationary-similarity transform,
+solved once per kernel.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on kernels it is given.  ``verify_theorem_bounds`` is the
@@ -25,12 +29,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, svds
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
-from .errors import CoverageError, EmptyLevelSetError
+from .errors import CoverageError, EmptyLevelSetError, OutOfClassError
 from .kernels import mixture_weight, sphere_surface_area
 from .slice_geometry import level_set_1d
-from .targets import Shape, TargetDensity
 
 #: boundary tolerance when assigning grid cells to a level set
 LEVEL_TOL = 1e-12
@@ -110,10 +113,11 @@ class DiscreteKernel:
     _norm: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.P.min() < 0.0:
+            raise ValueError(f"{self.label or 'kernel'} has a negative entry {self.P.min():.3e}")
         drift = np.abs(self.P.sum(axis=1) - 1.0).max()
         if drift > 1e-9:
             raise ValueError(f"rows of {self.label or 'kernel'} sum to 1 only within {drift:.3e}")
-        self.P = self.P / self.P.sum(axis=1, keepdims=True)
         if np.any(self.pi <= 0.0):
             raise ValueError("stationary weights must be strictly positive")
         self.pi = self.pi / self.pi.sum()
@@ -200,163 +204,106 @@ def _active_cells(vals: np.ndarray) -> np.ndarray:
     return idx
 
 
-# -- 1D level geometry, vectorised over levels --------------------------------
-
-
-def _component_bounds(comp, t: np.ndarray):
-    """Level-interval ends of a 1D component for an array of levels."""
-    active = t <= comp.height
-    tt = np.where(active, t, comp.height)
-    if comp.shape is Shape.TRIANGULAR:
-        r = comp.scale * (1.0 - tt / comp.height)
-    else:
-        r = np.sqrt(np.log(comp.height / tt) / comp.scale)
-    return active, comp.mode[0] - r, comp.mode[0] + r
-
-
-def _level_profile_1d(target, t: np.ndarray, x_row):
-    """Continuous geometry of the 1D level sets at levels ``t``.
-
-    Returns the (active, lo, hi) interval of two components together with
-    the merged length, the gap between disjoint parts (0 otherwise) and
-    whether the first component's interval holds ``x_row``, which
-    broadcasts against ``t``.  Supports one or two components.
-    """
-    parts = [_component_bounds(comp, t) for comp in target.components]
-    if len(parts) == 1:
-        # a one-component target has a second part that is never active
-        parts.append((np.zeros_like(t, dtype=bool), t, t))
-    (a1, lo1, hi1), (a2, lo2, hi2) = parts
-    both = a1 & a2
-    gap = np.maximum(lo1, lo2) - np.minimum(hi1, hi2)
-    disjoint = both & (gap > LEVEL_TOL)
-    overlap = np.where(both & ~disjoint, np.minimum(hi1, hi2) - np.maximum(lo1, lo2), 0.0)
-    len1 = np.where(a1, hi1 - lo1, 0.0)
-    len2 = np.where(a2, hi2 - lo2, 0.0)
-    length = len1 + len2 - np.maximum(overlap, 0.0) * both
-    delta = np.where(disjoint, gap, 0.0)
-    in_first = a1 & (lo1 - LEVEL_TOL <= x_row) & (x_row <= hi1 + LEVEL_TOL)
-    return parts, length, delta, in_first
+# -- level plan: nodes shared by every cell -----------------------------------
 
 
 @dataclass(eq=False)
-class _LevelGeometry1D:
-    """Discretized level sets at every (row, level) node of a 1D grid.
+class _LevelPlan:
+    """Level nodes shared by every active cell of a grid.
 
-    Node ``i * m + j`` is row ``i`` at the midpoint level (j + 1/2) rho_i / m.
-    Its level set is one cell range, or two when its parts are disjoint.
-    ``ends`` holds range starts and ends as positions in the row-major
-    (n, n + 1) difference array, in six blocks: starts and ends of every
-    node's first range, of every disjoint node's second range, and of the
-    part holding the row point of every disjoint node.  ``gap`` and
-    ``length`` are the continuous gap and total length per node, from which
-    every kind and ``k`` takes its mixture weight.
+    The nodes are the sorted distinct active densities, refined by ``m``
+    equal levels up to the top density; a cell's rank is the node of its
+    own density.  Node ``j`` stands for the level interval of ``width[j]``
+    just below it, on which the level set is fixed: the ``count[j]`` cells
+    of rank at least ``j``.  For level kernels A_j reversible with respect
+    to the uniform law on their set, the flow
+
+        rho(x) H(x, y) = sum over nodes j <= min(rank x, rank y) of width_j A_j(x, y)
+
+    is symmetric and its rows sum to rho(x), so each kernel is one prefix
+    sum over nodes gathered through ``index``, the min-rank matrix.
+
+    In 1D, ``length`` and ``gap`` are the level-set geometry at each
+    interval's midpoint, and a two-part node adds a refresh within the part
+    of the current cell.  The gaps are nested, so a cell lies on one side
+    of every gap below its density.  ``side_count`` holds the cells per
+    side and node, and ``index`` points each same-side pair at row 1 (left)
+    or 2 (right) of a (3, nodes) table, whose rows add that side's local
+    prefix sum to row 0.
     """
 
-    n: int
-    m: int
-    ends: np.ndarray
-    n_slice: np.ndarray
-    disjoint: np.ndarray
-    n_part: np.ndarray
-    gap: np.ndarray
-    length: np.ndarray
+    rho: np.ndarray
+    support: np.ndarray
+    width: np.ndarray
+    count: np.ndarray
+    index: np.ndarray
+    length: np.ndarray | None = None
+    gap: np.ndarray | None = None
+    side_count: np.ndarray | None = None
 
-    @classmethod
-    def build(cls, target, centers: np.ndarray, rho: np.ndarray, m: int):
-        n = centers.size
-        offsets = (np.arange(m) + 0.5) / m
-        # positions stay below n * (n + 1) and counts below n * m: int32 for any grid whose matrix fits in memory
-        lo = np.zeros((2, n * m), dtype=np.int32)
-        hi = np.zeros((2, n * m), dtype=np.int32)
-        in_first = np.empty(n * m, dtype=bool)
-        gap = np.empty(n * m)
-        length = np.empty(n * m)
-        # ~4096-node blocks leave less fragmented heap behind than 65536-node blocks, at the same speed
-        rows_per_block = max(1, 4096 // m)
-        for start in range(0, n, rows_per_block):
-            rows = slice(start, min(start + rows_per_block, n))
-            nodes = slice(rows.start * m, rows.stop * m)
-            t = offsets[None, :] * rho[rows, None]
-            parts, length_t, gap_t, in_first_t = _level_profile_1d(target, t, centers[rows, None])
-            length[nodes], gap[nodes], in_first[nodes] = length_t.ravel(), gap_t.ravel(), in_first_t.ravel()
-            ranges = []
-            for active, p_lo, p_hi in parts:
-                l = np.searchsorted(centers, (p_lo - LEVEL_TOL).ravel(), side="left")
-                r = np.searchsorted(centers, (p_hi + LEVEL_TOL).ravel(), side="right")
-                ranges.append((active.ravel(), l, r))
-            (a1, l1, r1), (a2, l2, r2) = ranges
-            disjoint = gap[nodes] > 0.0
-            # merged slices span one contiguous cell range
-            lo_m = np.minimum(np.where(a1, l1, n), np.where(a2, l2, n))
-            hi_m = np.maximum(np.where(a1, r1, 0), np.where(a2, r2, 0))
-            lo[0, nodes], hi[0, nodes] = np.where(disjoint, l1, lo_m), np.where(disjoint, r1, hi_m)
-            lo[1, nodes], hi[1, nodes] = np.where(disjoint, l2, 0), np.where(disjoint, r2, 0)
-        disjoint = gap > 0.0
-        first = in_first[disjoint]
-        counts = hi - lo
-        row = np.repeat(np.arange(n, dtype=np.int32) * (n + 1), m)
-        lo += row
-        hi += row
-        lo_d, hi_d = lo[:, disjoint], hi[:, disjoint]
-        ends = np.concatenate(
-            [lo[0], hi[0], lo_d[1], hi_d[1], np.where(first, lo_d[0], lo_d[1]), np.where(first, hi_d[0], hi_d[1])]
-        )
-        n_slice = np.maximum(counts.sum(axis=0, dtype=np.int32), 1)
-        n_part = np.maximum(np.where(first, counts[0, disjoint], counts[1, disjoint]), 1)
-        return cls(n, m, ends, n_slice, disjoint, n_part, gap, length)
+    def kernel(self, kind: KernelKind, w, k: int) -> np.ndarray:
+        """Transition matrix of ``kind`` taking ``k`` inner steps per level."""
+        table = np.empty((3, self.width.size))
+        if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
+            table[:] = np.cumsum(self.width / self.count)
+        else:
+            gamma_k = 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
+            table[:] = np.cumsum(self.width * gamma_k / self.count)
+            table[1:] += np.cumsum(self.width * (1.0 - gamma_k) / np.maximum(self.side_count, 1), axis=1)
+        P = table.ravel().take(self.index)
+        P /= self.rho[:, None]
+        return P
 
 
 @functools.lru_cache(maxsize=2)
-def _level_geometry_1d(target, grid: Grid, m: int) -> _LevelGeometry1D:
+def _level_plan(target, grid: Grid, m: int) -> _LevelPlan:
     vals = density_on_grid(target, grid)
     act = _active_cells(vals)
-    return _LevelGeometry1D.build(target, grid.centers[act, 0], vals[act], m)
+    rho = vals[act]
+    levels, rank = np.unique(np.concatenate([rho, np.linspace(0.0, rho.max(), m + 1)[1:]]), return_inverse=True)
+    nodes = levels.size
+    # indices into a (3, nodes) table take 2 bytes each up to 21845 nodes
+    rank = rank[: rho.size].astype(np.min_scalar_type(3 * nodes))
+    width = np.diff(levels, prepend=0.0)
+    plan = _LevelPlan(rho, act, width, _count_from(rank, nodes), np.minimum.outer(rank, rank))
+    if grid.dim == 1:
+        _add_sides(plan, target, grid.centers[act, 0], rank, levels - width / 2)
+    return plan
 
 
-def _assemble_rows_1d(geo: _LevelGeometry1D, kind: KernelKind, w, k: int) -> np.ndarray:
-    """Dense transition matrix for 1D kinds by per-row midpoint level quadrature.
-
-    Each node adds gamma_k / |slice| over its slice and (1 - gamma_k) / |part|
-    over the part holding the row point, through weights at the range ends
-    of the difference array; one bincount and one cumsum over all rows turn
-    them into the matrix.  Merged and single-part level sets have gamma = 1,
-    so their local weight is zero.
-    """
-    n, m = geo.n, geo.m
-    if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
-        gamma_k = np.ones(geo.gap.shape)
-    else:
-        gamma_k = 1.0 - (1.0 - mixture_weight(geo.length, geo.gap, w)) ** k
-    cu = gamma_k / (m * geo.n_slice)
-    cu_d = cu[geo.disjoint]
-    cl = (1.0 - gamma_k[geo.disjoint]) / (m * geo.n_part)
-    weights = np.concatenate([cu, -cu, cu_d, -cu_d, cl, -cl])
-    acc = np.bincount(geo.ends, weights=weights, minlength=n * (n + 1))
-    return np.cumsum(acc.reshape(n, n + 1)[:, :n], axis=1)
+def _count_from(rank: np.ndarray, nodes: int) -> np.ndarray:
+    """Cells taking part in each node: those whose rank is at least the node's."""
+    return np.cumsum(np.bincount(rank, minlength=nodes)[::-1])[::-1]
 
 
-def _assemble_rows_1d_generic(target, centers, rho, kind, w, m, k) -> np.ndarray:
-    """Slow per-level fallback for 1D targets without component structure."""
-    n = centers.size
-    P = np.zeros((n, n))
-    uniform_kind = kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN)
-    for i in range(n):
-        for j in range(m):
-            t = (j + 0.5) * rho[i] / m
-            ls = level_set_1d(target, t)
-            mask = np.zeros(n, dtype=bool)
-            for iv in ls.parts.intervals:
-                mask |= (centers >= iv.lo - LEVEL_TOL) & (centers <= iv.hi + LEVEL_TOL)
-            u = mask / mask.sum()
-            if uniform_kind or ls.parts.nparts == 1:
-                P[i] += u / m
-            else:
-                gamma_k = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta_t, w)) ** k
-                part = ls.parts.intervals[ls.parts.part_index(float(centers[i]), LEVEL_TOL)]
-                pmask = (centers >= part.lo - LEVEL_TOL) & (centers <= part.hi + LEVEL_TOL)
-                P[i] += (gamma_k * u + (1.0 - gamma_k) * pmask / pmask.sum()) / m
-    return P
+def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, mids: np.ndarray) -> None:
+    """Level-set geometry per node and the side of the gap each cell keeps."""
+    sets = [level_set_1d(target, float(t)) for t in mids]
+    plan.length = np.array([ls.length for ls in sets])
+    plan.gap = np.array([ls.delta_t for ls in sets])
+    two = np.flatnonzero([ls.parts.nparts == 2 for ls in sets])
+    nodes = mids.size
+    plan.side_count = np.zeros((2, nodes), dtype=np.int64)
+    if two.size == 0:
+        return
+    # every cell in a two-part node's set also takes part in the lowest one
+    side = np.full(centers.size, -1)
+    taking_part = rank >= two[0]
+    side[taking_part] = centers[taking_part] > sets[two[0]].parts.intervals[0].hi
+    edges = (
+        np.array([sets[j].parts.intervals[0].hi for j in two]),
+        -np.array([sets[j].parts.intervals[1].lo for j in two]),
+    )
+    for s, edge in enumerate(edges):
+        mine = side == s
+        # the cell of each side nearest the gap, among those taking part in each node
+        reach = np.full(nodes, -np.inf)
+        np.maximum.at(reach, rank[mine], (1 - 2 * s) * centers[mine])
+        reach = np.maximum.accumulate(reach[::-1])[::-1]
+        if np.any(reach[two] > edge + LEVEL_TOL):
+            raise OutOfClassError("a grid cell changes side of the level-set gap; the gaps are not nested")
+        plan.side_count[s] = _count_from(rank[mine], nodes)
+    plan.index += np.equal.outer(side, side) * (nodes * (side + 1)).astype(plan.index.dtype)
 
 
 # -- pairwise chord geometry in dimension >= 2 --------------------------------
@@ -604,7 +551,7 @@ def _flow_symmetrize(P: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def build_full_matrix(target, grid: Grid, kind: KernelKind, w: float | None = None, m: int = 64) -> DiscreteKernel:
-    """Full transition matrix: per-row midpoint average of level kernels."""
+    """Full transition matrix: the level integral of level kernels."""
     return _build_power_matrix(target, grid, kind, w, (1,), m)[1]
 
 
@@ -618,80 +565,58 @@ def build_k_step_matrices(
 def _build_power_matrix(target, grid, kind, w, k_list, m) -> dict[int, DiscreteKernel]:
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
+    k_list = tuple(sorted(set(k_list)))
+    if grid.dim == 1 or kind is KernelKind.UNIFORM:
+        plan = _level_plan(target, grid, m)
+        pi = plan.rho / plan.rho.sum()
+        return {
+            k: DiscreteKernel(P=plan.kernel(kind, w, k), pi=pi, label=f"{kind.value}-k{k}-m{m}", support=plan.support)
+            for k in k_list
+        }
     vals = density_on_grid(target, grid)
     act = _active_cells(vals)
+    if act.size != grid.n:
+        raise CoverageError("chord kernels require strictly positive density on the whole grid")
     rho = vals[act]
-    pi = rho / rho.sum()
     n = act.size
-    k_list = tuple(sorted(set(k_list)))
-    # 1D kernels are assembled one k at a time from the shared level geometry
-    if grid.dim == 1 and isinstance(target, TargetDensity):
-        assemble = functools.partial(_assemble_rows_1d, _level_geometry_1d(target, grid, m), kind, w)
-    elif grid.dim == 1:
-        assemble = functools.partial(_assemble_rows_1d_generic, target, grid.centers[act, 0], rho, kind, w, m)
-    elif kind is KernelKind.UNIFORM:
-        assemble = dict.fromkeys(k_list, _assemble_uniform_nd(vals, act, m)).pop
-    else:
-        if act.size != grid.n:
-            raise CoverageError("chord kernels require strictly positive density on the whole grid")
-        pg = _pair_geometry(target, grid)
-        order = np.argsort(-rho, kind="stable")
-        rho_desc = rho[order]
-        kmax = max(k_list)
-        mats = {k: np.zeros((n, n)) for k in k_list}
-        row_arr = np.empty(1, dtype=int)
-        for i in range(n):
-            row_arr[0] = i
-            for j in range(m):
-                t = (j + 0.5) * rho[i] / m
-                count = int(np.searchsorted(-rho_desc, -(t - LEVEL_TOL), side="right"))
-                cols = order[:count]
-                if kmax == 1:
-                    dens, atom = _density_level_rows(pg, target, grid, t, row_arr, cols, kind, w)
-                    mats[1][i, cols] += dens[0] / m
-                    mats[1][i, i] += atom[0] / m
-                    continue
-                A, atoms = _density_level_rows(pg, target, grid, t, cols, cols, kind, w)
-                A[np.diag_indices_from(A)] += atoms
-                pos = int(np.nonzero(cols == i)[0][0])
-                r = A[pos]
-                step = 1
-                for k in k_list:
-                    while step < k:
-                        r = r @ A
-                        step += 1
-                    mats[k][i, cols] += r / m
-        assemble = mats.pop
+    pg = _pair_geometry(target, grid)
+    order = np.argsort(-rho, kind="stable")
+    rho_desc = rho[order]
+    kmax = max(k_list)
+    mats = {k: np.zeros((n, n)) for k in k_list}
+    row_arr = np.empty(1, dtype=int)
+    for i in range(n):
+        row_arr[0] = i
+        for j in range(m):
+            t = (j + 0.5) * rho[i] / m
+            count = int(np.searchsorted(-rho_desc, -(t - LEVEL_TOL), side="right"))
+            cols = order[:count]
+            if kmax == 1:
+                dens, atom = _density_level_rows(pg, target, grid, t, row_arr, cols, kind, w)
+                mats[1][i, cols] += dens[0] / m
+                mats[1][i, i] += atom[0] / m
+                continue
+            A, atoms = _density_level_rows(pg, target, grid, t, cols, cols, kind, w)
+            A[np.diag_indices_from(A)] += atoms
+            pos = int(np.nonzero(cols == i)[0][0])
+            r = A[pos]
+            step = 1
+            for k in k_list:
+                while step < k:
+                    r = r @ A
+                    step += 1
+                mats[k][i, cols] += r / m
     result: dict[int, DiscreteKernel] = {}
     for k in k_list:
-        P = assemble(k)
+        P = mats.pop(k)
         drift = np.abs(P.sum(axis=1) - 1.0).max()
         if drift > 1e-9:
             raise ValueError(f"assembled rows sum to 1 only within {drift:.3e}")
-        # per-row level quadrature leaves a small detailed-balance residual;
+        # per-row level quadrature leaves a detailed-balance residual;
         # project it out so the assembled kernel is exactly reversible
-        P, pi_k = _flow_symmetrize(P, pi)
+        P, pi_k = _flow_symmetrize(P, rho / rho.sum())
         result[k] = DiscreteKernel(P=P, pi=pi_k, label=f"{kind.value}-k{k}-m{m}", support=act)
     return result
-
-
-def _assemble_uniform_nd(vals: np.ndarray, act: np.ndarray, m: int) -> np.ndarray:
-    """Uniform-kind rows in any dimension via the descending-density prefix trick."""
-    rho = vals[act]
-    n = act.size
-    order = np.argsort(-rho, kind="stable")
-    rho_desc = rho[order]
-    P = np.zeros((n, n))
-    offsets = (np.arange(m) + 0.5) / m
-    for i in range(n):
-        t = offsets * rho[i]
-        counts = np.searchsorted(-rho_desc, -(t - LEVEL_TOL), side="right")
-        acc = np.zeros(n + 1)
-        coef = 1.0 / (m * counts)
-        acc[0] += coef.sum()
-        np.subtract.at(acc, counts, coef)
-        P[i, order] = np.cumsum(acc[:n])
-    return P
 
 
 # -- norms and spectra ---------------------------------------------------------
@@ -705,12 +630,36 @@ def _centered_similarity(K: DiscreteKernel) -> np.ndarray:
 def op_norm_centered(K: DiscreteKernel) -> float:
     """Operator norm of the kernel minus its stationary projection on L2(pi).
 
-    Largest singular value of D^(1/2) (P - 1 pi^T) D^(-1/2), solved once
-    per kernel and cached on it.
+    For a reversible kernel the similarity transform D^(1/2) (P - 1 pi^T)
+    D^(-1/2) is symmetric and its norm is its largest eigenvalue in
+    absolute value.  Solved once per kernel and cached on it; a transform
+    that is not symmetric within 1e-8 raises ValueError.
     """
     if K._norm is None:
-        K._norm = _largest_singular_value(_centered_similarity(K), dense_max=800)
+        C = _centered_similarity(K)
+        # row blocks keep the check from allocating a second n x n array
+        for start in range(0, K.n, 256):
+            rows = slice(start, start + 256)
+            asym = float(np.abs(C[rows] - C[:, rows].T).max())
+            if asym > 1e-8:
+                raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
+        K._norm = _largest_eigenvalue(C, dense_max=800)
     return K._norm
+
+
+def _largest_eigenvalue(C: np.ndarray, dense_max: int) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix.
+
+    Dense up to ``dense_max`` rows, ARPACK above (dense again if it fails).
+    """
+    n = C.shape[0]
+    if n > dense_max:
+        try:
+            eigs = eigsh(C, k=1, v0=_krylov_start(n), maxiter=5000, tol=0, return_eigenvectors=False)
+            return float(np.abs(eigs).max())
+        except ArpackNoConvergence:
+            pass
+    return float(np.abs(np.linalg.eigvalsh(C)).max())
 
 
 def _largest_singular_value(C: np.ndarray, dense_max: int) -> float:
@@ -728,13 +677,6 @@ def _krylov_start(n: int) -> np.ndarray:
     """Deterministic, structure-free start vector for iterative eigensolvers."""
     v = np.sin(np.arange(1, n + 1, dtype=float))
     return v / np.linalg.norm(v)
-
-
-def op_norm_centered_eig(K: DiscreteKernel) -> float:
-    """Same norm from the symmetric eigenvalue route (valid for reversible kernels)."""
-    C = _centered_similarity(K)
-    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
-    return float(np.abs(eigs).max())
 
 
 def spectral_gap(K: DiscreteKernel) -> float:

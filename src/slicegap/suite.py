@@ -92,7 +92,7 @@ def run_verification_suite(seed: int = 20_240_817) -> list[SuiteResult]:
         for kind in (oracle.KernelKind.HIT_AND_RUN, oracle.KernelKind.COMBINED):
             K = oracle.build_level_matrix(t2, g_2d, t, kind, w)
             worst_psd = min(worst_psd, oracle.psd_check(K))
-            norm = oracle.op_norm_centered_eig(K)
+            norm = oracle.op_norm_centered(K)
             if kind is oracle.KernelKind.HIT_AND_RUN:
                 worst_norm_har = max(worst_norm_har, norm - kernels.har_level_norm_bound(t2, t))
                 small = (

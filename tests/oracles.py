@@ -2,12 +2,18 @@
 
 These deliberately avoid the library's analytic geometry: membership is
 decided by dense scanning of the density, masses by fine Riemann sums,
-and volumes by hit-or-miss Monte Carlo.
+and volumes by hit-or-miss Monte Carlo.  The one exception is the level
+integral kernel, which takes its 1D level sets from ``level_set_1d`` and
+checks how ``spectral_oracle`` assembles kernels from them, one node at a
+time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from slicegap.kernels import mixture_weight
+from slicegap.slice_geometry import level_set_1d
 
 
 def scan_intervals_1d(target, t, lo, hi, n=2_000_001):
@@ -77,3 +83,37 @@ def mc_volume(target, t, los, his, n, seed):
     p = float((np.asarray(target.density(pts)) >= t).mean())
     box = float(np.prod(his - los))
     return box * p, box * np.sqrt(max(p * (1 - p), 0.0) / n)
+
+
+def level_integral_kernel(target, centers, rho, m, w=None, k=1):
+    """Kernel of rho(x) H(x, y) = int_0^rho(x) H_t(x, y) dt, one level node at a time.
+
+    The nodes are the sorted distinct densities ``rho`` of the cells at
+    ``centers``, refined by ``m`` equal levels up to the top; the level set
+    is fixed on the interval below each node.  In 1D its cells, and those
+    of each of its parts, are the centers inside the intervals of
+    ``level_set_1d`` at the interval's midpoint.  With a step width ``w``,
+    a two-part set refreshes over the whole set with the k-step weight
+    1 - (1 - gamma)^k and over the part of the current cell otherwise;
+    with None it always refreshes over the whole set.  In higher
+    dimensions the set holds the cells whose density reaches the node.
+    """
+    n = rho.size
+    flow = np.zeros((n, n))
+    below = 0.0
+    for top in np.unique(np.concatenate([rho, np.linspace(0.0, rho.max(), m + 1)[1:]])):
+        rows = rho >= top
+        parts, gamma = [rows], 1.0
+        if centers.shape[1] == 1:
+            ls = level_set_1d(target, 0.5 * (below + top))
+            x = centers[:, 0]
+            parts = [(x >= iv.lo - 1e-12) & (x <= iv.hi + 1e-12) for iv in ls.parts.intervals]
+            if w is not None and len(parts) == 2:
+                gamma = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta_t, w)) ** k
+        members = np.logical_or.reduce(parts)
+        A = gamma * np.outer(rows, members) / members.sum()
+        for part in parts if gamma < 1.0 else ():
+            A += (1.0 - gamma) * np.outer(rows & part, part) / max(part.sum(), 1)
+        flow += (top - below) * A
+        below = top
+    return flow / rho[:, None]

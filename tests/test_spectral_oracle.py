@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import bin_masses_1d
-from slicegap.errors import CoverageError, EmptyLevelSetError
+from oracles import bin_masses_1d, level_integral_kernel
+from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.spectral_oracle import (
-    _active_cells,
-    _assemble_rows_1d,
-    _assemble_rows_1d_generic,
-    _level_geometry_1d,
     Check,
     DiscreteKernel,
     Grid,
@@ -21,7 +17,6 @@ from slicegap.spectral_oracle import (
     density_on_grid,
     discretize_target,
     op_norm_centered,
-    op_norm_centered_eig,
     psd_check,
     reversibility_check,
     spectral_gap,
@@ -32,7 +27,7 @@ from slicegap.spectral_oracle import (
     verify_theorem_bounds,
     verify_tv_bound,
 )
-from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformInterval, twin_triangles
+from slicegap.targets import Interval, QuasiConcaveComponent, Shape, TargetDensity, UniformInterval, twin_triangles
 
 
 def two_state(p: float) -> DiscreteKernel:
@@ -143,7 +138,7 @@ class TestBuildFullMatrix:
         grid = Grid.for_target(t1, 400)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=100)
         pi_rho = discretize_target(t1, grid)
-        assert np.abs(H.pi - pi_rho).max() < 1e-4
+        assert np.abs(H.pi - pi_rho).max() < 1e-14
 
 
 class TestKStep:
@@ -175,30 +170,63 @@ class TestKStep:
         assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
 
-class TestLevelGeometryAssembly:
-    """The shared-geometry assembler against the per-level path built on ``level_set_1d``."""
+class _DriftingGap:
+    """Tent density whose level sets claim a gap that drifts across the grid as the level rises."""
+
+    dim = 1
+    sup_norm = 1.0
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        r = x[..., 0] if x.ndim and x.shape[-1:] == (1,) else x
+        return np.maximum(1.0 - np.abs(r) / 2.0, 0.0)
+
+    def level_regions(self, t):
+        half = 2.0 * (1.0 - t)
+        mid = half * (t - 0.5)
+        return [Interval(-half, mid - 0.01 * half), Interval(mid + 0.01 * half, half)]
+
+
+class TestLevelPlan:
+    """Kernels from the shared level plan against a brute-force loop over its nodes."""
 
     TARGETS = {
         "twin_triangles": twin_triangles(),
         "one_component": TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.3,), 1.2, 2.0),)),
+        "uniform_interval": UniformInterval(-1.0, 2.0, 0.5),
     }
+
+    @staticmethod
+    def _assert_exact(K, target, grid):
+        """Stochastic, reversible and stationary for the discretized target, with no correction."""
+        assert np.abs(K.P.sum(axis=1) - 1.0).max() <= 1e-12
+        assert reversibility_check(K) <= 1e-15
+        assert np.abs(K.pi - discretize_target(target, grid)[K.support]).max() <= 1e-14
 
     @pytest.mark.parametrize("name", sorted(TARGETS))
     @pytest.mark.parametrize("kind", [KernelKind.UNIFORM, KernelKind.SO_SH])
-    def test_matches_per_level_path(self, name, kind):
+    def test_matches_per_node_loop(self, name, kind):
         target = self.TARGETS[name]
         grid = Grid.for_target(target, 300)
         m = 60
-        vals = density_on_grid(target, grid)
-        act = _active_cells(vals)
-        geo = _level_geometry_1d(target, grid, m)
-        for k in (1, 2, 5):
-            P = _assemble_rows_1d(geo, kind, 3.0, k)
-            if kind is KernelKind.SO_SH or k == 1:
-                # the per-level path ignores k for the uniform kind
-                ref = _assemble_rows_1d_generic(target, grid.centers[act, 0], vals[act], kind, 3.0, m, k)
-            assert np.abs(P - ref).max() <= 1e-12
-            assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+        for k, K in build_k_step_matrices(target, grid, kind, 3.0, [1, 2, 5], m).items():
+            rho = density_on_grid(target, grid)[K.support]
+            w = 3.0 if kind is KernelKind.SO_SH else None
+            ref = level_integral_kernel(target, grid.centers[K.support], rho, m, w, k)
+            assert np.abs(K.P - ref).max() <= 1e-12
+            self._assert_exact(K, target, grid)
+
+    def test_uniform_2d_matches_per_node_loop(self, t2):
+        grid = Grid.for_target(t2, (14, 14))
+        U = build_full_matrix(t2, grid, KernelKind.UNIFORM, None, m=8)
+        ref = level_integral_kernel(t2, grid.centers, density_on_grid(t2, grid), 8)
+        assert np.abs(U.P - ref).max() <= 1e-12
+        self._assert_exact(U, t2, grid)
+
+    def test_gap_that_is_not_nested_raises(self):
+        grid = Grid(bounds=((-2.0, 2.0),), shape=(200,))
+        with pytest.raises(OutOfClassError, match="not nested"):
+            build_full_matrix(_DriftingGap(), grid, KernelKind.SO_SH, 3.0, m=20)
 
 
 class TestOpNorm:
@@ -213,9 +241,18 @@ class TestOpNorm:
         assert op_norm_centered(two_state(p)) == pytest.approx(abs(2 * p - 1), abs=1e-12)
 
     def test_svd_and_eig_routes_agree_for_reversible(self, t1):
-        grid = Grid.for_target(t1, 300)
+        # 1000 cells take the ARPACK route
+        grid = Grid.for_target(t1, 1000)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=60)
-        assert op_norm_centered(H) == pytest.approx(op_norm_centered_eig(H), abs=1e-10)
+        root = np.sqrt(H.pi)
+        C = (root[:, None] * (H.P - H.pi[None, :])) / root[None, :]
+        assert op_norm_centered(H) == pytest.approx(np.linalg.svd(C, compute_uv=False)[0], abs=1e-10)
+
+    def test_non_reversible_kernel_rejected(self):
+        # a doubly stochastic cycle: stationary but not reversible
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="not reversible"):
+            op_norm_centered(DiscreteKernel(P=P, pi=np.full(3, 1.0 / 3.0)))
 
     def test_norm_is_solved_once_per_kernel(self, monkeypatch):
         import slicegap.spectral_oracle as oracle
@@ -231,6 +268,11 @@ class TestOpNorm:
     def test_row_sum_validation(self):
         P = np.array([[0.7, 0.2], [0.5, 0.5]])
         with pytest.raises(ValueError):
+            DiscreteKernel(P=P, pi=np.array([0.5, 0.5]))
+
+    def test_negative_entry_rejected(self):
+        P = np.array([[1.1, -0.1], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="negative"):
             DiscreteKernel(P=P, pi=np.array([0.5, 0.5]))
 
 
