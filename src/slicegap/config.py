@@ -12,14 +12,13 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 from .samplers import SamplerConfig, SamplerKind
 from .targets import (
     QuasiConcaveComponent,
     Shape,
     TargetDensity,
+    eval_density,
     gaussian_pair,
     twin_triangles,
 )
@@ -131,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"run.x0 needs {d} coordinates, got {len(self.x0)}")
         if self.n < 0 or self.burn_in < 0 or self.burn_in > self.n:
             raise ConfigError("run.n and run.burn_in must satisfy 0 <= burn_in <= n")
-        if float(self.target.density(np.asarray(self.x0))) <= 0.0:
+        if eval_density(self.target, self.x0) <= 0.0:
             raise ConfigError("run.x0 has zero target density")
         if self.formats != "csv":
             raise ConfigError(f"output.formats supports only 'csv', got {self.formats!r}")

@@ -26,7 +26,7 @@ from .slice_geometry import (
     line_section,
     vol_level_set,
 )
-from .targets import RwCertificate, TargetDensity, check_Rw
+from .targets import RwCertificate, TargetDensity, check_Rw, eval_density
 
 
 def sphere_surface_area(d: int) -> float:
@@ -150,7 +150,7 @@ def _chord_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _require_on_slice(target, t: float, *points) -> None:
     for p in points:
-        if float(target.density(np.atleast_1d(p))) < t - MEMBERSHIP_TOL:
+        if eval_density(target, p) < t - MEMBERSHIP_TOL:
             raise ValueError(f"point {p} lies below the level {t}")
 
 

@@ -30,8 +30,12 @@ from .errors import (
     SliceGapError,
 )
 from .slice_geometry import line_section, uniform_sample_level_set
+from .targets import eval_density
 
 DEFAULT_MAX_LOOP = 10_000
+
+#: trace rows converted to Python floats at a time when writing CSV
+_CSV_BLOCK = 256
 
 
 class SamplerKind(str, Enum):
@@ -82,15 +86,16 @@ class Trace:
         return self.states.shape[0] - 1
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        """Write ``step,level,x1,...,xd`` rows with 17 significant digits."""
+        """Write ``step,level,x1,...,xd`` rows with 17 significant digits and CSV (``\\r\\n``) line ends."""
         d = self.states.shape[1]
+        row = "%d" + ",%.17g" * (d + 1) + "\r\n"
         with open(path, "w", newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "level"] + [f"x{i + 1}" for i in range(d)])
-            for i, (x, lev) in enumerate(zip(self.states, self.levels)):
-                writer.writerow([i, f"{lev:.17g}"] + [f"{v:.17g}" for v in x])
+            fh.write(",".join(["step", "level"] + [f"x{i + 1}" for i in range(d)]) + "\r\n")
+            for start in range(0, self.levels.size, _CSV_BLOCK):
+                block = np.column_stack((self.levels[start : start + _CSV_BLOCK], self.states[start : start + _CSV_BLOCK]))
+                fh.writelines(row % (i, *vals) for i, vals in enumerate(block.tolist(), start))
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +110,7 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_level(target, x: np.ndarray, rng: np.random.Generator) -> float:
-    rho = float(target.density(x))
+    rho = eval_density(target, x)
     if rho <= 0.0:
         raise InvalidStateError(f"density is zero at {x}; no transition defined")
     # uniform on (0, rho]; excluding 0 keeps the level set well defined
@@ -195,10 +200,7 @@ def so_sh_level_move(
     if target.dim != 1:
         raise ValueError("axis stepping-out requires a one-dimensional target")
     pos0 = float(np.atleast_1d(x)[0])
-
-    def density(s: float) -> float:
-        return float(target.density(np.array([s])))
-
+    density = target.line_density(0.0, 1.0)
     bracket = stepping_out(density, pos0, t, w, rng, max_loop)
     y = shrinkage(bracket, pos0, t, density, rng, max_loop)
     return np.array([y])
@@ -225,10 +227,7 @@ def so_sh_line_move(
     """Stepping-out plus shrinkage along a fixed direction, anchored at coordinate 0."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.asarray(theta, dtype=float)
-
-    def density(s: float) -> float:
-        return float(target.density(x + s * theta))
-
+    density = target.line_density(x, theta)
     bracket = stepping_out(density, 0.0, t, w, rng, max_loop)
     s = shrinkage(bracket, 0.0, t, density, rng, max_loop)
     return x + s * theta
@@ -356,7 +355,7 @@ def _step_with_level(target, config: SamplerConfig, x: np.ndarray, rng) -> tuple
 def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:
     """Run ``n`` transitions from ``x0``; deterministic in all arguments."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if float(target.density(x0)) <= 0.0:
+    if eval_density(target, x0) <= 0.0:
         raise InvalidStateError(f"starting point {x0} has zero density")
     rng = np.random.default_rng(seed)
     states = np.empty((n + 1, target.dim))

@@ -129,7 +129,7 @@ def line_section(target, t: float, x, theta) -> LineSection:
     if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
     _validate_level(target, t)
-    rho_x = float(target.density(x))
+    rho_x = target.line_density(x, theta)(0.0)
     if rho_x < t - MEMBERSHIP_TOL:
         raise OffSliceError(f"density {rho_x} at the origin point is below the level {t}")
 

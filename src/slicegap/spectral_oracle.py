@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
-from .errors import CoverageError, EmptyLevelSetError, OutOfClassError
+from .errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from .kernels import mixture_weight, sphere_surface_area
 from .slice_geometry import level_set_1d
 
@@ -504,6 +504,10 @@ def _add_strip_blocks(P, cells, eta, eta_w, memberships, kind, w, weight):
 
 def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
     """Discretized per-level kernel on the sub-grid of cells clearing level ``t``."""
+    if grid.dim >= 3 and kind is not KernelKind.UNIFORM:
+        raise UnsupportedShapeError(
+            f"{kind.value} level matrices are built from planar strips; a {grid.dim}D grid supports only the uniform kind"
+        )
     vals = density_on_grid(target, grid)
     if t > vals.max() + LEVEL_TOL:
         raise EmptyLevelSetError(f"no grid cell clears level {t}")

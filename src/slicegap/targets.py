@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -60,6 +60,43 @@ class Ball:
 
 
 Region = Union[Interval, Ball]
+
+LineDensity = Callable[[float], float]
+
+#: widest point for which a sequential sum of squares reproduces ``np.linalg.norm``
+_SCALAR_NORM_MAX_DIM = 7
+
+
+def _line_floats(x, theta, dim: int) -> tuple[list[float], list[float]]:
+    """Coordinates of a point and a direction as Python floats, checked against ``dim``."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if dim == 1:
+        x, theta = x.reshape(-1), theta.reshape(-1)
+    if x.shape != (dim,) or theta.shape != (dim,):
+        raise ValueError(f"expected a point and a direction of dimension {dim}, got shapes {x.shape} and {theta.shape}")
+    return x.tolist(), theta.tolist()
+
+
+def _line_norm(xs: list[float], ts: list[float], center) -> Callable[[float], float]:
+    """``s -> |x + s*theta - center|``, summing squares in axis order as ``np.linalg.norm`` does."""
+    axes = tuple(zip(xs, ts, map(float, center)))
+
+    def norm(s: float) -> float:
+        sq = 0.0
+        for xi, ti, ci in axes:
+            di = xi + s * ti - ci
+            sq += di * di
+        return math.sqrt(sq)
+
+    return norm
+
+
+def _array_line_density(target, x, theta) -> LineDensity:
+    """Line density through the array ``density``, for points too wide for the scalar norm."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    return lambda s: float(target.density(x + s * theta))
 
 
 class Shape(str, Enum):
@@ -110,6 +147,28 @@ class QuasiConcaveComponent:
             return self.height * np.maximum(0.0, 1.0 - r / self.scale)
         return self.height * np.exp(-self.scale * r**2)
 
+    def line_density(self, x, theta) -> LineDensity:
+        """Component value at ``x + s * theta`` as a function of ``s``; see ``TargetDensity.line_density``."""
+        if self.dim > _SCALAR_NORM_MAX_DIM:
+            return _array_line_density(self, x, theta)
+        return self._line(*_line_floats(x, theta, self.dim))
+
+    def _line(self, xs: list[float], ts: list[float]) -> LineDensity:
+        h, a = float(self.height), float(self.scale)
+        if self.dim > 1:  # Gaussian: triangles are one-dimensional
+            radius = _line_norm(xs, ts, self.mode)
+            return lambda s: h * float(np.exp(-a * radius(s) ** 2))
+        x0, t0, m0 = xs[0], ts[0], float(self.mode[0])
+        if self.shape is Shape.TRIANGULAR:
+
+            def triangle(s: float) -> float:
+                v = 1.0 - abs(x0 + s * t0 - m0) / a
+                return h * (0.0 if v <= 0.0 else v)  # np.maximum(0.0, v), NaN included
+
+            return triangle
+        # r ** 2 is C pow, as numpy squares a float64 scalar; np.exp is numpy's own kernel
+        return lambda s: h * float(np.exp(-a * abs(x0 + s * t0 - m0) ** 2))
+
     def level_radius(self, t: float) -> float:
         """Radius of the level region {component >= t}, defined for 0 < t <= height."""
         if not 0.0 < t <= self.height:
@@ -149,6 +208,29 @@ class TargetDensity:
             raise ValueError(f"expected points with trailing axis {self.dim}, got shape {x.shape}")
         vals = [comp.density(x) for comp in self.components]
         return np.maximum.reduce(vals)
+
+    def line_density(self, x, theta) -> LineDensity:
+        """Density at ``x + s * theta`` as a function of the Python float ``s``.
+
+        The closure runs on Python floats and reads the component constants
+        once.  It repeats the operations of ``density`` on one point in the
+        same order, so ``line_density(x, theta)(s)`` equals
+        ``float(density(x + s * theta))`` bit for bit; grids and batches of
+        points go through ``density``.
+        """
+        if self.dim > _SCALAR_NORM_MAX_DIM:
+            return _array_line_density(self, x, theta)
+        xs, ts = _line_floats(x, theta, self.dim)
+        lines = [comp._line(xs, ts) for comp in self.components]
+        if len(lines) == 1:
+            return lines[0]
+        first, second = lines
+
+        def line(s: float) -> float:
+            a, b = first(s), second(s)
+            return a if a >= b else b
+
+        return line
 
     @property
     def sup_norm(self) -> float:
@@ -203,6 +285,12 @@ class UniformInterval:
         inside = (r >= self.lo) & (r <= self.hi)
         return np.where(inside, self.height, 0.0)
 
+    def line_density(self, x, theta) -> LineDensity:
+        """Density at ``x + s * theta``; see ``TargetDensity.line_density``."""
+        (x0,), (t0,) = _line_floats(x, theta, 1)
+        lo, hi, h = self.lo, self.hi, float(self.height)
+        return lambda s: h if lo <= x0 + s * t0 <= hi else 0.0
+
     @property
     def sup_norm(self) -> float:
         return self.height
@@ -237,6 +325,14 @@ class UniformBall:
         r = np.linalg.norm(np.atleast_1d(x) - np.asarray(self.center), axis=-1)
         return np.where(r <= self.radius, self.height, 0.0)
 
+    def line_density(self, x, theta) -> LineDensity:
+        """Density at ``x + s * theta``; see ``TargetDensity.line_density``."""
+        if self.dim > _SCALAR_NORM_MAX_DIM:
+            return _array_line_density(self, x, theta)
+        radius = _line_norm(*_line_floats(x, theta, self.dim), self.center)
+        r_max, h = self.radius, float(self.height)
+        return lambda s: h if radius(s) <= r_max else 0.0
+
     @property
     def sup_norm(self) -> float:
         return self.height
@@ -268,13 +364,9 @@ class RwCertificate:
 
 
 def eval_density(target, x) -> float:
-    """Density of ``target`` at a single point ``x``."""
+    """Density of ``target`` at a single point ``x``, through its scalar ``line_density``."""
     x = np.asarray(x, dtype=float)
-    if target.dim == 1 and x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape != (target.dim,):
-        raise ValueError(f"expected a point of dimension {target.dim}, got shape {x.shape}")
-    return float(target.density(x))
+    return target.line_density(x, np.zeros_like(x))(0.0)
 
 
 def sup_norm(target) -> float:

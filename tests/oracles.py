@@ -5,7 +5,8 @@ decided by dense scanning of the density, masses by fine Riemann sums,
 and volumes by hit-or-miss Monte Carlo.  The one exception is the level
 integral kernel, which takes its 1D level sets from ``level_set_1d`` and
 checks how ``spectral_oracle`` assembles kernels from them, one node at a
-time.
+time.  ``ArrayLineTarget`` runs the samplers' single-point evaluations
+through the array ``density`` instead of the scalar line densities.
 """
 
 from __future__ import annotations
@@ -117,3 +118,22 @@ def level_integral_kernel(target, centers, rho, m, w=None, k=1):
         flow += (top - below) * A
         below = top
     return flow / rho[:, None]
+
+
+class ArrayLineTarget:
+    """A target whose line densities call its array ``density`` on one point each.
+
+    Every other attribute is the wrapped target's, so a chain run on the
+    adapter is the array-path reference for the same chain on the target.
+    """
+
+    def __init__(self, target):
+        self._target = target
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+    def line_density(self, x, theta):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return lambda s: float(self._target.density(x + s * theta))

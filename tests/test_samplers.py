@@ -1,15 +1,18 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import bin_masses_1d, scan_intervals_1d
+from oracles import ArrayLineTarget, bin_masses_1d, scan_intervals_1d
 from slicegap.errors import ChainError, InvalidStateError, OffSliceError, RunawayExpansionError
 from slicegap.kernels import beta_k_so_sh_closed_form, gamma_t
 from slicegap.samplers import (
+    _CSV_BLOCK,
     SamplerConfig,
     SamplerKind,
+    Trace,
     hit_and_run_level_move,
     hit_and_run_slice_step,
     k_step_hybrid_step,
@@ -442,8 +445,53 @@ class TestRunChain:
         with pytest.raises(InvalidStateError):
             run_chain(t1, SamplerConfig(SamplerKind.SIMPLE), np.array([9.0]), 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "name, config, n",
+        [
+            ("t1", SamplerConfig(SamplerKind.SO_SH, w=3.0), 20_000),
+            ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0), 5_000),
+            ("t2", SamplerConfig(SamplerKind.K_STEP, w=3.0, k_inner=3, inner_kind=SamplerKind.HAR_SO_SH), 2_000),
+        ],
+    )
+    def test_scalar_line_densities_reproduce_array_chain(self, name, config, n, request):
+        target = request.getfixturevalue(name)
+        x0 = np.asarray(target.components[0].mode) + 0.1
+        scalar = run_chain(target, config, x0, n, seed=11)
+        reference = run_chain(ArrayLineTarget(target), config, x0, n, seed=11)
+        assert np.array_equal(scalar.states, reference.states)
+        assert np.array_equal(scalar.levels, reference.levels)
+
+
+def _csv_writer_bytes(trace, path, comment):
+    """The trace as ``csv.writer`` writes it, with per-value 17-digit f-strings."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["step", "level"] + [f"x{i + 1}" for i in range(trace.states.shape[1])])
+        for i, (x, lev) in enumerate(zip(trace.states, trace.levels)):
+            writer.writerow([i, f"{lev:.17g}"] + [f"{v:.17g}" for v in x])
+    return path.read_bytes()
+
 
 class TestTraceCsv:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bytes_match_csv_writer(self, dim, tmp_path):
+        rng = np.random.default_rng(dim)
+        n = 2 * _CSV_BLOCK + 88
+        states = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, (n, dim))
+        levels = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = [-0.0, 1e-300, 1e300, 0.0, -1e300, 5e-324, 0.1]
+        for row in (0, _CSV_BLOCK - 1, _CSV_BLOCK, n - 1):
+            states[row] = special[:dim]
+            levels[row] = special[row % len(special)]
+        states[1:8, 0] = special
+        levels[1:8] = special
+        trace = Trace(states=states, levels=levels, seed=0, config=SamplerConfig(SamplerKind.SIMPLE))
+        trace.to_csv(tmp_path / "new.csv", comment="check")
+        expected = _csv_writer_bytes(trace, tmp_path / "old.csv", "check")
+        assert (tmp_path / "new.csv").read_bytes() == expected
+        assert b",-0," in expected and b",1e-300," in expected and b",1.0000000000000001e+300" in expected
+
     def test_roundtrip_and_format(self, t1, tmp_path):
         cfg = SamplerConfig(SamplerKind.SO_SH, w=3.0)
         trace = run_chain(t1, cfg, np.array([-1.0]), 25, seed=9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import bin_masses_1d, level_integral_kernel
-from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError
+from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.spectral_oracle import (
     Check,
@@ -119,6 +119,17 @@ class TestBuildLevelMatrix:
         grid = Grid.for_target(t1, 100)
         with pytest.raises(EmptyLevelSetError):
             build_level_matrix(t1, grid, 1.5, KernelKind.UNIFORM)
+
+    def test_strip_kinds_reject_three_dimensions(self, monkeypatch):
+        import slicegap.spectral_oracle as oracle
+
+        target = TargetDensity(3, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.0, 0.0, 0.0), 1.0, 1.0),))
+        grid = Grid.for_target(target, (5, 5, 5))
+        assert build_level_matrix(target, grid, 0.1, KernelKind.UNIFORM).P.shape[0] > 1
+        monkeypatch.setattr(oracle, "density_on_grid", lambda *a: pytest.fail("work done before the shape check"))
+        for kind in (KernelKind.SO_SH, KernelKind.HIT_AND_RUN, KernelKind.COMBINED):
+            with pytest.raises(UnsupportedShapeError, match="3D grid supports only the uniform kind"):
+                build_level_matrix(target, grid, 0.1, kind, 3.0)
 
 
 class TestBuildFullMatrix:
