@@ -6,7 +6,7 @@ report, ``verify`` runs the cross-module invariant suite, and ``diag``
 computes diagnostics for a fresh or existing trace.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error, 4 a theory
-check failed.
+check or, for ``sample`` and ``diag``, a diagnostics row failed.
 """
 
 from __future__ import annotations
@@ -99,13 +99,19 @@ def _diagnostic_rows(cfg: ExperimentConfig, trace: Trace) -> list[tuple]:
     return rows
 
 
+def _write_diagnostics(cfg: ExperimentConfig, trace: Trace, out_dir: Path) -> int:
+    """Write diagnostics.csv; the exit code fails when any of its rows fails."""
+    rows = _diagnostic_rows(cfg, trace)
+    _write_check_csv(out_dir / "diagnostics.csv", rows, ["metric", "value", "threshold", "pass"], _header(cfg))
+    return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
+
+
 def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     trace = run_chain(cfg.target, cfg.sampler, np.asarray(cfg.x0), cfg.n, cfg.seed)
     _write_atomic(out_dir / "trace.csv", lambda tmp: trace.to_csv(tmp, comment=_header(cfg)))
-    rows = _diagnostic_rows(cfg, trace)
-    _write_check_csv(out_dir / "diagnostics.csv", rows, ["metric", "value", "threshold", "pass"], _header(cfg))
+    code = _write_diagnostics(cfg, trace, out_dir)
     print(f"wrote {out_dir / 'trace.csv'} and {out_dir / 'diagnostics.csv'}")
-    return EXIT_OK
+    return code
 
 
 def cmd_diag(cfg: ExperimentConfig, out_dir: Path, trace_path: str | None) -> int:
@@ -114,10 +120,9 @@ def cmd_diag(cfg: ExperimentConfig, out_dir: Path, trace_path: str | None) -> in
         trace = Trace(states=states, levels=levels, seed=cfg.seed, config=cfg.sampler)
     else:
         trace = run_chain(cfg.target, cfg.sampler, np.asarray(cfg.x0), cfg.n, cfg.seed)
-    rows = _diagnostic_rows(cfg, trace)
-    _write_check_csv(out_dir / "diagnostics.csv", rows, ["metric", "value", "threshold", "pass"], _header(cfg))
+    code = _write_diagnostics(cfg, trace, out_dir)
     print(f"wrote {out_dir / 'diagnostics.csv'}")
-    return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
+    return code
 
 
 def _gap_report(cfg: ExperimentConfig) -> GapReport:

@@ -3,16 +3,16 @@
 Every kernel is reduced to a finite row-stochastic matrix on a regular
 grid.  Level kernels live on the sub-grid of cells whose density clears
 the level.  A full kernel is the level integral of the paper,
-rho(x) H(x, dy) = int_0^rho(x) H_t(x, dy) dt.  Every 1D kernel and every
-uniform kernel takes it from one cached level plan per (target, grid, m):
-level nodes shared by all cells, with breakpoints at the sorted cell
-densities.  Its flow is one prefix sum over nodes, gathered at the
-smaller rank of each pair, so these kernels are stochastic and reversible
-by construction, with the discretized target as stationary weights.  The
-2D chord kernels still average level kernels with a per-row midpoint rule
-and symmetrise the resulting flow.  Operator norms are the largest
-absolute eigenvalues of the symmetric stationary-similarity transform,
-solved once per kernel.
+rho(x) H(x, dy) = int_0^rho(x) H_t(x, dy) dt, over level nodes shared by
+all cells.  1D and uniform kernels take their nodes from one cached level
+plan per (target, grid, m), 2D kernels from one cached strip plan per
+(target, grid): 2D level kernels mix refreshes on grid-anchored strips
+over 128 directions and change only at its nodes.  A flow is one prefix
+sum over nodes gathered at the smaller rank of each pair (2D k-step
+kernels sum powers of the level matrices), so every kernel is stochastic
+and reversible by construction, with the discretized target as its
+stationary weights.  Operator norms are the largest absolute eigenvalues
+of the symmetric stationary-similarity transform, solved once per kernel.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on kernels it is given.  ``verify_theorem_bounds`` is the
@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
-from .kernels import mixture_weight, sphere_surface_area
+from .kernels import mixture_weight
 from .slice_geometry import level_set_1d
 
 #: boundary tolerance when assigning grid cells to a level set
@@ -225,11 +226,9 @@ class _LevelPlan:
 
     In 1D, ``length`` and ``gap`` are the level-set geometry at each
     interval's midpoint, and a two-part node adds a refresh within the part
-    of the current cell.  The gaps are nested, so a cell lies on one side
-    of every gap below its density.  ``side_count`` holds the cells per
-    side and node, and ``index`` points each same-side pair at row 1 (left)
-    or 2 (right) of a (3, nodes) table, whose rows add that side's local
-    prefix sum to row 0.
+    of the current cell.  The gaps are nested, so a cell keeps one side of
+    every gap below its density; ``side_count`` holds the cells per side
+    and node, and ``index`` points same-side pairs at their side's row.
     """
 
     rho: np.ndarray
@@ -243,16 +242,29 @@ class _LevelPlan:
 
     def kernel(self, kind: KernelKind, w, k: int) -> np.ndarray:
         """Transition matrix of ``kind`` taking ``k`` inner steps per level."""
-        table = np.empty((3, self.width.size))
         if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
-            table[:] = np.cumsum(self.width / self.count)
+            table = _prefix_table(self.width, self.count)
         else:
             gamma_k = 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
-            table[:] = np.cumsum(self.width * gamma_k / self.count)
-            table[1:] += np.cumsum(self.width * (1.0 - gamma_k) / np.maximum(self.side_count, 1), axis=1)
+            table = _prefix_table(self.width, self.count, gamma_k, self.side_count)
         P = table.ravel().take(self.index)
         P /= self.rho[:, None]
         return P
+
+
+def _prefix_table(width, count, gamma=None, side_count=None) -> np.ndarray:
+    """Flow per pair as prefix sums over nodes: a (..., 3, nodes) table for ``count`` of shape (..., nodes).
+
+    Row 0 sums width_j gamma_j / count_j, the refresh over the whole set (gamma 1 when None);
+    rows 1 and 2 add the part-local term of the left and right side, with ``side_count`` (..., 2, nodes).
+    """
+    table = np.empty((*count.shape[:-1], 3, count.shape[-1]))
+    if gamma is None:
+        table[:] = np.cumsum(width / np.maximum(count, 1), axis=-1)[..., None, :]
+    else:
+        table[:] = np.cumsum(width * gamma / np.maximum(count, 1), axis=-1)[..., None, :]
+        table[..., 1:, :] += np.cumsum((width * (1.0 - gamma))[..., None, :] / np.maximum(side_count, 1), axis=-1)
+    return table
 
 
 @functools.lru_cache(maxsize=2)
@@ -265,15 +277,19 @@ def _level_plan(target, grid: Grid, m: int) -> _LevelPlan:
     # indices into a (3, nodes) table take 2 bytes each up to 21845 nodes
     rank = rank[: rho.size].astype(np.min_scalar_type(3 * nodes))
     width = np.diff(levels, prepend=0.0)
-    plan = _LevelPlan(rho, act, width, _count_from(rank, nodes), np.minimum.outer(rank, rank))
+    plan = _LevelPlan(rho, act, width, _count_from(rank, (nodes,)), np.minimum.outer(rank, rank))
     if grid.dim == 1:
         _add_sides(plan, target, grid.centers[act, 0], rank, levels - width / 2)
     return plan
 
 
-def _count_from(rank: np.ndarray, nodes: int) -> np.ndarray:
-    """Cells taking part in each node: those whose rank is at least the node's."""
-    return np.cumsum(np.bincount(rank, minlength=nodes)[::-1])[::-1]
+def _count_from(index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Cells taking part in each node, per group: those whose rank is at least the node's.
+
+    ``index`` is each cell's flat position in ``shape``, whose last axis runs over nodes.
+    """
+    per_node = np.bincount(index, minlength=math.prod(shape)).reshape(shape)
+    return np.cumsum(per_node[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, mids: np.ndarray) -> None:
@@ -302,201 +318,164 @@ def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, 
         reach = np.maximum.accumulate(reach[::-1])[::-1]
         if np.any(reach[two] > edge + LEVEL_TOL):
             raise OutOfClassError("a grid cell changes side of the level-set gap; the gaps are not nested")
-        plan.side_count[s] = _count_from(rank[mine], nodes)
+        plan.side_count[s] = _count_from(rank[mine], (nodes,))
     plan.index += np.equal.outer(side, side) * (nodes * (side + 1)).astype(plan.index.dtype)
 
 
-# -- pairwise chord geometry in dimension >= 2 --------------------------------
+# -- strip plan: every 2D level kernel ----------------------------------------
 
-
-def _ball_components(target) -> list[tuple[np.ndarray, object, float]]:
-    """(center, radius-at-level callable, height) per convex component."""
-    comps = getattr(target, "components", None)
-    if comps is not None:
-        return [(np.asarray(c.mode), c.level_radius, c.height) for c in comps]
-    center = np.asarray(target.center)
-    radius = target.radius
-    return [(center, lambda t: radius, target.sup_norm)]
+#: chord directions of a 2D level kernel, evenly spaced over a half-turn
+N_THETA = 128
 
 
 @dataclass(eq=False)
-class _PairGeometry:
-    """Precomputed chord coordinates for every ordered pair of points.
+class _StripPlan:
+    """Level kernels of a 2D grid as direction mixtures of refreshes on strips.
 
-    For the pair (i, j) the chord through point i toward point j carries,
-    per component, the coordinate of the mode's foot point and the squared
-    distance from the chord line to the mode.  Level sections then follow
-    from the component radii alone.
+    Along each of ``N_THETA`` directions the cells fall into grid-anchored
+    strips one projected cell wide; ``sid`` holds each cell's strip key
+    ``a * strips + s``.  A_t averages the uniform refresh on the current
+    strip's cells at or above t.  A strip whose cells at t lie in two
+    component regions and none in both refreshes whole with weight gamma of
+    its chord extents, else within the current cell's part, the cells of
+    its dominant component (``side``).  A_t is a nonnegative mixture of
+    orthogonal projections, so symmetric, PSD and stochastic, and changes
+    only at ``levels``: the cell densities and the strips' ``both``, the
+    highest level at which one of a strip's cells lies in both regions,
+    where the strip can split above it.  ``span`` holds, per side of each
+    strip that can split (its ``row``), the lowest and highest chord
+    coordinate of the side's first c cells by falling density.
     """
 
-    dist: np.ndarray
-    comp_s: list[np.ndarray]
-    comp_h2: list[np.ndarray]
+    rho: np.ndarray
+    support: np.ndarray
+    levels: np.ndarray
+    width: np.ndarray
+    rank: np.ndarray
+    sid: np.ndarray
+    strips: int
+    side: np.ndarray
+    both: np.ndarray
+    row: np.ndarray
+    span: np.ndarray
 
-    @classmethod
-    def build(cls, points: np.ndarray, target) -> "_PairGeometry":
-        diff = points[None, :, :] - points[:, None, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        theta = diff / dist[..., None]
-        comp_s, comp_h2 = [], []
-        for center, _, _ in _ball_components(target):
-            v = center[None, :] - points
-            s = np.einsum("ijk,ik->ij", theta, v)
-            h2 = np.maximum(np.einsum("ik,ik->i", v, v)[:, None] - s**2, 0.0)
-            comp_s.append(s)
-            comp_h2.append(h2)
-        return cls(dist=dist, comp_s=comp_s, comp_h2=comp_h2)
+    def gamma(self, key, j, count0, count1, w):
+        """Weight of the whole-strip refresh per strip key at node ``j``, given each side's cells there."""
+        two = (self.levels[j] > self.both[key]) & (count0 > 0) & (count1 > 0)
+        if not two.any():  # one region: hit-and-run needs no step width
+            return np.ones(two.shape)
+        first = np.where(two, 2 * self.row[key], 0)
+        lo0, hi0 = self.span[:, first, np.where(two, count0 - 1, 0)]
+        lo1, hi1 = self.span[:, first + 1, np.where(two, count1 - 1, 0)]
+        length = np.where(two, (hi0 - lo0) + (hi1 - lo1), 0.0)
+        gap = np.where(two, np.maximum(np.maximum(lo0, lo1) - np.minimum(hi0, hi1), 0.0), 0.0)
+        return mixture_weight(length, gap, w)
 
+    def level_matrix(self, j: int, w, cells: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """A_t on node ``j``'s interval and its cells, those of rank at least ``j`` (in the order of ``cells``)."""
+        if cells is None:
+            cells = np.flatnonzero(self.rank >= j)
+        keys = self.sid[:, cells].T
+        count = np.bincount(keys.ravel(), minlength=N_THETA * self.strips)
+        parts = 2 * keys + self.side[cells, None]
+        part_count = np.bincount(parts.ravel(), minlength=2 * count.size).reshape(-1, 2)
+        gamma = self.gamma(np.arange(count.size), j, *part_count.T, w)
+        local = (1.0 - gamma)[:, None] / (N_THETA * np.maximum(part_count, 1))
+        weight = np.concatenate([gamma / (N_THETA * np.maximum(count, 1)), local.ravel()])
+        keys = np.hstack([keys, parts + count.size])
+        # A = F diag(weight) F^T, F one column per strip and part that carries weight
+        used = weight[keys] > 0.0
+        cols, indptr = keys[used], np.concatenate([[0], np.cumsum(used.sum(axis=1))])
+        F = csr_array((np.ones(cols.size), cols, indptr), shape=(cells.size, weight.size))
+        return (csr_array((weight[cols], cols, indptr), shape=F.shape) @ F.T).toarray(), cells
 
-def _chord_density_block(pg: _PairGeometry, target, t: float, rows, cols, kind: KernelKind, w) -> np.ndarray:
-    """Pointwise kernel density for a block of (row, col) pairs.
+    def kernel(self, w) -> np.ndarray:
+        """H from its flow rho(x) H(x, y): per strip, a prefix sum over nodes gathered at the pair's smaller rank."""
+        n, nodes, strips = self.rho.size, self.levels.size, self.strips
+        flow = np.zeros((n, n))
+        for a in range(N_THETA):
+            strip = self.sid[a] - a * strips
+            count = _count_from(strip * nodes + self.rank, (strips, nodes))
+            part_count = _count_from((2 * strip + self.side) * nodes + self.rank, (strips, 2, nodes))
+            key = np.arange(strips)[:, None] + a * strips
+            gamma = self.gamma(key, np.arange(nodes), *part_count.swapaxes(0, 1), w)
+            table = _prefix_table(self.width, count, gamma, part_count)
+            rows, cols = _strip_pairs(strip)
+            side = np.where(self.side[rows] == self.side[cols], 1 + self.side[rows], 0)
+            index = (3 * strip[rows] + side) * nodes + np.minimum(self.rank[rows], self.rank[cols])
+            flow[rows, cols] += table.ravel().take(index)
+        flow /= N_THETA * self.rho[:, None]
+        return flow
 
-    The diagonal (zero-distance pairs) comes out as zero; the caller adds
-    the stay atom so rows integrate to one.
-    """
-    take = np.ix_(rows, cols)
-    dist = pg.dist[take]
-    d = target.dim
-    comps = _ball_components(target)
-    los, his, actives = [], [], []
-    for c, (_, radius_at, height) in enumerate(comps):
-        if t <= height:
-            r2 = radius_at(t) ** 2
-            h2 = pg.comp_h2[c][take]
-            inside = h2 < r2
-            half = np.sqrt(np.maximum(r2 - h2, 0.0))
-            s = pg.comp_s[c][take]
-            los.append(np.where(inside, s - half, np.nan))
-            his.append(np.where(inside, s + half, np.nan))
-            actives.append(inside)
-        else:
-            shape = dist.shape
-            los.append(np.full(shape, np.nan))
-            his.append(np.full(shape, np.nan))
-            actives.append(np.zeros(shape, dtype=bool))
-    if len(comps) == 1:
-        length = np.where(actives[0], his[0] - los[0], 0.0)
-        delta = np.zeros_like(length)
-        same = np.ones_like(length, dtype=bool)
-        local_len = length
-    else:
-        a1, a2 = actives
-        lo1, lo2 = los
-        hi1, hi2 = his
-        both = a1 & a2
-        gap = np.where(both, np.maximum(lo1, lo2) - np.minimum(hi1, hi2), 0.0)
-        disjoint = both & (gap > LEVEL_TOL)
-        len1 = np.where(a1, hi1 - lo1, 0.0)
-        len2 = np.where(a2, hi2 - lo2, 0.0)
-        overlap = np.where(both & ~disjoint, np.minimum(hi1, hi2) - np.maximum(lo1, lo2), 0.0)
-        length = len1 + len2 - np.maximum(overlap, 0.0)
-        delta = np.where(disjoint, gap, 0.0)
-        # part of the origin point (chord coordinate 0) and of the target point (coordinate dist)
-        tol = 1e-9
-        x_in1 = a1 & (lo1 <= tol) & (hi1 >= -tol)
-        y_in1 = a1 & (lo1 <= dist + tol) & (hi1 >= dist - tol)
-        y_in2 = a2 & (lo2 <= dist + tol) & (hi2 >= dist - tol)
-        same = np.where(disjoint, np.where(x_in1, y_in1, y_in2), True)
-        local_len = np.where(disjoint, np.where(x_in1, len1, len2), length)
-    sigma = sphere_surface_area(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is KernelKind.HIT_AND_RUN:
-            dens = (2.0 / sigma) / (dist ** (d - 1) * length)
-        else:
-            gamma = mixture_weight(length, delta, w)
-            dens = (2.0 / sigma) * dist ** (1 - d) * (
-                gamma / length + (1.0 - gamma) * same / np.where(local_len > 0, local_len, np.inf)
-            )
-    dens = np.where(np.isfinite(dens) & (length > 0), dens, 0.0)
-    return dens
+    def power_kernels(self, w, k_list) -> dict[int, np.ndarray]:
+        """H_k from rho(x) H_k(x, y) = sum over nodes j of width_j A_j^k(x, y), for the sorted ``k_list``."""
+        falling = np.argsort(-self.rank, kind="stable")  # every node's cells lead
+        flows = {k: np.zeros((self.rho.size,) * 2) for k in k_list}
+        for j, (width, size) in enumerate(zip(self.width, _count_from(self.rank, (self.levels.size,)))):
+            A, _ = self.level_matrix(j, w, falling[:size])
+            power, step = A, 1
+            for k in k_list:
+                while step < k:
+                    power = power @ A
+                    step += 1
+                flows[k][:size, :size] += width * power
+        back = np.ix_(*(np.argsort(falling),) * 2)
+        return {k: flow[back] / self.rho[:, None] for k, flow in flows.items()}
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_geometry(target, grid: Grid) -> _PairGeometry:
-    return _PairGeometry.build(grid.centers, target)
+def _strip_pairs(strip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of every ordered pair of cells sharing a strip, each cell with itself included."""
+    order = np.argsort(strip, kind="stable")
+    ordered = strip[order]
+    size = np.bincount(strip)[ordered]
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    return np.repeat(order, size), order[np.repeat(np.searchsorted(ordered, ordered), size) + offset]
 
 
-def _slice_indices(vals: np.ndarray, t: float) -> np.ndarray:
-    return np.flatnonzero(vals >= t - LEVEL_TOL)
-
-
-def _density_level_rows(
-    pg: _PairGeometry, target, grid: Grid, t: float, rows, cols, kind: KernelKind, w
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalised density rows plus the per-row stay atom.
-
-    Cell-centre quadrature can overshoot mass one near level-set boundaries;
-    such rows are scaled back so each row is a probability vector.
-    """
-    dens = _chord_density_block(pg, target, t, rows, cols, kind, w) * grid.cell_vol
-    totals = dens.sum(axis=1)
-    if totals.max() > 1.25:
-        raise ValueError(f"chord quadrature mass {totals.max():.3f} at level {t}; grid far too coarse")
-    over = totals > 1.0
-    if np.any(over):
-        dens[over] *= ((1.0 - 1e-12) / totals[over])[:, None]
-        totals = dens.sum(axis=1)
-    return dens, 1.0 - totals
-
-
-def _strip_level_matrix(target, grid: Grid, t: float, idx: np.ndarray, kind: KernelKind, w, n_theta: int = 128):
-    """Level kernel as a direction-quantised mixture of strip projections.
-
-    For each of ``n_theta`` chord directions the slice cells are grouped
-    into strips one projected cell wide; the kernel averages, per strip,
-    the uniform refresh over the strip (weight gamma) and over the part of
-    the current point (weight 1 - gamma).  Being a nonnegative mixture of
-    orthogonal projections, the matrix is reversible and positive
-    semi-definite to machine precision.
-    """
-    pts = grid.centers[idx]
-    n_s = idx.size
-    comps = _ball_components(target)
-    memberships = []
-    for center, radius_at, height in comps:
-        if t <= height:
-            r = radius_at(t)
-            memberships.append(np.linalg.norm(pts - center, axis=1) <= r + 1e-12)
-        else:
-            memberships.append(np.zeros(n_s, dtype=bool))
-    hx = (grid.bounds[0][1] - grid.bounds[0][0]) / grid.shape[0]
-    hy = (grid.bounds[1][1] - grid.bounds[1][0]) / grid.shape[1]
-    P = np.zeros((n_s, n_s))
-    weight = 1.0 / n_theta
-    for a in range(n_theta):
-        phi = (a + 0.5) * math.pi / n_theta
-        theta = np.array([math.cos(phi), math.sin(phi)])
-        perp = np.array([-theta[1], theta[0]])
-        xi = pts @ perp
-        eta = pts @ theta
-        strip_w = hx * abs(perp[0]) + hy * abs(perp[1])
-        eta_w = hx * abs(theta[0]) + hy * abs(theta[1])
-        sid = np.floor((xi - xi.min()) / strip_w).astype(int)
-        order = np.argsort(sid, kind="stable")
-        bounds_ = np.flatnonzero(np.diff(sid[order])) + 1
-        for cells in np.split(order, bounds_):
-            _add_strip_blocks(P, cells, eta, eta_w, memberships, kind, w, weight)
-    return P
-
-
-def _add_strip_blocks(P, cells, eta, eta_w, memberships, kind, w, weight):
-    n_c = cells.size
-    in1 = memberships[0][cells]
-    in2 = memberships[1][cells] if len(memberships) == 2 else np.zeros(n_c, dtype=bool)
-    two_parts = in1.any() and (in2 & ~in1).any() and not (in1 & in2).any()
-    if kind is KernelKind.HIT_AND_RUN or not two_parts:
-        P[np.ix_(cells, cells)] += weight / n_c
-        return
-    part1 = cells[in1]
-    part2 = cells[~in1]
-    # chord geometry from the projected cell footprints along the direction
-    lo1, hi1 = eta[part1].min() - eta_w / 2, eta[part1].max() + eta_w / 2
-    lo2, hi2 = eta[part2].min() - eta_w / 2, eta[part2].max() + eta_w / 2
-    gamma = mixture_weight((hi1 - lo1) + (hi2 - lo2), max(max(lo1, lo2) - min(hi1, hi2), 0.0), w)
-    P[np.ix_(cells, cells)] += weight * gamma / n_c
-    P[np.ix_(part1, part1)] += weight * (1.0 - gamma) / part1.size
-    P[np.ix_(part2, part2)] += weight * (1.0 - gamma) / part2.size
+@functools.lru_cache(maxsize=4)
+def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
+    """Strip plan of a 2D grid; without ``parts`` the target is one region and every strip refreshes whole."""
+    if grid.dim != 2:
+        raise UnsupportedShapeError(f"strip level kernels are planar; a {grid.dim}D grid supports only the uniform kind")
+    vals = density_on_grid(target, grid)
+    act = _active_cells(vals)
+    rho, pts = vals[act], grid.centers[act]
+    phi = (np.arange(N_THETA) + 0.5) * (math.pi / N_THETA)
+    theta = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    perp = theta[:, ::-1] * [-1.0, 1.0]
+    cell = np.array([(hi - lo) / cells for (lo, hi), cells in zip(grid.bounds, grid.shape)])
+    xi = (perp @ pts.T - (perp @ grid.centers.T).min(axis=1, keepdims=True)) / (np.abs(perp) @ cell)[:, None]
+    # strip edges shift by a golden-ratio sequence over directions: under one shared anchor some
+    # nearby cells never share a strip, and the cells on the anchor's diagonals sit on strip edges
+    offset = (np.arange(N_THETA) * (math.sqrt(5.0) - 1.0) / 2.0 + 0.5) % 1.0
+    strips = int(np.floor(xi.max() + 1.0)) + 1
+    sid = np.floor(xi + offset[:, None]).astype(np.int64) + np.arange(N_THETA)[:, None] * strips
+    comps = getattr(target, "components", None) if parts else None
+    values = np.stack([comp.density(pts) for comp in comps]) if comps else rho[None]
+    side = np.argmax(values, axis=0)
+    keys, sides = sid.ravel(), np.tile(side, N_THETA)
+    both = np.zeros(N_THETA * strips)
+    if values.shape[0] == 2:  # a cell lies in both regions up to its lower component value
+        np.maximum.at(both, keys, np.tile(values.min(axis=0), N_THETA))
+    # a strip splits above its both level only while cells of each side stand higher
+    top = np.zeros((2, both.size))
+    np.maximum.at(top, (sides, keys), np.tile(rho, N_THETA))
+    splits = both < top.min(axis=0)
+    levels = np.unique(np.concatenate([rho, both[splits & (both > 0.0)]]))
+    width, rank = np.diff(levels, prepend=0.0), np.searchsorted(levels, rho)
+    # chord extents per side of each strip that splits, growing as cells join by falling density
+    row = np.cumsum(splits) - 1
+    mine = splits[keys]
+    group = 2 * row[keys[mine]] + sides[mine]
+    order = np.lexsort((np.tile(-rank, N_THETA)[mine], group))
+    group = group[order]
+    pos = np.arange(group.size) - np.searchsorted(group, group)
+    eta, half = (theta @ pts.T).ravel()[mine][order], np.repeat(np.abs(theta) @ cell / 2.0, rho.size)[mine][order]
+    span = np.zeros((2, 2 * row[-1] + 2, pos.max(initial=-1) + 1))
+    span[:, group, pos] = eta - half, eta + half
+    np.minimum.accumulate(span[0], axis=1, out=span[0])
+    np.maximum.accumulate(span[1], axis=1, out=span[1])
+    return _StripPlan(rho, act, levels, width, rank, sid, strips, side, both, row, span)
 
 
 # -- kernel builders -----------------------------------------------------------
@@ -504,54 +483,27 @@ def _add_strip_blocks(P, cells, eta, eta_w, memberships, kind, w, weight):
 
 def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
     """Discretized per-level kernel on the sub-grid of cells clearing level ``t``."""
-    if grid.dim >= 3 and kind is not KernelKind.UNIFORM:
-        raise UnsupportedShapeError(
-            f"{kind.value} level matrices are built from planar strips; a {grid.dim}D grid supports only the uniform kind"
-        )
+    label = f"{kind.value}-level-{t:.6g}"
+    if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
+        plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
+        if t > plan.levels[-1] + LEVEL_TOL:
+            raise EmptyLevelSetError(f"no grid cell clears level {t}")
+        P, cells = plan.level_matrix(int(np.searchsorted(plan.levels, t - LEVEL_TOL)), w)
+        return DiscreteKernel(P=P, pi=np.full(cells.size, 1.0 / cells.size), label=label, support=plan.support[cells])
     vals = density_on_grid(target, grid)
     if t > vals.max() + LEVEL_TOL:
         raise EmptyLevelSetError(f"no grid cell clears level {t}")
-    idx = _slice_indices(vals, t)
-    n_s = idx.size
-    u = np.full(n_s, 1.0 / n_s)
-    label = f"{kind.value}-level-{t:.6g}"
-    if kind is KernelKind.UNIFORM or (grid.dim == 1 and kind is KernelKind.HIT_AND_RUN):
-        P = np.tile(u, (n_s, 1))
-        return DiscreteKernel(P=P, pi=u, label=label, support=idx)
-    if grid.dim == 1:
-        ls = level_set_1d(target, t)
-        if ls.parts.nparts == 1:
-            P = np.tile(u, (n_s, 1))
-            return DiscreteKernel(P=P, pi=u, label=label, support=idx)
+    idx = np.flatnonzero(vals >= t - LEVEL_TOL)
+    u = np.full(idx.size, 1.0 / idx.size)
+    P = np.tile(u, (idx.size, 1))
+    ls = None if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN) else level_set_1d(target, t)
+    if ls is not None and ls.parts.nparts == 2:
         gamma = mixture_weight(ls.length, ls.delta_t, w)
-        centers = grid.centers[idx, 0]
-        first = ls.parts.intervals[0]
-        in_first = centers <= first.hi + LEVEL_TOL
-        P = np.tile(gamma * u, (n_s, 1))
+        in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
+        P *= gamma
         for mask in (in_first, ~in_first):
-            cnt = int(mask.sum())
-            if cnt:
-                P[np.ix_(mask, mask)] += (1.0 - gamma) / cnt
-        return DiscreteKernel(P=P, pi=u, label=label, support=idx)
-    P = _strip_level_matrix(target, grid, t, idx, kind, w)
+            P[np.ix_(mask, mask)] += (1.0 - gamma) / max(int(mask.sum()), 1)
     return DiscreteKernel(P=P, pi=u, label=label, support=idx)
-
-
-def _flow_symmetrize(P: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Make the kernel exactly reversible by symmetrising its stationary flow.
-
-    The symmetrised flow F = (diag(pi) P + P^T diag(pi)) / 2 defines a
-    reversible kernel P' = F / rowsum(F) with stationary weights
-    proportional to the row sums; those differ from ``pi`` only by the
-    quadrature asymmetry being projected out.
-    """
-    flow = pi[:, None] * P
-    flow = 0.5 * (flow + flow.T)
-    r = flow.sum(axis=1)
-    if np.abs(r / pi - 1.0).max() > 0.55:
-        raise ValueError("flow symmetrization moved too much mass; quadrature inconsistent")
-    flow /= r[:, None]
-    return flow, r / r.sum()
 
 
 def build_full_matrix(target, grid: Grid, kind: KernelKind, w: float | None = None, m: int = 64) -> DiscreteKernel:
@@ -567,60 +519,22 @@ def build_k_step_matrices(
 
 
 def _build_power_matrix(target, grid, kind, w, k_list, m) -> dict[int, DiscreteKernel]:
+    """Kernels taking ``k`` inner steps per level, for every ``k`` of ``k_list``.
+
+    1D and uniform kernels refine their level nodes by ``m`` levels; 2D strip kernels are exact and ignore it.
+    H alone is one prefix sum per strip; a 2D set holding k > 1 sums width_j A_j^k over nodes, k=1 included.
+    """
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
     k_list = tuple(sorted(set(k_list)))
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
-        pi = plan.rho / plan.rho.sum()
-        return {
-            k: DiscreteKernel(P=plan.kernel(kind, w, k), pi=pi, label=f"{kind.value}-k{k}-m{m}", support=plan.support)
-            for k in k_list
-        }
-    vals = density_on_grid(target, grid)
-    act = _active_cells(vals)
-    if act.size != grid.n:
-        raise CoverageError("chord kernels require strictly positive density on the whole grid")
-    rho = vals[act]
-    n = act.size
-    pg = _pair_geometry(target, grid)
-    order = np.argsort(-rho, kind="stable")
-    rho_desc = rho[order]
-    kmax = max(k_list)
-    mats = {k: np.zeros((n, n)) for k in k_list}
-    row_arr = np.empty(1, dtype=int)
-    for i in range(n):
-        row_arr[0] = i
-        for j in range(m):
-            t = (j + 0.5) * rho[i] / m
-            count = int(np.searchsorted(-rho_desc, -(t - LEVEL_TOL), side="right"))
-            cols = order[:count]
-            if kmax == 1:
-                dens, atom = _density_level_rows(pg, target, grid, t, row_arr, cols, kind, w)
-                mats[1][i, cols] += dens[0] / m
-                mats[1][i, i] += atom[0] / m
-                continue
-            A, atoms = _density_level_rows(pg, target, grid, t, cols, cols, kind, w)
-            A[np.diag_indices_from(A)] += atoms
-            pos = int(np.nonzero(cols == i)[0][0])
-            r = A[pos]
-            step = 1
-            for k in k_list:
-                while step < k:
-                    r = r @ A
-                    step += 1
-                mats[k][i, cols] += r / m
-    result: dict[int, DiscreteKernel] = {}
-    for k in k_list:
-        P = mats.pop(k)
-        drift = np.abs(P.sum(axis=1) - 1.0).max()
-        if drift > 1e-9:
-            raise ValueError(f"assembled rows sum to 1 only within {drift:.3e}")
-        # per-row level quadrature leaves a detailed-balance residual;
-        # project it out so the assembled kernel is exactly reversible
-        P, pi_k = _flow_symmetrize(P, rho / rho.sum())
-        result[k] = DiscreteKernel(P=P, pi=pi_k, label=f"{kind.value}-k{k}-m{m}", support=act)
-    return result
+        mats = {k: plan.kernel(kind, w, k) for k in k_list}
+    else:
+        plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
+        mats = {1: plan.kernel(w)} if k_list == (1,) else plan.power_kernels(w, k_list)
+    pi = plan.rho / plan.rho.sum()
+    return {k: DiscreteKernel(P=mats[k], pi=pi, label=f"{kind.value}-k{k}-m{m}", support=plan.support) for k in k_list}
 
 
 # -- norms and spectra ---------------------------------------------------------
@@ -659,28 +573,13 @@ def _largest_eigenvalue(C: np.ndarray, dense_max: int) -> float:
     n = C.shape[0]
     if n > dense_max:
         try:
-            eigs = eigsh(C, k=1, v0=_krylov_start(n), maxiter=5000, tol=0, return_eigenvectors=False)
+            # a deterministic, structure-free start vector
+            v0 = np.sin(np.arange(1, n + 1, dtype=float))
+            eigs = eigsh(C, k=1, v0=v0 / np.linalg.norm(v0), maxiter=5000, tol=0, return_eigenvectors=False)
             return float(np.abs(eigs).max())
         except ArpackNoConvergence:
             pass
     return float(np.abs(np.linalg.eigvalsh(C)).max())
-
-
-def _largest_singular_value(C: np.ndarray, dense_max: int) -> float:
-    """Dense SVD up to ``dense_max`` rows, ARPACK above (dense again if it fails)."""
-    n = C.shape[0]
-    if n > dense_max:
-        try:
-            return float(svds(C, k=1, v0=_krylov_start(n), return_singular_vectors=False, maxiter=5000, tol=0)[0])
-        except ArpackNoConvergence:
-            pass
-    return float(np.linalg.svd(C, compute_uv=False)[0])
-
-
-def _krylov_start(n: int) -> np.ndarray:
-    """Deterministic, structure-free start vector for iterative eigensolvers."""
-    v = np.sin(np.arange(1, n + 1, dtype=float))
-    return v / np.linalg.norm(v)
 
 
 def spectral_gap(K: DiscreteKernel) -> float:
@@ -705,42 +604,42 @@ def reversibility_check(K: DiscreteKernel) -> float:
 
 
 def _level_norm(target, grid: Grid, vals: np.ndarray, t: float, kind: KernelKind, w) -> float:
-    """Distance of one discretized level kernel to its uniform refresh.
+    """Distance of one discretized 1D or uniform level kernel to its uniform refresh.
 
     In 1D the centered two-part mixture kernel is (1 - gamma) times the
     difference of two orthogonal projections of rank two and one, so its
-    norm is 1 - gamma whenever both parts hold grid cells.  In higher
-    dimensions it is the largest singular value of the centered density
-    kernel.
+    norm is 1 - gamma whenever both parts hold grid cells.
     """
-    idx = _slice_indices(vals, t)
+    idx = np.flatnonzero(vals >= t - LEVEL_TOL)
     n_s = idx.size
-    if n_s == 0 or kind is KernelKind.UNIFORM or (grid.dim == 1 and kind is KernelKind.HIT_AND_RUN):
+    if n_s == 0 or kind is KernelKind.UNIFORM or kind is KernelKind.HIT_AND_RUN:
         return 0.0
-    if grid.dim == 1:
-        ls = level_set_1d(target, t)
-        in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
-        if ls.parts.nparts == 1 or in_first.all() or not in_first.any():
-            return 0.0
-        return 1.0 - mixture_weight(ls.length, ls.delta_t, w)
-    pg = _pair_geometry(target, grid)
-    A, atoms = _density_level_rows(pg, target, grid, t, idx, idx, kind, w)
-    A[np.diag_indices_from(A)] += atoms
-    return _largest_singular_value(A - 1.0 / n_s, dense_max=700)
+    ls = level_set_1d(target, t)
+    in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
+    if ls.parts.nparts == 1 or in_first.all() or not in_first.any():
+        return 0.0
+    return 1.0 - mixture_weight(ls.length, ls.delta_t, w)
 
 
 def beta_profile(
     target, grid: Grid, kind: KernelKind, w, norm_bins: int = 1024
 ) -> tuple[np.ndarray, float]:
-    """Per-level kernel distances on a uniform bin grid over (0, max density]."""
+    """Per-level kernel distances on a uniform bin grid over (0, max density].
+
+    A 2D strip kernel takes the second eigenvalue of each distinct level
+    matrix the bins fall on.
+    """
     vals = density_on_grid(target, grid)
     top = float(vals.max())
     width = top / norm_bins
-    nus = np.empty(norm_bins)
-    for b in range(norm_bins):
-        t = (b + 0.5) * width
-        nus[b] = _level_norm(target, grid, vals, t, kind, w)
-    return nus, width
+    levels = [(b + 0.5) * width for b in range(norm_bins)]
+    if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
+        plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
+        nodes, bins = np.unique(np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL), return_inverse=True)
+        # A_t is PSD: its distance to the uniform refresh is its second eigenvalue (0 on a lone cell)
+        norms = np.array([np.append(0.0, np.linalg.eigvalsh(plan.level_matrix(j, w)[0]))[-2] for j in nodes])
+        return norms[bins], width
+    return np.array([_level_norm(target, grid, vals, t, kind, w) for t in levels]), width
 
 
 def beta_k_numeric_many(

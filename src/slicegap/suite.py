@@ -25,19 +25,12 @@ class SuiteResult:
     detail: str
 
 
-def _second_singular_value(K: oracle.DiscreteKernel) -> float:
-    root = np.sqrt(K.pi)
-    A = (root[:, None] * K.P) / root[None, :]
-    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    return float(np.sort(np.abs(eigs))[-2])
-
-
 def _norm_identity_results(target, grid, w, levels, tol) -> SuiteResult:
     worst = 0.0
     for t in levels:
         K = oracle.build_level_matrix(target, grid, t, oracle.KernelKind.SO_SH, w)
         gamma = kernels.gamma_t(slice_geometry.level_set_1d(target, t), w)
-        worst = max(worst, abs(_second_singular_value(K) - (1.0 - gamma)))
+        worst = max(worst, abs(oracle.op_norm_centered(K) - (1.0 - gamma)))
     return SuiteResult("so_sh_norm_identity", worst <= tol, f"max |s2 - (1-gamma)| = {worst:.3e}")
 
 

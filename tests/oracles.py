@@ -5,8 +5,10 @@ decided by dense scanning of the density, masses by fine Riemann sums,
 and volumes by hit-or-miss Monte Carlo.  The one exception is the level
 integral kernel, which takes its 1D level sets from ``level_set_1d`` and
 checks how ``spectral_oracle`` assembles kernels from them, one node at a
-time.  ``ArrayLineTarget`` runs the samplers' single-point evaluations
-through the array ``density`` instead of the scalar line densities.
+time; in 2D it builds each level matrix strip by strip, with component
+regions from their level radii.  ``ArrayLineTarget`` runs the samplers'
+single-point evaluations through the array ``density`` instead of the
+scalar line densities.
 """
 
 from __future__ import annotations
@@ -86,38 +88,107 @@ def mc_volume(target, t, los, his, n, seed):
     return box * p, box * np.sqrt(max(p * (1 - p), 0.0) / n)
 
 
-def level_integral_kernel(target, centers, rho, m, w=None, k=1):
-    """Kernel of rho(x) H(x, y) = int_0^rho(x) H_t(x, y) dt, one level node at a time.
+def level_integral_kernels(target, centers, rho, m, w=None, ks=(1,), grid=None):
+    """Kernels of rho(x) H_k(x, y) = int_0^rho(x) H_t^k(x, y) dt for every ``k`` of ``ks``, one level node at a time.
 
     The nodes are the sorted distinct densities ``rho`` of the cells at
-    ``centers``, refined by ``m`` equal levels up to the top; the level set
-    is fixed on the interval below each node.  In 1D its cells, and those
-    of each of its parts, are the centers inside the intervals of
-    ``level_set_1d`` at the interval's midpoint.  With a step width ``w``,
-    a two-part set refreshes over the whole set with the k-step weight
-    1 - (1 - gamma)^k and over the part of the current cell otherwise;
-    with None it always refreshes over the whole set.  In higher
-    dimensions the set holds the cells whose density reaches the node.
+    ``centers``, refined by ``m`` equal levels up to the top; with a 2D
+    ``grid`` also every component density of those cells.  The level set
+    is fixed on the interval below each node and holds the cells whose
+    density reaches the node.  In 1D its parts are the centers inside the
+    intervals of ``level_set_1d`` at the interval's midpoint.  With a step
+    width ``w``, a two-part set refreshes over the whole set with the
+    k-step weight 1 - (1 - gamma)^k and over the part of the current cell
+    otherwise; with None it always refreshes over the whole set.  With a
+    2D ``grid``, the level matrix of ``strip_level_matrix`` at the
+    midpoint is raised to the k-th power; without one, a 2D set is
+    refreshed whole.
     """
     n = rho.size
-    flow = np.zeros((n, n))
+    flows = {k: np.zeros((n, n)) for k in ks}
+    strips = grid is not None and grid.dim == 2
+    nodes = [rho, np.linspace(0.0, rho.max(), m + 1)[1:]]
+    if strips:
+        nodes += [np.asarray(comp.density(centers)) for comp in getattr(target, "components", ())]
     below = 0.0
-    for top in np.unique(np.concatenate([rho, np.linspace(0.0, rho.max(), m + 1)[1:]])):
+    for top in np.unique(np.concatenate(nodes)):
+        if top <= 0.0:
+            continue
         rows = rho >= top
-        parts, gamma = [rows], 1.0
-        if centers.shape[1] == 1:
-            ls = level_set_1d(target, 0.5 * (below + top))
-            x = centers[:, 0]
-            parts = [(x >= iv.lo - 1e-12) & (x <= iv.hi + 1e-12) for iv in ls.parts.intervals]
-            if w is not None and len(parts) == 2:
-                gamma = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta_t, w)) ** k
-        members = np.logical_or.reduce(parts)
-        A = gamma * np.outer(rows, members) / members.sum()
-        for part in parts if gamma < 1.0 else ():
-            A += (1.0 - gamma) * np.outer(rows & part, part) / max(part.sum(), 1)
-        flow += (top - below) * A
+        mid = 0.5 * (below + top)
+        if strips:
+            level = strip_level_matrix(target, grid, centers[rows], mid, w)
+            for k in ks:
+                flows[k][np.ix_(rows, rows)] += (top - below) * np.linalg.matrix_power(level, k)
+        elif centers.shape[1] == 1:
+            for k in ks:
+                flows[k] += (top - below) * _two_part_refresh(target, centers[:, 0], rows, mid, w, k)
+        else:
+            for k in ks:
+                flows[k] += (top - below) * np.outer(rows, rows) / rows.sum()
         below = top
-    return flow / rho[:, None]
+    return {k: flow / rho[:, None] for k, flow in flows.items()}
+
+
+def _two_part_refresh(target, x, rows, t, w, k):
+    ls = level_set_1d(target, t)
+    parts = [(x >= iv.lo - 1e-12) & (x <= iv.hi + 1e-12) for iv in ls.parts.intervals]
+    gamma = 1.0
+    if w is not None and len(parts) == 2:
+        gamma = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta_t, w)) ** k
+    members = np.logical_or.reduce(parts)
+    A = gamma * np.outer(rows, members) / members.sum()
+    for part in parts if gamma < 1.0 else ():
+        A += (1.0 - gamma) * np.outer(rows & part, part) / max(part.sum(), 1)
+    return A
+
+
+def strip_level_matrix(target, grid, points, t, w=None, n_theta=128):
+    """Level kernel at ``t`` on the cells centred at ``points``, one strip of one direction at a time.
+
+    For each of ``n_theta`` directions, a strip holds the points whose
+    projection across the direction falls into one cell-wide band.  For
+    direction ``a`` the band edges lie (0.5 + a g) mod 1 band widths below
+    the lowest projection of all centres of ``grid``, g = (sqrt 5 - 1) / 2.
+    A point lies in a component's region when it is within the component's
+    level radius at ``t``.  With a step width ``w``, a strip whose points
+    lie in two regions and none in both refreshes over the strip with the
+    weight gamma of its chord extents and within the point's part otherwise;
+    any other strip refreshes over the whole strip.
+    """
+    n = len(points)
+    cell = np.array([(hi - lo) / c for (lo, hi), c in zip(grid.bounds, grid.shape)])
+    regions = [
+        np.linalg.norm(points - np.asarray(comp.mode), axis=1) <= comp.level_radius(t)
+        if t <= comp.height
+        else np.zeros(n, dtype=bool)
+        for comp in getattr(target, "components", ())
+    ]
+    A = np.zeros((n, n))
+    for a in range(n_theta):
+        phi = (a + 0.5) * np.pi / n_theta
+        theta = np.array([np.cos(phi), np.sin(phi)])
+        perp = np.array([-theta[1], theta[0]])
+        shift = (a * (np.sqrt(5.0) - 1.0) / 2.0 + 0.5) % 1.0
+        strip = np.floor((points @ perp - (grid.centers @ perp).min()) / (np.abs(perp) @ cell) + shift).astype(int)
+        same = np.equal.outer(strip, strip)
+        block = same / same.sum(axis=1)[:, None]
+        if w is not None and len(regions) == 2:
+            in1, in2 = regions
+            eta = points @ theta
+            half = (np.abs(theta) @ cell) / 2.0
+            for s in np.unique(strip):
+                cells = strip == s
+                if not (in1 & cells).any() or not (in2 & ~in1 & cells).any() or (in1 & in2 & cells).any():
+                    continue
+                ends = [(eta[cells & p].min() - half, eta[cells & p].max() + half) for p in (in1, ~in1)]
+                (lo1, hi1), (lo2, hi2) = ends
+                gamma = mixture_weight((hi1 - lo1) + (hi2 - lo2), max(max(lo1, lo2) - min(hi1, hi2), 0.0), w)
+                local = np.equal.outer(in1, in1) & np.outer(cells, cells)
+                block[cells] *= gamma
+                block += (1.0 - gamma) * local / local.sum(axis=1).clip(1)[:, None]
+        A += block / n_theta
+    return A
 
 
 class ArrayLineTarget:

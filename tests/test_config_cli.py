@@ -29,6 +29,13 @@ norm_bins = 128
 """
 
 
+def diagnostics_exit_code(out) -> int:
+    """Exit code that ``sample`` and ``diag`` owe the pass column of ``out/diagnostics.csv``."""
+    rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()[1:]))
+    assert rows
+    return 0 if all(r["pass"] == "True" for r in rows) else 4
+
+
 class TestConfigParsing:
     def test_minimal(self):
         cfg = load_config_text(MINIMAL)
@@ -115,8 +122,8 @@ class TestCliSample:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(MINIMAL)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["sample", "--config", str(cfg_path), "--out", str(out1)]) == 0
-        assert main(["sample", "--config", str(cfg_path), "--out", str(out2)]) == 0
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out1)]) == diagnostics_exit_code(out1)
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out2)]) == diagnostics_exit_code(out2)
         t1_bytes = (out1 / "trace.csv").read_bytes()
         assert t1_bytes == (out2 / "trace.csv").read_bytes()
         lines = t1_bytes.decode().splitlines()
@@ -124,6 +131,15 @@ class TestCliSample:
         assert lines[1] == "step,level,x1"
         assert len(lines) == 2 + 11  # comment, header, x0 plus ten steps
         assert (out1 / "diagnostics.csv").read_text().splitlines()[1] == "metric,value,threshold,pass"
+
+    def test_failing_diagnostics_exit_4(self, tmp_path):
+        # three steps cannot reach the ESS threshold
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace("n = 10", "n = 3"))
+        out = tmp_path / "s"
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert diagnostics_exit_code(out) == 4
+        assert (out / "trace.csv").exists()
 
     def test_seed_override_changes_trace(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -284,11 +300,9 @@ class TestCliDiag:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(MINIMAL.replace("n = 10", "n = 2000"))
         out = tmp_path / "s"
-        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == diagnostics_exit_code(out)
         out2 = tmp_path / "d"
         code = main(
             ["diag", "--config", str(cfg_path), "--out", str(out2), "--trace", str(out / "trace.csv")]
         )
-        rows = list(csv.DictReader((out2 / "diagnostics.csv").read_text().splitlines()[1:]))
-        assert rows
-        assert code == (0 if all(r["pass"] == "True" for r in rows) else 4)
+        assert code == diagnostics_exit_code(out2)

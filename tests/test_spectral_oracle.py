@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bin_masses_1d, level_integral_kernel
+from oracles import bin_masses_1d, level_integral_kernels
 from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.spectral_oracle import (
@@ -27,7 +27,27 @@ from slicegap.spectral_oracle import (
     verify_theorem_bounds,
     verify_tv_bound,
 )
-from slicegap.targets import Interval, QuasiConcaveComponent, Shape, TargetDensity, UniformInterval, twin_triangles
+from slicegap.targets import (
+    Interval,
+    QuasiConcaveComponent,
+    Shape,
+    TargetDensity,
+    UniformBall,
+    UniformInterval,
+    gaussian_pair,
+    twin_triangles,
+)
+
+
+def separated_pair() -> TargetDensity:
+    """gaussian_pair with its second mode moved from 1.5 to 2.5: strips split over a wide band of levels."""
+    return TargetDensity(
+        2,
+        (
+            QuasiConcaveComponent(Shape.GAUSSIAN, (0.0, 0.0), 1.0, 2.0),
+            QuasiConcaveComponent(Shape.GAUSSIAN, (2.5, 0.0), 1.0, 1.0),
+        ),
+    )
 
 
 def two_state(p: float) -> DiscreteKernel:
@@ -151,10 +171,41 @@ class TestBuildFullMatrix:
         pi_rho = discretize_target(t1, grid)
         assert np.abs(H.pi - pi_rho).max() < 1e-14
 
+    @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    def test_2d_kernel_is_exact_by_construction(self, t2, kind):
+        # positive semi-definite, stochastic, reversible and stationary for the discretized target, with no correction
+        grid = Grid.for_target(t2, (24, 24))
+        H = build_full_matrix(t2, grid, kind, 3.0, m=16)
+        assert psd_check(H) >= -1e-10
+        assert np.abs(H.P.sum(axis=1) - 1.0).max() <= 1e-12
+        assert reversibility_check(H) < 1e-15
+        assert np.abs(H.pi - discretize_target(t2, grid)[H.support]).max() <= 1e-14
+
+    def test_combined_strips_split_separated_modes(self):
+        # with the modes apart, the part-local refresh slows the combined kernel visibly
+        target = separated_pair()
+        grid = Grid.for_target(target, (16, 16))
+        gap_har = spectral_gap(build_full_matrix(target, grid, KernelKind.HIT_AND_RUN, 3.0))
+        gap_combined = spectral_gap(build_full_matrix(target, grid, KernelKind.COMBINED, 3.0))
+        assert abs(gap_har - gap_combined) > 1e-3
+
+    @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    def test_disk_kernel_is_its_level_kernel(self, kind):
+        # every level of a flat disk holds the same cells, so H is the level kernel of any level
+        disk = UniformBall((0.0, 0.0), 1.0)
+        grid = Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(24, 24))
+        H = build_full_matrix(disk, grid, kind, 3.0)
+        assert H.n < grid.n
+        for t in (1e-3, 0.5, 1.0):
+            K = build_level_matrix(disk, grid, t, kind, 3.0)
+            assert np.array_equal(K.support, H.support)
+            assert np.abs(K.P - H.P).max() <= 1e-15
+
 
 class TestKStep:
     def test_k1_equals_full(self, t1, t2):
-        # a k-step set holding k > 1 builds its k=1 kernel alongside the others (in 2D from level matrices)
+        # a k-step set holding k > 1 builds its k=1 kernel alongside the others;
+        # in 2D that is the sum over nodes of level matrices, H alone a prefix sum per strip
         grid = Grid.for_target(t1, 200)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=50)
         M1 = build_k_step_matrices(t1, grid, KernelKind.SO_SH, 3.0, [1, 2], m=50)[1]
@@ -199,13 +250,23 @@ class _DriftingGap:
 
 
 class TestLevelPlan:
-    """Kernels from the shared level plan against a brute-force loop over its nodes."""
+    """Kernels from the shared level plans against a brute-force loop over their nodes."""
 
     TARGETS = {
         "twin_triangles": twin_triangles(),
         "one_component": TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.3,), 1.2, 2.0),)),
         "uniform_interval": UniformInterval(-1.0, 2.0, 0.5),
+        "gaussian_pair": gaussian_pair(),
+        "separated_pair": separated_pair(),
     }
+    CASES = [
+        (kind, name)
+        for name in ("one_component", "twin_triangles", "uniform_interval")
+        for kind in (KernelKind.UNIFORM, KernelKind.SO_SH)
+    ]
+    CASES += [
+        (kind, name) for name in ("gaussian_pair", "separated_pair") for kind in (KernelKind.HIT_AND_RUN, KernelKind.COMBINED)
+    ]
 
     @staticmethod
     def _assert_exact(K, target, grid):
@@ -214,23 +275,28 @@ class TestLevelPlan:
         assert reversibility_check(K) <= 1e-15
         assert np.abs(K.pi - discretize_target(target, grid)[K.support]).max() <= 1e-14
 
-    @pytest.mark.parametrize("name", sorted(TARGETS))
-    @pytest.mark.parametrize("kind", [KernelKind.UNIFORM, KernelKind.SO_SH])
-    def test_matches_per_node_loop(self, name, kind):
+    @pytest.mark.parametrize("kind, name", CASES)
+    def test_matches_per_node_loop(self, kind, name):
+        # 1D: 300 cells and 60 refinement levels; 2D: the strip plan, whose nodes the reference refines further
         target = self.TARGETS[name]
-        grid = Grid.for_target(target, 300)
-        m = 60
-        for k, K in build_k_step_matrices(target, grid, kind, 3.0, [1, 2, 5], m).items():
-            rho = density_on_grid(target, grid)[K.support]
-            w = 3.0 if kind is KernelKind.SO_SH else None
-            ref = level_integral_kernel(target, grid.centers[K.support], rho, m, w, k)
-            assert np.abs(K.P - ref).max() <= 1e-12
+        grid = Grid.for_target(target, 300 if target.dim == 1 else (12, 12))
+        m = 60 if target.dim == 1 else 8
+        kernels = build_k_step_matrices(target, grid, kind, 3.0, [1, 2, 5], m)
+        support = kernels[1].support
+        w = None if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN) else 3.0
+        rho = density_on_grid(target, grid)[support]
+        refs = level_integral_kernels(target, grid.centers[support], rho, m, w, (1, 2, 5), grid)
+        for k, K in kernels.items():
+            assert np.abs(K.P - refs[k]).max() <= 1e-12
             self._assert_exact(K, target, grid)
+        if target.dim == 2:
+            H = build_full_matrix(target, grid, kind, 3.0, m)
+            assert np.abs(H.P - refs[1]).max() <= 1e-12
 
     def test_uniform_2d_matches_per_node_loop(self, t2):
         grid = Grid.for_target(t2, (14, 14))
         U = build_full_matrix(t2, grid, KernelKind.UNIFORM, None, m=8)
-        ref = level_integral_kernel(t2, grid.centers, density_on_grid(t2, grid), 8)
+        ref = level_integral_kernels(t2, grid.centers, density_on_grid(t2, grid), 8)[1]
         assert np.abs(U.P - ref).max() <= 1e-12
         self._assert_exact(U, t2, grid)
 
