@@ -10,6 +10,7 @@ from .kernels import (
     gamma_t,
     har_kernel_density,
     har_level_norm_bound,
+    har_small_set_weight,
     mixture_weight,
     op_norm_so_sh,
     so_sh_level_kernel_measure,
@@ -47,6 +48,7 @@ from .spectral_oracle import (
     psd_check,
     reversibility_check,
     spectral_gap,
+    verify_corollary,
     verify_monotonicity,
     verify_mt_bound,
     verify_power_bound,

@@ -70,7 +70,6 @@ _SCHEMA = {
         "tv_n_max": _parse_int,
         "norm_bins": _parse_int,
         "eps_cut": _parse_float,
-        "psd_probe_levels": _parse_int,
         "kstep_cells": _parse_ints,
         "kstep_m": _parse_int,
         "tol_exact": _parse_float,
@@ -99,7 +98,6 @@ class ExperimentConfig:
     tv_n_max: int = 50
     norm_bins: int | None = None
     eps_cut: float = 1e-4
-    psd_probe_levels: int = 8
     kstep_cells: tuple[int, ...] | None = None
     kstep_m: int | None = None
     tol_exact: float = 1e-6
@@ -258,7 +256,6 @@ def load_config_text(text: str) -> ExperimentConfig:
             tv_n_max=oracle.get("tv_n_max", 50),
             norm_bins=oracle.get("norm_bins"),
             eps_cut=oracle.get("eps_cut", 1e-4),
-            psd_probe_levels=oracle.get("psd_probe_levels", 8),
             kstep_cells=oracle.get("kstep_cells"),
             kstep_m=oracle.get("kstep_m"),
             tol_exact=oracle.get("tol_exact", 1e-6),

@@ -169,12 +169,15 @@ def har_kernel_density(target, t: float, x, y) -> float:
     return (2.0 / sphere_surface_area(d)) / (dist ** (d - 1) * section.total_length)
 
 
-def har_level_norm_bound(target, t: float) -> float:
-    """Upper bound 1 - (2/sigma_d) vol(K(t)) / diam(K(t))^d on the chord-kernel distance."""
+def har_small_set_weight(target, t: float) -> float:
+    """Weight (2/sigma_d) vol(K(t)) / diam(K(t))^d of the uniform law that hit-and-run rows at level t dominate."""
     d = target.dim
-    vol = vol_level_set(target, t)
-    diam = diam_level_set(target, t)
-    return 1.0 - (2.0 / sphere_surface_area(d)) * vol / diam**d
+    return (2.0 / sphere_surface_area(d)) * vol_level_set(target, t) / diam_level_set(target, t) ** d
+
+
+def har_level_norm_bound(target, t: float) -> float:
+    """Upper bound 1 - ``har_small_set_weight`` on the hit-and-run level kernel's distance to the uniform refresh."""
+    return 1.0 - har_small_set_weight(target, t)
 
 
 def combined_level_kernel_density(target, t: float, w: float, x, y) -> float:

@@ -1,163 +1,165 @@
-"""Cross-module verification suite behind the ``verify`` subcommand.
+"""Theory criteria as functions returning ``Check`` rows, and the ``verify`` suite.
 
-Runs the strongest invariants of every module at desk scale against the
-two built-in reference targets and reports one pass/fail line each:
-matrix-exact identities, closed-form versus numeric cross-checks,
-statistical calibration of the samplers, and the negative-control-ready
-norm identity (it consults ``kernels.gamma_t`` at call time).
+Each criterion that the spectral oracle's ``verify_*`` functions do not
+cover is coded once here, with its thresholds: the 1D level probes (the
+stepping-out norm identity and PSD level kernels), closed-form against
+numeric beta, the law of one stepping-out level move, the 2D strip level
+probes, and the null calibration of the chi-square and ESS diagnostics.
+Scale comes from the arguments: ``run_verification_suite`` (behind
+``slicegap verify``) calls them at desk scale on the built-in reference
+targets, and the acceptance tests call them at full scale.  The functions
+reach ``kernels``, ``samplers`` and ``diagnostics`` through their modules
+at call time, so a negative control can corrupt one of them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from . import diagnostics, kernels, samplers, slice_geometry, spectral_oracle as oracle
+from .spectral_oracle import Check, KernelKind
 from .targets import UniformInterval, gaussian_pair, twin_triangles
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
+def _level_kernel(target, grid, t: float, kind: KernelKind, w) -> oracle.DiscreteKernel:
+    """A level kernel; its stationary law is uniform, so detailed balance is the symmetry of P to 1e-12."""
+    K = oracle.build_level_matrix(target, grid, t, kind, w)
+    asym = float(np.abs(K.P - K.P.T).max())
+    if asym >= 1e-12:
+        raise ValueError(f"{K.label} is not symmetric: {asym:.3e}")
+    return K
 
 
-def _norm_identity_results(target, grid, w, levels, tol) -> SuiteResult:
-    worst = 0.0
+def level_probes_1d(target, grid, w, levels) -> list[Check]:
+    """Stepping-out level kernels: centered norm 1 - gamma_t within 1e-6, and PSD within 1e-10."""
+    worst, min_eig = 0.0, np.inf
     for t in levels:
-        K = oracle.build_level_matrix(target, grid, t, oracle.KernelKind.SO_SH, w)
+        K = _level_kernel(target, grid, t, KernelKind.SO_SH, w)
         gamma = kernels.gamma_t(slice_geometry.level_set_1d(target, t), w)
         worst = max(worst, abs(oracle.op_norm_centered(K) - (1.0 - gamma)))
-    return SuiteResult("so_sh_norm_identity", worst <= tol, f"max |s2 - (1-gamma)| = {worst:.3e}")
+        min_eig = min(min_eig, oracle.psd_check(K))
+    return [Check("so_sh_norm_identity", worst, 0.0, 1e-6), Check("psd_levels_1d", -min_eig, 0.0, 1e-10)]
 
 
-def run_verification_suite(seed: int = 20_240_817) -> list[SuiteResult]:
-    """Invariant suite over the built-in reference targets."""
+def beta_closed_vs_numeric(target, grid, w, k_list, m: int, norm_bins: int) -> list[Check]:
+    """Closed-form and numeric beta_k agree within 2e-3 over ``k_list``, and neither rises with k."""
+    ks = sorted(k_list)
+    closed = {k: kernels.beta_k_so_sh_closed_form(target, w, k) for k in ks}
+    numeric, _ = oracle.beta_k_numeric_many(target, grid, KernelKind.SO_SH, w, ks, m, norm_bins)
+    checks = [Check("beta_closed_vs_numeric", max(abs(closed[k] - numeric[k]) for k in ks), 0.0, 2e-3)]
+    for label, beta in (("closed", closed), ("numeric", numeric)):
+        checks += [Check(f"beta_{label}_k{b}_le_k{a}", beta[b], beta[a], 0.0) for a, b in zip(ks, ks[1:])]
+    return checks
+
+
+def level_move_law(target, t: float, x0: float, w, bins: int, n: int, rng) -> list[Check]:
+    """Chi-square p > 0.01 for n stepping-out level moves from ``x0`` against the mixture, ``bins`` bins per part."""
+    ls = slice_geometry.level_set_1d(target, t)
+    gamma = kernels.gamma_t(ls, w)
+    ys = np.array([samplers.so_sh_level_move(target, t, np.array([x0]), rng, w)[0] for _ in range(n)])
+    edges = [np.linspace(part.lo, part.hi, bins + 1) for part in ls.parts.intervals]
+    counts = np.concatenate([np.histogram(ys, e)[0] for e in edges])
+    widths = np.concatenate([np.diff(e) for e in edges])
+    probs = gamma * widths / ls.length
+    local = ls.parts.part_index(x0, slice_geometry.MEMBERSHIP_TOL)
+    mine = slice(local * bins, (local + 1) * bins)
+    probs[mine] += (1.0 - gamma) * widths[mine] / ls.parts.intervals[local].length
+    probs /= probs.sum()
+    chi2 = float(((counts - n * probs) ** 2 / (n * probs)).sum())
+    return [Check("level_kernel_match", 0.01, float(stats.chi2.sf(chi2, counts.size - 1)), 0.0)]
+
+
+def strip_level_probes(target, grid, w, levels) -> list[Check]:
+    """2D level kernels of both kinds PSD within 1e-10 and under their norm bounds within 5e-3;
+    hit-and-run rows above the small-set weight within 5e-3.
+
+    The row names ``chord_norm_bound`` and ``chord_small_set`` predate the strip kernels; they
+    stay because the benchmark reads row names as operation names.
+    """
+    min_eig, excess, deficit = np.inf, {KernelKind.HIT_AND_RUN: -np.inf, KernelKind.COMBINED: -np.inf}, np.inf
+    bounds = {KernelKind.HIT_AND_RUN: kernels.har_level_norm_bound, KernelKind.COMBINED: kernels.combined_norm_bound}
+    for t in levels:
+        for kind, bound in bounds.items():
+            K = _level_kernel(target, grid, t, kind, w)
+            min_eig = min(min_eig, oracle.psd_check(K))
+            excess[kind] = max(excess[kind], oracle.op_norm_centered(K) - bound(target, t))
+            if kind is KernelKind.HIT_AND_RUN:
+                deficit = min(deficit, float((K.P - kernels.har_small_set_weight(target, t) * K.pi[None, :]).min()))
+    return [
+        Check("psd_levels_2d", -min_eig, 0.0, 1e-10),
+        Check("chord_norm_bound", excess[KernelKind.HIT_AND_RUN], 0.0, 5e-3),
+        Check("combined_norm_bound", excess[KernelKind.COMBINED], 0.0, 5e-3),
+        Check("chord_small_set", -deficit, 0.0, 5e-3),
+    ]
+
+
+def chi2_null_calibration(cells: int, n: int, replicates: int, rng) -> list[Check]:
+    """Chi-square p-values of ``replicates`` uniform samples of size n over ``cells`` are uniform: KS p > 0.01."""
+    pi = np.full(cells, 1.0 / cells)
+    pvals = [diagnostics.chi_square_invariance(rng.choice(cells, size=n, p=pi), pi).p_value for _ in range(replicates)]
+    return [Check("chi2_null_calibration", 0.01, float(stats.kstest(pvals, "uniform").pvalue), 0.0)]
+
+
+def ess_iid(series: np.ndarray) -> list[Check]:
+    """The ESS of an iid series is its length within 5%."""
+    return [Check("ess_iid", abs(diagnostics.acf_ess(series).ess / series.size - 1.0), 0.0, 0.05)]
+
+
+def _fold(name: str, checks: list[Check]) -> Check:
+    """One row for several checks: the one with the least slack, so it passes iff all of them do."""
+    worst = min(checks, key=lambda c: c.rhs + c.tol - c.lhs)
+    return Check(name, worst.lhs, worst.rhs, worst.tol)
+
+
+def run_verification_suite(seed: int = 20_240_817) -> list[Check]:
+    """The criteria at desk scale on the built-in reference targets, one row each."""
     rng = np.random.default_rng(seed)
-    results: list[SuiteResult] = []
-    t1 = twin_triangles()
-    t2 = gaussian_pair()
-    w = 3.0
+    t1, t2, w = twin_triangles(), gaussian_pair(), 3.0
+    levels_1d = [(j + 0.5) * 0.8 / 12 for j in range(12)]
+    identity, psd_1d = level_probes_1d(t1, oracle.Grid.for_target(t1, 800), w, levels_1d)
+    beta = beta_closed_vs_numeric(t1, oracle.Grid.for_target(t1, 1600), w, [1, 5], m=300, norm_bins=1536)
 
-    # matrix-exact identity, consulted through kernels.gamma_t for negative controls
-    g_id = oracle.Grid.for_target(t1, 800)
-    levels = [(j + 0.5) * 0.8 / 12 for j in range(12)]
-    results.append(_norm_identity_results(t1, g_id, w, levels, tol=1e-6))
-
-    # closed-form versus numeric convergence profile
-    g_beta = oracle.Grid.for_target(t1, 1600)
-    nums, _ = oracle.beta_k_numeric_many(t1, g_beta, oracle.KernelKind.SO_SH, w, [1, 5], m=300, norm_bins=1536)
-    worst = max(abs(kernels.beta_k_so_sh_closed_form(t1, w, k) - nums[k]) for k in (1, 5))
-    results.append(SuiteResult("beta_closed_vs_numeric", worst <= 2e-3, f"max diff = {worst:.3e}"))
-
-    # assembled kernels: reversibility, sandwich, monotonicity, power, TV, Doeblin bound
+    # assembled kernels: reversibility, sandwich, monotonicity, power, Doeblin and TV bounds
     g_full = oracle.Grid.for_target(t1, 600)
-    U = oracle.build_full_matrix(t1, g_full, oracle.KernelKind.UNIFORM, None, m=150)
-    mats = oracle.build_k_step_matrices(t1, g_full, oracle.KernelKind.SO_SH, w, list(range(1, 6)), m=150)
-    H = mats[1]
-    resid = max(oracle.reversibility_check(U), oracle.reversibility_check(H))
-    results.append(SuiteResult("full_kernel_reversibility", resid < 1e-8, f"max residual = {resid:.3e}"))
-    gap_u, gap_h = oracle.spectral_gap(U), oracle.spectral_gap(H)
-    betas, _ = oracle.beta_k_numeric_many(t1, g_full, oracle.KernelKind.SO_SH, w, [1, 5], m=150, norm_bins=512)
-    sandwich = oracle.verify_sandwich(U, H, betas)
-    results.append(SuiteResult("gap_sandwich", all(c.passed for c in sandwich), f"gap_U={gap_u:.4f} gap_H={gap_h:.4f}"))
-    mono = oracle.verify_monotonicity(mats, 5)
-    powr = oracle.verify_power_bound(mats, 5)
-    results.append(SuiteResult("kstep_monotonicity", all(c.passed for c in mono), f"{len(mono)} comparisons"))
-    results.append(SuiteResult("kstep_power_bound", all(c.passed for c in powr), f"{len(powr)} comparisons"))
-    mt = oracle.verify_mt_bound(t1, g_full, U)
-    results.append(SuiteResult("doeblin_gap_bound", mt.passed, f"{mt.lhs:.4f} <= {mt.rhs:.4f}"))
-    tv = oracle.verify_tv_bound(H, n_max=30)
-    results.append(SuiteResult("tv_decay_bound", all(c.passed for c in tv), f"{len(tv)} steps"))
-    psd1 = min(
-        oracle.psd_check(oracle.build_level_matrix(t1, g_id, t, oracle.KernelKind.SO_SH, w)) for t in levels
-    )
-    results.append(SuiteResult("psd_levels_1d", psd1 >= -1e-10, f"min eigenvalue = {psd1:.3e}"))
-
-    # chord kernels on the 2D reference target
-    g_2d = oracle.Grid.for_target(t2, (32, 32))
-    worst_psd, worst_norm_har, worst_norm_comb, worst_dom = np.inf, -np.inf, -np.inf, np.inf
-    for j in range(6):
-        t = (j + 0.5) / 6
-        for kind in (oracle.KernelKind.HIT_AND_RUN, oracle.KernelKind.COMBINED):
-            K = oracle.build_level_matrix(t2, g_2d, t, kind, w)
-            worst_psd = min(worst_psd, oracle.psd_check(K))
-            norm = oracle.op_norm_centered(K)
-            if kind is oracle.KernelKind.HIT_AND_RUN:
-                worst_norm_har = max(worst_norm_har, norm - kernels.har_level_norm_bound(t2, t))
-                small = (
-                    (2.0 / kernels.sphere_surface_area(2))
-                    * slice_geometry.vol_level_set(t2, t)
-                    / slice_geometry.diam_level_set(t2, t) ** 2
-                )
-                dom = (K.P - (small * K.pi)[None, :]).min()
-                worst_dom = min(worst_dom, dom)
-            else:
-                worst_norm_comb = max(worst_norm_comb, norm - kernels.combined_norm_bound(t2, t))
-    results.append(SuiteResult("psd_levels_2d", worst_psd >= -1e-10, f"min eigenvalue = {worst_psd:.3e}"))
-    results.append(SuiteResult("chord_norm_bound", worst_norm_har <= 5e-3, f"worst excess = {worst_norm_har:.3e}"))
-    results.append(
-        SuiteResult("combined_norm_bound", worst_norm_comb <= 5e-3, f"worst excess = {worst_norm_comb:.3e}")
-    )
-    results.append(SuiteResult("chord_small_set", worst_dom >= -5e-3, f"worst deficit = {worst_dom:.3e}"))
+    U = oracle.build_full_matrix(t1, g_full, KernelKind.UNIFORM, None, m=150)
+    mats = oracle.build_k_step_matrices(t1, g_full, KernelKind.SO_SH, w, list(range(1, 6)), m=150)
+    betas, _ = oracle.beta_k_numeric_many(t1, g_full, KernelKind.SO_SH, w, [1, 5], m=150, norm_bins=512)
+    rows = [identity, _fold("beta_closed_vs_numeric", beta)]
+    rows.append(Check("full_kernel_reversibility", max(map(oracle.reversibility_check, (U, mats[1]))), 0.0, 1e-8))
+    rows.append(_fold("gap_sandwich", oracle.verify_sandwich(U, mats[1], betas)))
+    rows.append(_fold("kstep_monotonicity", oracle.verify_monotonicity(mats, 5)))
+    rows.append(_fold("kstep_power_bound", oracle.verify_power_bound(mats, 5)))
+    rows.append(_fold("doeblin_gap_bound", [oracle.verify_mt_bound(t1, g_full, U)]))
+    rows.append(_fold("tv_decay_bound", oracle.verify_tv_bound(mats[1], n_max=30)))
+    rows.append(psd_1d)
+    rows += strip_level_probes(t2, oracle.Grid.for_target(t2, (32, 32)), w, [(j + 0.5) / 6 for j in range(6)])
 
     # samplers against exact references
     u01 = UniformInterval(0.0, 1.0)
     ys = np.array([samplers.simple_slice_step(u01, np.array([0.3]), rng)[0] for _ in range(20_000)])
-    ks_p = float(stats.kstest(ys, "uniform").pvalue)
-    results.append(SuiteResult("uniform_slice_ks", ks_p > 0.01, f"p = {ks_p:.3f}"))
-
-    t_lvl, x0 = 0.5, -1.0
-    ls = slice_geometry.level_set_1d(t1, t_lvl)
-    gamma = kernels.gamma_t(ls, w)
-    draws = np.array(
-        [samplers.so_sh_level_move(t1, t_lvl, np.array([x0]), rng, w)[0] for _ in range(20_000)]
-    )
-    left, right = ls.parts.intervals
-    counts = np.concatenate(
-        [np.histogram(draws, np.linspace(left.lo, left.hi, 13))[0], np.histogram(draws, np.linspace(right.lo, right.hi, 13))[0]]
-    )
-    widths = np.concatenate([np.diff(np.linspace(left.lo, left.hi, 13)), np.diff(np.linspace(right.lo, right.hi, 13))])
-    probs = gamma * widths / ls.length
-    probs[:12] += (1.0 - gamma) * widths[:12] / left.length
-    probs /= probs.sum()
-    chi2 = float((((counts - draws.size * probs) ** 2) / (draws.size * probs)).sum())
-    p = float(stats.chi2.sf(chi2, counts.size - 1))
-    results.append(SuiteResult("level_kernel_match", p > 0.01, f"chi2 p = {p:.3f}"))
-
+    rows.append(Check("uniform_slice_ks", 0.01, float(stats.kstest(ys, "uniform").pvalue), 0.0))
+    rows += level_move_law(t1, 0.5, -1.0, w, bins=12, n=20_000, rng=rng)
     starts = samplers.sample_stationary(t1, 20_000, rng)
     steps = np.array([samplers.so_sh_step(t1, x, rng, w)[0] for x in starts])
     diag_grid = oracle.Grid.for_target(t1, 40)
-    pi_diag = oracle.discretize_target(t1, diag_grid)
-    res = diagnostics.chi_square_invariance(diag_grid.locate(steps[:, None]), pi_diag)
-    results.append(SuiteResult("invariance_chi2", res.p_value > 0.01, f"p = {res.p_value:.3f}"))
+    res = diagnostics.chi_square_invariance(diag_grid.locate(steps[:, None]), oracle.discretize_target(t1, diag_grid))
+    rows.append(Check("invariance_chi2", 0.01, res.p_value, 0.0))
     pairs = np.stack([diag_grid.locate(starts), diag_grid.locate(steps[:, None])], axis=1)
     db = diagnostics.detailed_balance_test(pairs, diag_grid.n)
-    results.append(
-        SuiteResult("detailed_balance", db.n_exceedances == 0, f"max residual = {db.max_residual:.2f}")
-    )
+    rows.append(Check("detailed_balance", db.max_residual, db.threshold, 0.0))
 
-    # test-statistic calibration under the null
-    pvals = []
-    cal_pi = np.full(30, 1.0 / 30)
-    for _ in range(200):
-        cells = rng.choice(30, size=5000, p=cal_pi)
-        pvals.append(diagnostics.chi_square_invariance(cells, cal_pi).p_value)
-    cal_p = float(stats.kstest(pvals, "uniform").pvalue)
-    results.append(SuiteResult("chi2_null_calibration", cal_p > 0.01, f"KS p = {cal_p:.3f}"))
-
-    iid = rng.standard_normal(20_000)
-    ess = diagnostics.acf_ess(iid).ess
-    results.append(SuiteResult("ess_iid", abs(ess / iid.size - 1.0) <= 0.05, f"ess/n = {ess / iid.size:.3f}"))
-
-    return results
+    # test statistics under the null
+    rows += chi2_null_calibration(30, n=5000, replicates=200, rng=rng)
+    rows += ess_iid(rng.standard_normal(20_000))
+    return rows
 
 
-def format_suite_table(results: list[SuiteResult]) -> str:
-    width = max(len(r.name) for r in results)
-    lines = [f"{r.name.ljust(width)}  {'pass' if r.passed else 'FAIL'}  {r.detail}" for r in results]
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+def format_suite_table(checks: list[Check]) -> str:
+    width = max(len(c.name) for c in checks)
+    lines = [
+        f"{c.name.ljust(width)}  {'pass' if c.passed else 'FAIL'}  lhs={c.lhs:.4g} rhs={c.rhs:.4g} tol={c.tol:g}"
+        for c in checks
+    ]
+    lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return "\n".join(lines)

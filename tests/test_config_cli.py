@@ -1,5 +1,7 @@
 import csv
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicegap.cli import main
@@ -200,6 +202,22 @@ class TestCliGap:
         assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / "gap")]) == 3
 
 
+    @pytest.mark.parametrize(
+        "config, vacuous",
+        [
+            ("configs/t1_so_sh.cfg", []),
+            ("bench/gap2d.cfg", [f"{row}_k{k}" for row in ("sandwich_lower", "corollary_kstep_gap") for k in (1, 2)]),
+        ],
+        ids=["t1", "gap2d"],
+    )
+    def test_summary_flags_vacuous_lower_bounds(self, tmp_path, config, vacuous):
+        out = tmp_path / "gap"
+        assert main(["gap", "--config", str(Path(__file__).resolve().parents[1] / config), "--out", str(out)]) == 0
+        summary = (out / "gap_summary.txt").read_text().splitlines()
+        assert [ln.split("] ")[1].split(":")[0] for ln in summary if ln.endswith(" (vacuous)")] == vacuous
+        assert summary[-1] == f"result: ALL CHECKS PASS; {len(vacuous)} vacuous lower bounds"
+
+
 class TestGapReportSharing:
     TEXT = MINIMAL.replace("levels_m = 50", "levels_m = 40").replace("k_list = 1,2", "k_list = 1,2,5").replace(
         "k_max = 3", "k_max = 5"
@@ -223,10 +241,7 @@ class TestGapReportSharing:
             return oracle.build_k_step_matrices(target, grid, kind, w, ks, m)
 
         beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)[0]
-        top = float(oracle.density_on_grid(target, grid).max())
-        levels = [(j + 0.5) * top / cfg.psd_probe_levels for j in range(cfg.psd_probe_levels)]
-        min_eig = min(oracle.psd_check(oracle.build_level_matrix(target, grid, t, kind, w)) for t in levels)
-        checks = [Check("psd_level_kernels", lhs=-min_eig, rhs=0.0, tol=min(1e-10, cfg.tol_exact))]
+        checks = [Check("psd_H", lhs=-oracle.psd_check(full(kind)), rhs=0.0, tol=min(1e-10, cfg.tol_exact))]
         checks += oracle.verify_sandwich(full(KernelKind.UNIFORM), full(kind), beta, tol=cfg.tol_theorem)
         gap_u, kmats = oracle.spectral_gap(full(KernelKind.UNIFORM)), ksteps(k_list)
         for k in k_list:
@@ -291,8 +306,79 @@ class TestCliVerify:
         monkeypatch.setattr(kernels, "gamma_t", lambda ls, w: 1.0 - true_gamma(ls, w))
         t1 = twin_triangles()
         grid = Grid.for_target(t1, 300)
-        res = suite._norm_identity_results(t1, grid, 3.0, [0.3, 0.5], tol=1e-6)
-        assert not res.passed
+        identity, _ = suite.level_probes_1d(t1, grid, 3.0, [0.3, 0.5])
+        assert not identity.passed
+
+    def test_shifted_beta_fails_closed_vs_numeric(self, monkeypatch):
+        from slicegap import kernels, suite
+        from slicegap.spectral_oracle import Grid
+        from slicegap.targets import twin_triangles
+
+        t1 = twin_triangles()
+        grid = Grid.for_target(t1, 1600)
+        assert all(c.passed for c in suite.beta_closed_vs_numeric(t1, grid, 3.0, [1, 5], m=300, norm_bins=1536))
+        true_beta = kernels.beta_k_so_sh_closed_form
+        monkeypatch.setattr(kernels, "beta_k_so_sh_closed_form", lambda target, w, k: true_beta(target, w, k) + 1e-2)
+        closeness, *_ = suite.beta_closed_vs_numeric(t1, grid, 3.0, [1, 5], m=300, norm_bins=1536)
+        assert not closeness.passed
+
+    def test_non_psd_level_kernels_fail(self, monkeypatch):
+        # averaging each level kernel with the order-reversing permutation keeps it symmetric and stochastic
+        from slicegap import spectral_oracle as oracle, suite
+        from slicegap.targets import gaussian_pair, twin_triangles
+
+        build = oracle.build_level_matrix
+
+        def reversed_half(*args):
+            K = build(*args)
+            return oracle.DiscreteKernel(P=0.5 * (K.P + np.eye(K.n)[::-1]), pi=K.pi, label=K.label)
+
+        t1, t2 = twin_triangles(), gaussian_pair()
+        g1, g2 = oracle.Grid.for_target(t1, 200), oracle.Grid.for_target(t2, (12, 12))
+        assert suite.level_probes_1d(t1, g1, 3.0, [0.3, 0.6])[1].passed
+        assert suite.strip_level_probes(t2, g2, 3.0, [0.2, 0.6])[0].passed
+        monkeypatch.setattr(oracle, "build_level_matrix", reversed_half)
+        assert not suite.level_probes_1d(t1, g1, 3.0, [0.3, 0.6])[1].passed
+        assert not suite.strip_level_probes(t2, g2, 3.0, [0.2, 0.6])[0].passed
+
+    def test_biased_level_move_fails_law(self, monkeypatch):
+        # a move that never leaves the part of the level set it starts in
+        from slicegap import samplers, suite
+        from slicegap.slice_geometry import level_set_1d
+        from slicegap.targets import twin_triangles
+
+        t1 = twin_triangles()
+        (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
+        assert check.passed
+        left = level_set_1d(t1, 0.5).parts.intervals[0]
+        monkeypatch.setattr(samplers, "so_sh_level_move", lambda target, t, x, rng, w: rng.uniform(left.lo, left.hi, 1))
+        (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
+        assert not check.passed
+
+    def test_squared_p_values_fail_calibration(self, monkeypatch):
+        import dataclasses
+
+        from slicegap import diagnostics, suite
+
+        assert suite.chi2_null_calibration(30, n=5000, replicates=200, rng=np.random.default_rng(4))[0].passed
+        test = diagnostics.chi_square_invariance
+
+        def squared(cells, pi):
+            res = test(cells, pi)
+            return dataclasses.replace(res, p_value=res.p_value**2)
+
+        monkeypatch.setattr(diagnostics, "chi_square_invariance", squared)
+        assert not suite.chi2_null_calibration(30, n=5000, replicates=200, rng=np.random.default_rng(4))[0].passed
+
+    def test_ar1_series_fails_ess_iid(self):
+        from scipy.signal import lfilter
+
+        from slicegap import suite
+
+        noise = np.random.default_rng(5).standard_normal(20_000)
+        assert suite.ess_iid(noise)[0].passed
+        # x_i = 0.5 x_(i-1) + e_i has an integrated autocorrelation time of 3
+        assert not suite.ess_iid(lfilter([1.0], [1.0, -0.5], noise))[0].passed
 
 
 class TestCliDiag:

@@ -115,14 +115,12 @@ class TestBuildLevelMatrix:
         assert s2 == pytest.approx(op_norm_so_sh(level_set_1d(t1, 0.5), 3.0), abs=1e-6)
 
     def test_chord_rows_dominate_small_set(self, t2):
-        from slicegap.kernels import sphere_surface_area
-        from slicegap.slice_geometry import diam_level_set, vol_level_set
+        from slicegap.kernels import har_small_set_weight
 
         grid = Grid.for_target(t2, (32, 32))
         for t in (0.1, 0.4, 0.8):
             K = build_level_matrix(t2, grid, t, KernelKind.HIT_AND_RUN, None)
-            small = (2.0 / sphere_surface_area(2)) * vol_level_set(t2, t) / diam_level_set(t2, t) ** 2
-            assert (K.P - (small * K.pi)[None, :]).min() >= -5e-3
+            assert (K.P - (har_small_set_weight(t2, t) * K.pi)[None, :]).min() >= -5e-3
 
     def test_chord_rows_on_disk(self):
         from slicegap.targets import UniformBall
