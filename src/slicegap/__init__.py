@@ -39,7 +39,6 @@ from .spectral_oracle import (
     GapReport,
     Grid,
     KernelKind,
-    beta_k_numeric,
     build_full_matrix,
     build_k_step_matrices,
     build_level_matrix,

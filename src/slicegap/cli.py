@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, spectral_oracle as oracle
+from . import diagnostics, spectral_oracle as oracle, suite
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SliceGapError
 from .samplers import SamplerKind, Trace, read_trace_csv, run_chain
@@ -37,13 +37,6 @@ _KIND_MAP = {
     SamplerKind.HAR: KernelKind.HIT_AND_RUN,
     SamplerKind.HAR_SO_SH: KernelKind.COMBINED,
 }
-
-
-def _kernel_kind(cfg: ExperimentConfig) -> KernelKind:
-    kind = cfg.sampler.kind
-    if kind is SamplerKind.K_STEP:
-        kind = cfg.sampler.inner_kind
-    return _KIND_MAP[kind]
 
 
 def _write_atomic(path: Path, write_body) -> None:
@@ -126,14 +119,15 @@ def cmd_diag(cfg: ExperimentConfig, out_dir: Path, trace_path: str | None) -> in
 
 
 def _gap_report(cfg: ExperimentConfig) -> GapReport:
+    """The gap report of the sampler's kind, over ``k_list`` and the sampler's own ``k_inner``."""
     grid = Grid.for_target(cfg.target, cfg.cells, cfg.eps_cut)
     same_cells = tuple(cfg.kstep_cells) == tuple(cfg.cells)
     return oracle.verify_theorem_bounds(
         cfg.target,
         grid,
-        _kernel_kind(cfg),
+        _KIND_MAP[cfg.sampler.kind],
         cfg.sampler.w,
-        cfg.k_list,
+        (*cfg.k_list, cfg.sampler.k_inner),
         cfg.levels_m,
         k_max=cfg.k_max,
         tol=cfg.tol_theorem,
@@ -149,7 +143,8 @@ def _gap_report(cfg: ExperimentConfig) -> GapReport:
 
 def cmd_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
     report = _gap_report(cfg)
-    _write_atomic(out_dir / "gap_report.csv", lambda tmp: report.to_csv(tmp, comment=_header(cfg)))
+    rows = [(c.name, f"{c.lhs:.17g}", f"{c.rhs:.17g}", f"{c.margin:.17g}", c.passed) for c in report.checks]
+    _write_check_csv(out_dir / "gap_report.csv", rows, ["check", "lhs", "rhs", "margin", "pass"], _header(cfg))
 
     def body(tmp):
         with open(tmp, "w") as fh:
@@ -162,10 +157,8 @@ def cmd_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(out_dir: Path, seed: int) -> int:
-    from .suite import format_suite_table, run_verification_suite
-
-    checks = run_verification_suite(seed=seed)
-    print(format_suite_table(checks))
+    checks = suite.run_verification_suite(seed=seed)
+    print(suite.format_suite_table(checks))
     rows = [(c.name, f"{c.lhs:.17g}", f"{c.rhs:.17g}", c.passed) for c in checks]
     _write_check_csv(out_dir / "verify_report.csv", rows, ["check", "lhs", "rhs", "pass"], f"seed={seed}")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
@@ -186,34 +179,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and args.config is None:
-        out_dir = Path(args.out or ".")
-        try:
-            return cmd_verify(out_dir, seed=args.seed if args.seed is not None else 20_240_817)
-        except SliceGapError as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        out_dir = Path(args.out or cfg.out_dir)
+        cfg = load_config(args.config) if args.config is not None else None
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    seed = args.seed if args.seed is not None else suite.VERIFY_SEED if cfg is None else cfg.seed
+    out_dir = Path(args.out or (cfg.directory if cfg is not None else "."))
     try:
+        if args.command == "verify":
+            return cmd_verify(out_dir, seed)
+        cfg.seed = seed  # every other command requires --config
         if args.command == "sample":
             return cmd_sample(cfg, out_dir)
         if args.command == "gap":
             return cmd_gap(cfg, out_dir)
-        if args.command == "diag":
-            return cmd_diag(cfg, out_dir, args.trace)
-        if args.command == "verify":
-            return cmd_verify(out_dir, seed=cfg.seed if args.seed is None else args.seed)
+        return cmd_diag(cfg, out_dir, args.trace)
     except SliceGapError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 The grammar is deliberately minimal: ``[section]`` headers, one ``key =
 value`` per line, ``#`` comments.  Lists are comma-separated.  Unknown
 sections or keys are rejected, and every value is validated before any
-computation starts.
+computation starts.  The keys of ``[sampler]`` are ``SamplerConfig``
+fields and those of ``[run]``, ``[oracle]`` and ``[output]`` are
+``ExperimentConfig`` fields; a key left out takes its field's default.
 """
 
 from __future__ import annotations
@@ -11,30 +13,17 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass, field
+from enum import EnumMeta
 
-from .errors import ConfigError
+from . import spectral_oracle as oracle
+from .errors import ConfigError, SliceGapError
 from .samplers import SamplerConfig, SamplerKind
-from .targets import (
-    QuasiConcaveComponent,
-    Shape,
-    TargetDensity,
-    eval_density,
-    gaussian_pair,
-    twin_triangles,
-)
+from .targets import QuasiConcaveComponent, Shape, TargetDensity, eval_density, gaussian_pair, twin_triangles
 
 PRESETS = {
     "twin_triangles": twin_triangles,
     "gaussian_pair": gaussian_pair,
 }
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -45,39 +34,39 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
+def _parse_positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
 
+
+# in the order of QuasiConcaveComponent's fields
+_COMPONENT = {"shape": Shape, "mode": _parse_floats, "height": float, "scale": float}
 
 # section -> key -> parser
 _SCHEMA = {
-    "target": {"preset": _parse_str, "dim": _parse_int, "name": _parse_str},
-    "target.component1": {"shape": _parse_str, "mode": _parse_floats, "height": _parse_float, "scale": _parse_float},
-    "target.component2": {"shape": _parse_str, "mode": _parse_floats, "height": _parse_float, "scale": _parse_float},
-    "sampler": {
-        "kind": _parse_str,
-        "w": _parse_float,
-        "k_inner": _parse_int,
-        "inner_kind": _parse_str,
-        "max_loop": _parse_int,
-    },
-    "run": {"n": _parse_int, "seed": _parse_int, "burn_in": _parse_int, "x0": _parse_floats},
+    "target": {"preset": str, "name": str},
+    "target.component1": _COMPONENT,
+    "target.component2": _COMPONENT,
+    "sampler": {"kind": SamplerKind, "w": _parse_positive, "k_inner": int, "max_loop": int},
+    "run": {"n": int, "seed": int, "burn_in": int, "x0": _parse_floats},
     "oracle": {
         "cells": _parse_ints,
-        "levels_m": _parse_int,
+        "levels_m": int,
         "k_list": _parse_ints,
-        "k_max": _parse_int,
-        "tv_n_max": _parse_int,
-        "norm_bins": _parse_int,
-        "eps_cut": _parse_float,
+        "k_max": int,
+        "tv_n_max": int,
+        "norm_bins": int,
+        "eps_cut": float,
         "kstep_cells": _parse_ints,
-        "kstep_m": _parse_int,
-        "tol_exact": _parse_float,
-        "tol_theorem": _parse_float,
-        "tol_mt": _parse_float,
-        "tol_tv": _parse_float,
+        "kstep_m": int,
+        "tol_exact": float,
+        "tol_theorem": float,
+        "tol_mt": float,
+        "tol_tv": float,
     },
-    "output": {"directory": _parse_str, "formats": _parse_str},
+    "output": {"directory": str},
 }
 
 
@@ -95,17 +84,16 @@ class ExperimentConfig:
     levels_m: int | None = None
     k_list: tuple[int, ...] = (1, 2, 5, 10, 20)
     k_max: int = 10
-    tv_n_max: int = 50
+    tv_n_max: int = oracle.TV_N_MAX
     norm_bins: int | None = None
-    eps_cut: float = 1e-4
+    eps_cut: float = oracle.EPS_CUT
     kstep_cells: tuple[int, ...] | None = None
     kstep_m: int | None = None
-    tol_exact: float = 1e-6
-    tol_theorem: float = 5e-3
-    tol_mt: float = 1e-3
-    tol_tv: float = 1e-8
-    out_dir: str = "."
-    formats: str = "csv"
+    tol_exact: float = oracle.TOL_EXACT
+    tol_theorem: float = oracle.TOL_THEOREM
+    tol_mt: float = oracle.TOL_MT
+    tol_tv: float = oracle.TOL_TV
+    directory: str = "."
     config_hash: str = field(default="", repr=False)
 
     def __post_init__(self):
@@ -130,8 +118,6 @@ class ExperimentConfig:
             raise ConfigError("run.n and run.burn_in must satisfy 0 <= burn_in <= n")
         if eval_density(self.target, self.x0) <= 0.0:
             raise ConfigError("run.x0 has zero target density")
-        if self.formats != "csv":
-            raise ConfigError(f"output.formats supports only 'csv', got {self.formats!r}")
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -155,10 +141,12 @@ def _parse_values(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, ob
         for key, raw in entries.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
+            parse = _SCHEMA[section][key]
             try:
-                values[section][key] = _SCHEMA[section][key](raw)
+                values[section][key] = parse(raw)
             except ValueError as exc:
-                raise ConfigError(f"invalid value for {section}.{key}: {raw!r}") from exc
+                hint = f"options: {[v.value for v in parse]}" if isinstance(parse, EnumMeta) else exc
+                raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({hint})") from exc
     return values
 
 
@@ -174,57 +162,15 @@ def _build_target(values: dict) -> TargetDensity:
         return PRESETS[preset]()
     if not comp_sections:
         raise ConfigError("no target given: set target.preset or [target.component1]")
-    comps = []
     for section in comp_sections:
-        entry = values[section]
-        for required in ("shape", "mode", "height", "scale"):
-            if required not in entry:
+        for required in _COMPONENT:
+            if required not in values[section]:
                 raise ConfigError(f"missing key {section}.{required}")
-        try:
-            shape = Shape(entry["shape"])
-        except ValueError:
-            raise ConfigError(f"{section}.shape must be one of {[s.value for s in Shape]}") from None
-        if entry["height"] <= 0:
-            raise ConfigError(f"{section}.height must be positive")
-        if entry["scale"] <= 0:
-            raise ConfigError(f"{section}.scale must be positive")
-        comps.append(QuasiConcaveComponent(shape, tuple(entry["mode"]), entry["height"], entry["scale"]))
-    dim = tgt.get("dim", comps[0].dim)
-    if any(c.dim != dim for c in comps):
-        raise ConfigError("component modes disagree with target.dim")
-    name = tgt.get("name", "custom")
     try:
-        return TargetDensity(dim=dim, components=tuple(comps), name=name)
-    except Exception as exc:
+        comps = tuple(QuasiConcaveComponent(*(values[s][key] for key in _COMPONENT)) for s in comp_sections)
+        return TargetDensity(dim=comps[0].dim, components=comps, name=tgt.get("name", "custom"))
+    except (ValueError, SliceGapError) as exc:
         raise ConfigError(f"invalid target: {exc}") from exc
-
-
-def _build_sampler(values: dict) -> SamplerConfig:
-    spl = values.get("sampler", {})
-    kind_text = spl.get("kind", "simple")
-    try:
-        kind = SamplerKind(kind_text)
-    except ValueError:
-        raise ConfigError(f"sampler.kind must be one of {[k.value for k in SamplerKind]}") from None
-    w = spl.get("w")
-    if w is not None and w <= 0:
-        raise ConfigError("sampler.w must be positive")
-    inner = spl.get("inner_kind")
-    if inner is not None:
-        try:
-            inner = SamplerKind(inner)
-        except ValueError:
-            raise ConfigError(f"sampler.inner_kind must be one of {[k.value for k in SamplerKind]}") from None
-    try:
-        return SamplerConfig(
-            kind=kind,
-            w=w,
-            k_inner=spl.get("k_inner", 1),
-            inner_kind=inner,
-            max_loop=spl.get("max_loop", 10_000),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid sampler block: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -237,36 +183,14 @@ def load_config(path) -> ExperimentConfig:
 def load_config_text(text: str) -> ExperimentConfig:
     values = _parse_values(_read_sections(text))
     target = _build_target(values)
-    sampler = _build_sampler(values)
-    run = values.get("run", {})
-    oracle = values.get("oracle", {})
-    output = values.get("output", {})
+    try:
+        sampler = SamplerConfig(**values.get("sampler", {}))
+    except ValueError as exc:
+        raise ConfigError(f"invalid sampler block: {exc}") from exc
+    settings = {key: value for section in ("run", "oracle", "output") for key, value in values.get(section, {}).items()}
     try:
         return ExperimentConfig(
-            target=target,
-            sampler=sampler,
-            n=run.get("n", 1000),
-            seed=run.get("seed", 1),
-            burn_in=run.get("burn_in", 0),
-            x0=run.get("x0"),
-            cells=oracle.get("cells"),
-            levels_m=oracle.get("levels_m"),
-            k_list=oracle.get("k_list", (1, 2, 5, 10, 20)),
-            k_max=oracle.get("k_max", 10),
-            tv_n_max=oracle.get("tv_n_max", 50),
-            norm_bins=oracle.get("norm_bins"),
-            eps_cut=oracle.get("eps_cut", 1e-4),
-            kstep_cells=oracle.get("kstep_cells"),
-            kstep_m=oracle.get("kstep_m"),
-            tol_exact=oracle.get("tol_exact", 1e-6),
-            tol_theorem=oracle.get("tol_theorem", 5e-3),
-            tol_mt=oracle.get("tol_mt", 1e-3),
-            tol_tv=oracle.get("tol_tv", 1e-8),
-            out_dir=output.get("directory", "."),
-            formats=output.get("formats", "csv"),
-            config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            target, sampler, config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(), **settings
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

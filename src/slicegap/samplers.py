@@ -4,8 +4,8 @@ Four transition kinds share the same two-phase structure: draw a level
 uniformly below the current density value, then move on that level set.
 The level move is exact uniform sampling, stepping-out plus shrinkage on
 the axis, a hit-and-run chord draw, or stepping-out plus shrinkage along a
-random chord.  A fifth kind repeats the level move several times before
-releasing the level.
+random chord.  The k-step hybrid of any kind repeats its level move
+``k_inner`` times before releasing the level.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -43,17 +43,15 @@ class SamplerKind(str, Enum):
     SO_SH = "so_sh"
     HAR = "har"
     HAR_SO_SH = "har_so_sh"
-    K_STEP = "k_step"
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Which transition to run and its tuning knobs."""
+    """Which transition to run and its tuning knobs; ``k_inner`` level moves follow each level draw."""
 
-    kind: SamplerKind
+    kind: SamplerKind = SamplerKind.SIMPLE
     w: float | None = None
     k_inner: int = 1
-    inner_kind: SamplerKind | None = None
     max_loop: int = DEFAULT_MAX_LOOP
 
     def __post_init__(self):
@@ -61,14 +59,7 @@ class SamplerConfig:
             raise ValueError("k_inner must be at least 1")
         if self.max_loop < 1:
             raise ValueError("max_loop must be at least 1")
-        needs_w = {SamplerKind.SO_SH, SamplerKind.HAR_SO_SH}
-        inner = self.inner_kind
-        if self.kind is SamplerKind.K_STEP:
-            if inner is None or inner is SamplerKind.K_STEP:
-                raise ValueError("k_step requires an inner_kind other than k_step")
-            if inner in needs_w and (self.w is None or self.w <= 0):
-                raise ValueError(f"inner kind {inner.value} requires a positive step width w")
-        elif self.kind in needs_w and (self.w is None or self.w <= 0):
+        if self.kind in (SamplerKind.SO_SH, SamplerKind.HAR_SO_SH) and (self.w is None or self.w <= 0):
             raise ValueError(f"kind {self.kind.value} requires a positive step width w")
 
 
@@ -287,13 +278,8 @@ def k_step_hybrid_step(
     max_loop: int = DEFAULT_MAX_LOOP,
 ) -> np.ndarray:
     """Draw one level, then apply ``k`` successive inner moves at that level."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    y = np.atleast_1d(np.asarray(x, dtype=float))
-    t = _draw_level(target, y, rng)
-    for _ in range(k):
-        y = _level_move(inner_kind, target, t, y, rng, w, max_loop)
-    return y
+    config = SamplerConfig(inner_kind, w, k_inner=k, max_loop=max_loop)
+    return _step_with_level(target, config, np.atleast_1d(np.asarray(x, dtype=float)), rng)[0]
 
 
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -343,13 +329,11 @@ def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _step_with_level(target, config: SamplerConfig, x: np.ndarray, rng) -> tuple[np.ndarray, float]:
+    """One transition: a level draw, then ``config.k_inner`` level moves at that level."""
     t = _draw_level(target, x, rng)
-    if config.kind is SamplerKind.K_STEP:
-        y = x
-        for _ in range(config.k_inner):
-            y = _level_move(config.inner_kind, target, t, y, rng, config.w, config.max_loop)
-        return y, t
-    return _level_move(config.kind, target, t, x, rng, config.w, config.max_loop), t
+    for _ in range(config.k_inner):
+        x = _level_move(config.kind, target, t, x, rng, config.w, config.max_loop)
+    return x, t
 
 
 def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:

@@ -22,7 +22,6 @@ every check on them.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -38,6 +37,16 @@ from .slice_geometry import level_set_1d
 
 #: boundary tolerance when assigning grid cells to a level set
 LEVEL_TOL = 1e-12
+
+#: density below which a grid box drops a target's tails
+EPS_CUT = 1e-4
+
+# default margins of the gap report's checks, and its number of TV steps
+TOL_THEOREM = 5e-3  # gap inequalities: sandwich and k-step corollary
+TOL_EXACT = 1e-6  # identities of exact kernels: monotone norms, power bound
+TOL_MT = 1e-3  # Doeblin bound on gap(U)
+TOL_TV = 1e-8  # geometric TV decay
+TV_N_MAX = 50
 
 
 class KernelKind(str, Enum):
@@ -83,7 +92,7 @@ class Grid:
         return self.centers.shape[0]
 
     @classmethod
-    def for_target(cls, target, shape, eps_cut: float = 1e-4) -> "Grid":
+    def for_target(cls, target, shape, eps_cut: float = EPS_CUT) -> "Grid":
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         if len(shape) != target.dim:
             raise ValueError("one cell count per axis is required")
@@ -164,15 +173,6 @@ class GapReport:
         """Lower-bound rows with lhs <= 0: they hold for every gap(H), so they are no evidence."""
         lower = ("sandwich_lower_", "corollary_kstep_gap_")
         return [c.name for c in self.checks if c.name.startswith(lower) and c.lhs <= 0.0]
-
-    def to_csv(self, path, comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["check", "lhs", "rhs", "margin", "pass"])
-            for c in self.checks:
-                writer.writerow([c.name, f"{c.lhs:.17g}", f"{c.rhs:.17g}", f"{c.margin:.17g}", c.passed])
 
     def summary(self) -> str:
         lines = [
@@ -256,7 +256,8 @@ class _LevelPlan:
         else:
             gamma_k = 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
             table = _prefix_table(self.width, self.count, gamma_k, self.side_count)
-        P = table.ravel().take(self.index)
+        # indexing, unlike take, does not copy the 2-byte index to a full-size intp array
+        P = table.ravel()[self.index]
         P /= self.rho[:, None]
         return P
 
@@ -598,15 +599,19 @@ def spectral_gap(K: DiscreteKernel) -> float:
 def psd_check(K: DiscreteKernel) -> float:
     """Minimum eigenvalue of the symmetrized similarity transform."""
     root = np.sqrt(K.pi)
-    A = (root[:, None] * K.P) / root[None, :]
-    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    return float(eigs.min())
+    # in place, so at most one n x n temporary (for A.T) coexists with A
+    A = root[:, None] * K.P
+    A /= root[None, :]
+    A += A.T
+    A *= 0.5
+    return float(np.linalg.eigvalsh(A).min())
 
 
 def reversibility_check(K: DiscreteKernel) -> float:
     """Largest detailed-balance residual max_ij |pi_i P_ij - pi_j P_ji|."""
     flow = K.pi[:, None] * K.P
-    return float(np.abs(flow - flow.T).max())
+    flow -= flow.T  # in place, as in psd_check
+    return float(np.abs(flow, out=flow).max())
 
 
 # -- numeric beta profile ------------------------------------------------------
@@ -652,35 +657,16 @@ def beta_profile(
 
 
 def beta_k_numeric_many(
-    target, grid: Grid, kind: KernelKind, w, k_list, m: int, norm_bins: int = 1024, profile=None
-) -> tuple[dict[int, float], int]:
-    """Numeric convergence profile sup_x of the row-averaged squared level norms.
-
-    Returns the values per ``k`` and the grid index of the row attaining the
-    supremum for the largest ``k``.
-    """
+    target, grid: Grid, kind: KernelKind, w, k_list, m: int, norm_bins: int = 1024
+) -> dict[int, float]:
+    """Numeric convergence profile sup_x of the row-averaged squared level norms, per ``k``."""
     vals = density_on_grid(target, grid)
-    act = _active_cells(vals)
-    rho = vals[act]
-    nus, width = profile if profile is not None else beta_profile(target, grid, kind, w, norm_bins)
+    rho = vals[_active_cells(vals)]
+    nus, width = beta_profile(target, grid, kind, w, norm_bins)
     offsets = (np.arange(m) + 0.5) / m
     bins = np.minimum((offsets[None, :] * rho[:, None] / width).astype(int), nus.size - 1)
     nu_rows = nus[bins]
-    out: dict[int, float] = {}
-    argmax_cell = int(act[0])
-    for k in sorted(set(k_list)):
-        row_vals = np.mean(nu_rows ** (2 * k), axis=1)
-        best = int(np.argmax(row_vals))
-        out[k] = float(math.sqrt(row_vals[best]))
-        argmax_cell = int(act[best])
-    return out, argmax_cell
-
-
-def beta_k_numeric(
-    target, grid: Grid, kind: KernelKind, w, k: int, m: int, norm_bins: int = 1024
-) -> float:
-    """Numeric counterpart of the closed-form convergence profile for one ``k``."""
-    return beta_k_numeric_many(target, grid, kind, w, [k], m, norm_bins)[0][k]
+    return {k: math.sqrt(np.max(np.mean(nu_rows ** (2 * k), axis=1))) for k in sorted(set(k_list))}
 
 
 # -- inequality verifiers ------------------------------------------------------
@@ -694,11 +680,11 @@ def verify_theorem_bounds(
     k_list,
     m: int,
     k_max: int = 1,
-    tol: float = 5e-3,
-    exact_tol: float = 1e-6,
-    mt_tol: float = 1e-3,
-    tv_tol: float = 1e-8,
-    tv_n_max: int = 50,
+    tol: float = TOL_THEOREM,
+    exact_tol: float = TOL_EXACT,
+    mt_tol: float = TOL_MT,
+    tv_tol: float = TOL_TV,
+    tv_n_max: int = TV_N_MAX,
     norm_bins: int = 1024,
     kstep_grid: Grid | None = None,
     kstep_m: int | None = None,
@@ -715,7 +701,7 @@ def verify_theorem_bounds(
     k_list = sorted(set(k_list))
     kgrid, km = kstep_grid or grid, kstep_m or m
     shared = kgrid is grid and km == m
-    beta = beta_k_numeric_many(target, grid, kind, w, k_list, m, norm_bins)[0]
+    beta = beta_k_numeric_many(target, grid, kind, w, k_list, m, norm_bins)
     ksteps = build_k_step_matrices(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km)
     U = build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
     H = ksteps[1] if shared else build_full_matrix(target, grid, kind, w, m)
@@ -727,7 +713,7 @@ def verify_theorem_bounds(
         U_k, beta_k = U, beta
     else:
         U_k = build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km)
-        beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)[0]
+        beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)
     checks += verify_corollary(U_k, beta_k, ksteps, tol)
 
     for name, K in (("reversibility_U", U), ("reversibility_H", H)):
@@ -739,7 +725,9 @@ def verify_theorem_bounds(
     return GapReport(gap_u=gap_u, gap_h=gap_h, beta=beta, checks=checks)
 
 
-def verify_sandwich(U: DiscreteKernel, H: DiscreteKernel, beta: dict[int, float], tol: float = 5e-3) -> list[Check]:
+def verify_sandwich(
+    U: DiscreteKernel, H: DiscreteKernel, beta: dict[int, float], tol: float = TOL_THEOREM
+) -> list[Check]:
     """gap(H) <= gap(U), and (gap(U) - beta_k) / k <= gap(H) for every k of ``beta``."""
     gap_u, gap_h = spectral_gap(U), spectral_gap(H)
     checks = [Check("sandwich_upper_gapH_le_gapU", lhs=gap_h, rhs=gap_u, tol=tol)]
@@ -747,14 +735,14 @@ def verify_sandwich(U: DiscreteKernel, H: DiscreteKernel, beta: dict[int, float]
 
 
 def verify_corollary(
-    U: DiscreteKernel, beta: dict[int, float], ksteps: dict[int, DiscreteKernel], tol: float = 5e-3
+    U: DiscreteKernel, beta: dict[int, float], ksteps: dict[int, DiscreteKernel], tol: float = TOL_THEOREM
 ) -> list[Check]:
     """The k-step corollary gap(U) - beta_k <= gap(H_k) for every k of ``beta``."""
     gap_u = spectral_gap(U)
     return [Check(f"corollary_kstep_gap_k{k}", gap_u - beta[k], spectral_gap(ksteps[k]), tol) for k in sorted(beta)]
 
 
-def verify_monotonicity(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = 1e-6) -> list[Check]:
+def verify_monotonicity(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = TOL_EXACT) -> list[Check]:
     """Centered norms of the k-step kernels must not increase with ``k`` up to ``k_max``."""
     norms = [op_norm_centered(ksteps[k]) for k in range(1, k_max + 1)]
     return [
@@ -762,7 +750,7 @@ def verify_monotonicity(ksteps: dict[int, DiscreteKernel], k_max: int, tol: floa
     ]
 
 
-def verify_power_bound(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = 1e-6) -> list[Check]:
+def verify_power_bound(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = TOL_EXACT) -> list[Check]:
     """The one-step norm to the k-th power is bounded by the k-step norm."""
     norm_h = op_norm_centered(ksteps[1])
     return [
@@ -771,7 +759,7 @@ def verify_power_bound(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float
     ]
 
 
-def verify_mt_bound(target, grid: Grid, U: DiscreteKernel, tol: float = 1e-3) -> Check:
+def verify_mt_bound(target, grid: Grid, U: DiscreteKernel, tol: float = TOL_MT) -> Check:
     """Doeblin lower bound on the exact-refresh gap from mass over box volume."""
     vals = density_on_grid(target, grid)
     act = _active_cells(vals)
@@ -780,7 +768,9 @@ def verify_mt_bound(target, grid: Grid, U: DiscreteKernel, tol: float = 1e-3) ->
     return Check("mt_lower_bound_gapU", lhs=bound, rhs=spectral_gap(U), tol=tol)
 
 
-def verify_tv_bound(H: DiscreteKernel, nu: np.ndarray | None = None, n_max: int = 50, tol: float = 1e-8) -> list[Check]:
+def verify_tv_bound(
+    H: DiscreteKernel, nu: np.ndarray | None = None, n_max: int = TV_N_MAX, tol: float = TOL_TV
+) -> list[Check]:
     """Iterated total-variation distance against the geometric gap bound."""
     gap = spectral_gap(H)
     pi = H.pi

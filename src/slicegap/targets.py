@@ -254,7 +254,7 @@ class TargetDensity:
                 levels.insert(0, t1)
         return levels
 
-    def support_bounds(self, eps_cut: float = 1e-4) -> list[tuple[float, float]]:
+    def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
         """Per-axis bounds of a box covering {density >= eps_cut}."""
         los = np.full(self.dim, np.inf)
         his = np.full(self.dim, -np.inf)
@@ -303,7 +303,7 @@ class UniformInterval:
     def kink_levels(self) -> list[float]:
         return [self.height]
 
-    def support_bounds(self, eps_cut: float = 1e-4) -> list[tuple[float, float]]:
+    def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
         return [(self.lo, self.hi)]
 
 
@@ -345,7 +345,7 @@ class UniformBall:
     def kink_levels(self) -> list[float]:
         return [self.height]
 
-    def support_bounds(self, eps_cut: float = 1e-4) -> list[tuple[float, float]]:
+    def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
         m = np.asarray(self.center)
         return list(zip((m - self.radius).tolist(), (m + self.radius).tolist()))
 

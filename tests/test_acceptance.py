@@ -67,7 +67,7 @@ def t1_bundle(t1):
     grid = Grid.for_target(t1, 2000)
     U = build_full_matrix(t1, grid, KernelKind.UNIFORM, W, m=400)
     H = build_full_matrix(t1, grid, KernelKind.SO_SH, W, m=400)
-    betas, _ = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, W, K_LIST_1D, m=400, norm_bins=2048)
+    betas = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, W, K_LIST_1D, m=400, norm_bins=2048)
     mats = build_k_step_matrices(t1, grid, KernelKind.SO_SH, W, K_LIST_1D, m=400)
     for K in (U, H, *mats.values()):  # spectra count towards the core runtime; each is cached on its kernel
         spectral_gap(K)
@@ -82,11 +82,11 @@ def t2_bundle(t2):
     grid = Grid.for_target(t2, (40, 40))
     U = build_full_matrix(t2, grid, KernelKind.UNIFORM, W, m=32)
     H = build_full_matrix(t2, grid, KernelKind.COMBINED, W, m=32)
-    betas, _ = beta_k_numeric_many(t2, grid, KernelKind.COMBINED, W, K_LIST_2D, m=32, norm_bins=512)
+    betas = beta_k_numeric_many(t2, grid, KernelKind.COMBINED, W, K_LIST_2D, m=32, norm_bins=512)
     probes = {c.name: c for c in strip_level_probes(t2, grid, W, PROBE_LEVELS_2D)}
     coarse = Grid.for_target(t2, (24, 24))
     U_c = build_full_matrix(t2, coarse, KernelKind.UNIFORM, W, m=8)
-    betas_c, _ = beta_k_numeric_many(t2, coarse, KernelKind.COMBINED, W, K_LIST_2D, m=8, norm_bins=256)
+    betas_c = beta_k_numeric_many(t2, coarse, KernelKind.COMBINED, W, K_LIST_2D, m=8, norm_bins=256)
     corollary = verify_corollary(
         U_c, betas_c, build_k_step_matrices(t2, coarse, KernelKind.COMBINED, W, K_LIST_2D, m=8), tol=1e-2
     )

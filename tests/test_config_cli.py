@@ -1,13 +1,16 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slicegap.cli import main
-from slicegap.config import load_config_text
+from slicegap.config import _SCHEMA, load_config_text
 from slicegap.errors import ConfigError
 from slicegap.samplers import SamplerKind
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 [target]
@@ -57,7 +60,6 @@ class TestConfigParsing:
     def test_explicit_components(self):
         text = """
 [target]
-dim = 1
 name = custom
 
 [target.component1]
@@ -117,6 +119,37 @@ kind = simple
     def test_unsupported_format(self):
         with pytest.raises(ConfigError, match="formats"):
             load_config_text(MINIMAL + "\n[output]\nformats = parquet\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("kind = so_sh", "kind = k_step\ninner_kind = so_sh", "sampler.kind"),
+            ("w = 3.0", "w = 3.0\ninner_kind = so_sh", "unknown key sampler.inner_kind"),
+            ("preset = twin_triangles", "preset = twin_triangles\ndim = 1", "unknown key target.dim"),
+            ("norm_bins = 128", "norm_bins = 128\n[output]\nformats = csv", "unknown key output.formats"),
+        ],
+        ids=["k_step", "inner_kind", "dim", "formats"],
+    )
+    def test_removed_settings_exit_2(self, tmp_path, capsys, old, new, message):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace(old, new))
+        assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_readme_block_documents_every_key(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("```ini\n")[1].split("```")[0]
+        cfg = load_config_text(block)
+        assert cfg.sampler.kind is SamplerKind.SO_SH and cfg.directory == "out"
+        documented, section = set(), None
+        for line in block.splitlines():
+            header = re.match(r"#?\s*\[([\w.]+)\]", line)
+            key = re.match(r"#?\s*(\w+)\s*=", line)
+            if header:
+                section = header.group(1)
+            elif key:
+                documented.add((section, key.group(1)))
+        assert documented == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
 
 
 class TestCliSample:
@@ -195,6 +228,16 @@ class TestCliGap:
         lines = (out / "gap_report.csv").read_text().splitlines()
         assert any(ln.endswith("False") for ln in lines[2:])
 
+    def test_report_covers_sampler_k_inner(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace("w = 3.0", "w = 3.0\nk_inner = 3"))
+        out = tmp_path / "gap"
+        assert main(["gap", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = {r["check"]: r for r in csv.DictReader((out / "gap_report.csv").read_text().splitlines()[1:])}
+        for k in (1, 2, 3):
+            assert rows[f"sandwich_lower_k{k}"]["pass"] == rows[f"corollary_kstep_gap_k{k}"]["pass"] == "True"
+        assert "sandwich_lower_k5" not in rows
+
     def test_gap_reaching_width_is_runtime_error(self, tmp_path):
         # the twin triangles' level sets split by gaps up to 1.8, so w = 1.0 leaves the class R_w
         cfg_path = tmp_path / "exp.cfg"
@@ -227,10 +270,10 @@ class TestGapReportSharing:
     def _reference_checks(cfg):
         """The report composed from the verifiers, each given kernels assembled for it alone."""
         from slicegap import spectral_oracle as oracle
-        from slicegap.cli import _kernel_kind
+        from slicegap.cli import _KIND_MAP
         from slicegap.spectral_oracle import Check, Grid, KernelKind
 
-        target, kind, w, m = cfg.target, _kernel_kind(cfg), cfg.sampler.w, cfg.levels_m
+        target, kind, w, m = cfg.target, _KIND_MAP[cfg.sampler.kind], cfg.sampler.w, cfg.levels_m
         grid = Grid.for_target(target, cfg.cells, cfg.eps_cut)
         k_list = sorted(set(cfg.k_list))
 
@@ -240,7 +283,7 @@ class TestGapReportSharing:
         def ksteps(ks):
             return oracle.build_k_step_matrices(target, grid, kind, w, ks, m)
 
-        beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)[0]
+        beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)
         checks = [Check("psd_H", lhs=-oracle.psd_check(full(kind)), rhs=0.0, tol=min(1e-10, cfg.tol_exact))]
         checks += oracle.verify_sandwich(full(KernelKind.UNIFORM), full(kind), beta, tol=cfg.tol_theorem)
         gap_u, kmats = oracle.spectral_gap(full(KernelKind.UNIFORM)), ksteps(k_list)
@@ -294,6 +337,16 @@ class TestCliVerify:
         assert main(["verify", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "verify_report.csv").read_text()
         assert "so_sh_norm_identity" in report
+
+    def test_config_only_supplies_the_seed(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL)
+        alone, with_config = tmp_path / "alone", tmp_path / "config"
+        assert main(["verify", "--seed", "11", "--out", str(alone)]) == 0
+        assert main(["verify", "--config", str(cfg_path), "--seed", "11", "--out", str(with_config)]) == 0
+        report = (alone / "verify_report.csv").read_bytes()
+        assert report.startswith(b"# seed=11\n")
+        assert report == (with_config / "verify_report.csv").read_bytes()
 
     def test_gamma_sign_flip_fails_norm_identity(self, monkeypatch):
         # negative control: corrupting the mixture weight must break the

@@ -21,7 +21,7 @@ from slicegap.slice_geometry import level_set_1d, line_section
 from slicegap.spectral_oracle import (
     Grid,
     KernelKind,
-    beta_k_numeric,
+    beta_k_numeric_many,
     build_level_matrix,
     op_norm_centered,
     psd_check,
@@ -134,7 +134,7 @@ class TestBetaClosedForm:
         grid = Grid.for_target(t1, 800)
         for k in (1, 5):
             closed = beta_k_so_sh_closed_form(t1, 3.0, k)
-            numeric = beta_k_numeric(t1, grid, KernelKind.SO_SH, 3.0, k, m=200, norm_bins=800)
+            numeric = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [k], m=200, norm_bins=800)[k]
             assert closed == pytest.approx(numeric, abs=5e-3)
 
     def test_rejects_bad_k(self, t1):

@@ -393,6 +393,18 @@ class TestKStep:
         noise = float(np.sqrt(50 / n))  # both histograms fluctuate
         assert tv <= beta + 3.0 * noise
 
+    def test_k_inner_moves_share_one_level(self, t1):
+        # reference: one level uniform on (0, density], then k_inner stepping-out moves at it
+        trace = run_chain(t1, SamplerConfig(SamplerKind.SO_SH, w=3.0, k_inner=3), np.array([-1.0]), 50, seed=4)
+        rng, x = np.random.default_rng(4), np.array([-1.0])
+        for i in range(1, 51):
+            t = float(t1.density(x)) * (1.0 - rng.random())
+            for _ in range(3):
+                x = so_sh_level_move(t1, t, x, rng, 3.0)
+            assert trace.levels[i] == t and np.array_equal(trace.states[i], x)
+        first = k_step_hybrid_step(t1, trace.states[0], np.random.default_rng(4), 3, SamplerKind.SO_SH, 3.0)
+        assert np.array_equal(first, trace.states[1])
+
     def test_k_must_be_positive(self, t1):
         with pytest.raises(ValueError):
             k_step_hybrid_step(t1, np.array([-1.0]), np.random.default_rng(0), 0, SamplerKind.SIMPLE)
@@ -450,7 +462,7 @@ class TestRunChain:
         [
             ("t1", SamplerConfig(SamplerKind.SO_SH, w=3.0), 20_000),
             ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0), 5_000),
-            ("t2", SamplerConfig(SamplerKind.K_STEP, w=3.0, k_inner=3, inner_kind=SamplerKind.HAR_SO_SH), 2_000),
+            ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0, k_inner=3), 2_000),
         ],
     )
     def test_scalar_line_densities_reproduce_array_chain(self, name, config, n, request):
@@ -512,7 +524,7 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(SamplerKind.SO_SH, w=-1.0)
     with pytest.raises(ValueError):
-        SamplerConfig(SamplerKind.K_STEP, k_inner=2)  # missing inner kind
+        SamplerConfig(SamplerKind.HAR_SO_SH, k_inner=2)  # missing w
     with pytest.raises(ValueError):
         SamplerConfig(SamplerKind.SIMPLE, k_inner=0)
 

@@ -9,7 +9,6 @@ from slicegap.spectral_oracle import (
     DiscreteKernel,
     Grid,
     KernelKind,
-    beta_k_numeric,
     beta_k_numeric_many,
     build_full_matrix,
     build_k_step_matrices,
@@ -355,17 +354,17 @@ class TestBetaNumeric:
     def test_uniform_kind_is_zero(self, t1):
         grid = Grid.for_target(t1, 200)
         for k in (1, 4):
-            assert beta_k_numeric(t1, grid, KernelKind.UNIFORM, None, k, m=50, norm_bins=100) == 0.0
+            assert beta_k_numeric_many(t1, grid, KernelKind.UNIFORM, None, [k], m=50, norm_bins=100)[k] == 0.0
 
     def test_nonincreasing_in_k(self, t1):
         grid = Grid.for_target(t1, 400)
-        vals, _ = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, list(range(1, 8)), m=100, norm_bins=400)
+        vals = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, list(range(1, 8)), m=100, norm_bins=400)
         seq = [vals[k] for k in range(1, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
 
     def test_matches_closed_form(self, t1):
         grid = Grid.for_target(t1, 800)
-        vals, _ = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2], m=200, norm_bins=800)
+        vals = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2], m=200, norm_bins=800)
         for k in (1, 2):
             assert vals[k] == pytest.approx(beta_k_so_sh_closed_form(t1, 3.0, k), abs=5e-3)
 
@@ -381,11 +380,16 @@ class TestVerifiers:
         assert small_report.all_passed
         assert small_report.gap_h <= small_report.gap_u
 
-    def test_report_csv_roundtrip(self, small_report, tmp_path):
-        path = tmp_path / "report.csv"
-        small_report.to_csv(path, comment="x")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# x"
+    def test_report_csv_roundtrip(self, small_report, t1, tmp_path, monkeypatch):
+        from slicegap import cli
+        from slicegap.config import ExperimentConfig
+        from slicegap.samplers import SamplerConfig, SamplerKind
+
+        monkeypatch.setattr(cli, "_gap_report", lambda cfg: small_report)
+        cfg = ExperimentConfig(t1, SamplerConfig(SamplerKind.SO_SH, w=3.0), config_hash="x" * 64)
+        assert cli.cmd_gap(cfg, tmp_path) == 0
+        lines = (tmp_path / "gap_report.csv").read_text().splitlines()
+        assert lines[0] == "# config=xxxxxxxxxxxxxxxx seed=1"
         assert lines[1] == "check,lhs,rhs,margin,pass"
         assert len(lines) == 2 + len(small_report.checks)
         assert "ALL CHECKS PASS" in small_report.summary()
