@@ -5,30 +5,15 @@ inequalities that govern their convergence."""
 from .errors import SliceGapError
 from .kernels import (
     beta_k_so_sh_closed_form,
-    combined_level_kernel_density,
     combined_norm_bound,
     gamma_t,
-    har_kernel_density,
     har_level_norm_bound,
     har_small_set_weight,
     mixture_weight,
-    op_norm_so_sh,
-    so_sh_level_kernel_measure,
 )
-from .samplers import (
-    SamplerConfig,
-    SamplerKind,
-    Trace,
-    har_so_sh_step,
-    hit_and_run_slice_step,
-    k_step_hybrid_step,
-    run_chain,
-    simple_slice_step,
-    so_sh_step,
-)
+from .samplers import SamplerConfig, SamplerKind, Trace, run_chain
 from .slice_geometry import (
     diam_level_set,
-    level_density,
     level_set_1d,
     line_section,
     uniform_sample_level_set,
@@ -64,7 +49,6 @@ from .targets import (
     check_Rw,
     eval_density,
     gaussian_pair,
-    sup_norm,
     twin_triangles,
 )
 

@@ -48,11 +48,11 @@ class AcfEss:
     ess: float
 
 
-def chi_square_invariance(cells: np.ndarray, pi: np.ndarray, min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square_invariance(cells: np.ndarray, pi: np.ndarray) -> ChiSquareResult:
     """Pearson test of binned one-step outputs against the stationary weights.
 
-    Cells whose expected count falls below ``min_expected`` are pooled
-    (smallest expectations first) before computing the statistic.
+    Cells whose expected count falls below five are pooled (smallest
+    expectations first) before computing the statistic.
     """
     cells = np.asarray(cells, dtype=int)
     n = cells.size
@@ -64,7 +64,7 @@ def chi_square_invariance(cells: np.ndarray, pi: np.ndarray, min_expected: float
     for idx in order:
         acc_c += counts[idx]
         acc_e += expected[idx]
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             groups.append((acc_c, acc_e))
             acc_c = acc_e = 0.0
     if acc_e > 0.0:
@@ -81,13 +81,14 @@ def chi_square_invariance(cells: np.ndarray, pi: np.ndarray, min_expected: float
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=float(stats.chi2.sf(statistic, dof)))
 
 
-def detailed_balance_test(pair_cells: np.ndarray, n_cells: int, threshold: float = 4.0) -> DetailedBalanceResult:
+def detailed_balance_test(pair_cells: np.ndarray, n_cells: int) -> DetailedBalanceResult:
     """Standardised asymmetry of transition counts over unordered cell pairs.
 
     For start cells drawn from the stationary law, N(a, b) and N(b, a) are
     exchangeable, so |N(a,b) - N(b,a)| / sqrt(N(a,b) + N(b,a)) behaves like
     a half-normal score; the exceedance count flags systematic asymmetry.
     """
+    threshold = 4.0
     pair_cells = np.asarray(pair_cells, dtype=int)
     counts = np.zeros((n_cells, n_cells))
     np.add.at(counts, (pair_cells[:, 0], pair_cells[:, 1]), 1.0)
@@ -106,7 +107,7 @@ def detailed_balance_test(pair_cells: np.ndarray, n_cells: int, threshold: float
     )
 
 
-def acf_ess(values: np.ndarray, max_lag: int | None = None) -> AcfEss:
+def acf_ess(values: np.ndarray) -> AcfEss:
     """Autocorrelation with initial-positive-sequence truncation and the ESS.
 
     Adjacent-lag autocorrelation pairs are summed and the sum truncated at
@@ -122,8 +123,7 @@ def acf_ess(values: np.ndarray, max_lag: int | None = None) -> AcfEss:
     var = float(np.dot(x, x)) / n
     if var <= 0.0:
         raise DegenerateVarianceError("constant series has no autocorrelation")
-    if max_lag is None:
-        max_lag = min(n - 2, 10_000)
+    max_lag = min(n - 2, 10_000)
     # FFT autocovariance, normalised to acf[0] = 1
     size = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, size)

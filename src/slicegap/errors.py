@@ -17,10 +17,6 @@ class InvalidStateError(SliceGapError):
     """Chain state with zero density; no transition is defined."""
 
 
-class MembershipViolationError(SliceGapError):
-    """Target violates the step-width admissibility condition (gap >= w)."""
-
-
 class OutOfClassError(SliceGapError):
     """Level-set gap reaches or exceeds the step width; mixture weight undefined."""
 
@@ -31,10 +27,6 @@ class RunawayExpansionError(SliceGapError):
 
 class ShrinkageStallError(SliceGapError):
     """Shrinkage exceeded its loop cap (numerically degenerate bracket)."""
-
-
-class SingularityError(SliceGapError):
-    """Kernel density requested on the diagonal where it is undefined."""
 
 
 class UnsupportedShapeError(SliceGapError):

@@ -1,11 +1,11 @@
 """Markov-chain transition procedures and the chain runner.
 
-Four transition kinds share the same two-phase structure: draw a level
-uniformly below the current density value, then move on that level set.
-The level move is exact uniform sampling, stepping-out plus shrinkage on
-the axis, a hit-and-run chord draw, or stepping-out plus shrinkage along a
-random chord.  The k-step hybrid of any kind repeats its level move
-``k_inner`` times before releasing the level.
+One transition function, ``_step_with_level``, serves every kind: draw a
+level uniformly below the current density value, then move on that level
+set ``k_inner`` times (``k_inner > 1`` is the k-step hybrid).  The level
+move of a ``SamplerKind`` is exact uniform sampling, stepping-out plus
+shrinkage on the axis, a hit-and-run chord draw, or stepping-out plus
+shrinkage along a random chord.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -30,7 +30,7 @@ from .errors import (
     SliceGapError,
 )
 from .slice_geometry import line_section, uniform_sample_level_set
-from .targets import eval_density
+from .targets import Shape, eval_density
 
 DEFAULT_MAX_LOOP = 10_000
 
@@ -244,44 +244,6 @@ def _level_move(kind: SamplerKind, target, t, x, rng, w, max_loop) -> np.ndarray
     raise ValueError(f"no level move for kind {kind}")
 
 
-# -- full transitions --------------------------------------------------------
-
-
-def simple_slice_step(target, x, rng: np.random.Generator) -> np.ndarray:
-    """Level draw followed by an exact uniform draw on the level set."""
-    t = _draw_level(target, np.atleast_1d(x), rng)
-    return uniform_sample_level_set(target, t, rng)
-
-
-def so_sh_step(target, x, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP) -> np.ndarray:
-    t = _draw_level(target, np.atleast_1d(x), rng)
-    return so_sh_level_move(target, t, np.atleast_1d(x), rng, w, max_loop)
-
-
-def hit_and_run_slice_step(target, x, rng: np.random.Generator) -> np.ndarray:
-    t = _draw_level(target, np.atleast_1d(x), rng)
-    return hit_and_run_level_move(target, t, np.atleast_1d(x), rng)
-
-
-def har_so_sh_step(target, x, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP) -> np.ndarray:
-    t = _draw_level(target, np.atleast_1d(x), rng)
-    return har_so_sh_level_move(target, t, np.atleast_1d(x), rng, w, max_loop)
-
-
-def k_step_hybrid_step(
-    target,
-    x,
-    rng: np.random.Generator,
-    k: int,
-    inner_kind: SamplerKind,
-    w: float | None = None,
-    max_loop: int = DEFAULT_MAX_LOOP,
-) -> np.ndarray:
-    """Draw one level, then apply ``k`` successive inner moves at that level."""
-    config = SamplerConfig(inner_kind, w, k_inner=k, max_loop=max_loop)
-    return _step_with_level(target, config, np.atleast_1d(np.asarray(x, dtype=float)), rng)[0]
-
-
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact draws from the normalised target by rejection from the component mixture.
 
@@ -294,7 +256,7 @@ def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("exact stationary sampling needs component structure")
     masses = []
     for c in comps:
-        if c.shape.value == "triangular":
+        if c.shape is Shape.TRIANGULAR:
             masses.append(c.height * c.scale)
         else:
             masses.append(c.height * (math.pi / c.scale) ** (target.dim / 2.0))
@@ -312,7 +274,7 @@ def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
             if cnt == 0:
                 continue
             mode = np.asarray(comp.mode)
-            if comp.shape.value == "triangular":
+            if comp.shape is Shape.TRIANGULAR:
                 u = rng.random((cnt, 2))
                 pts[mask] = mode + comp.scale * (u.sum(axis=1) - 1.0)[:, None]
             else:

@@ -1,19 +1,17 @@
 """Exact level-set geometry.
 
-Level sets, line sections, volumes, diameters, the level density and exact
-uniform sampling on level sets.  Everything is derived from the targets'
-closed-form level regions; the only numerics are quadrature (for the level
-density normaliser) and Monte Carlo (for union volumes in dimension >= 3).
+Level sets, line sections, volumes, diameters and exact uniform sampling
+on level sets.  Everything is derived from the targets' closed-form level
+regions; the only numerics are Monte Carlo union volumes in dimension
+three and up.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import EmptyLevelSetError, OffSliceError
 from .targets import Ball, Interval, Region
@@ -86,16 +84,11 @@ class LevelSet1D:
 class LineSection:
     """Intersection of a level set with the line x + s*theta, in the coordinate s.
 
-    ``component_intervals`` keeps the per-component sections (possibly
-    overlapping); ``parts`` is their merged disjoint union.
+    ``parts`` is the merged disjoint union of the per-component sections.
     """
 
-    x: tuple[float, ...]
-    theta: tuple[float, ...]
-    t: float
     parts: IntervalUnion
     delta: float
-    component_intervals: tuple[Interval | None, ...]
 
     @property
     def total_length(self) -> float:
@@ -138,20 +131,13 @@ def line_section(target, t: float, x, theta) -> LineSection:
         regions = [c.level_region(t) for c in components]
     else:
         regions = list(target.level_regions(t))
-    comp_intervals = [_line_region_section(region, x, theta) for region in regions]
-    present = [iv for iv in comp_intervals if iv is not None]
+    sections = (_line_region_section(region, x, theta) for region in regions)
+    present = [iv for iv in sections if iv is not None]
     if not present:
         raise OffSliceError("line misses every level region")  # unreachable when rho(x) >= t
     union = IntervalUnion.from_intervals(present)
     delta = union.gaps()[0] if union.nparts == 2 else 0.0
-    return LineSection(
-        x=tuple(x.tolist()),
-        theta=tuple(theta.tolist()),
-        t=t,
-        parts=union,
-        delta=delta,
-        component_intervals=tuple(comp_intervals),
-    )
+    return LineSection(parts=union, delta=delta)
 
 
 def _line_region_section(region: Region | None, x: np.ndarray, theta: np.ndarray) -> Interval | None:
@@ -216,9 +202,9 @@ def vol_level_set_with_error(target, t: float, mc_samples: int = 1 << 18, seed: 
     return box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / mc_samples)
 
 
-def vol_level_set(target, t: float, mc_samples: int = 1 << 18, seed: int = 0) -> float:
+def vol_level_set(target, t: float) -> float:
     """Volume of the level set at ``t``; see ``vol_level_set_with_error``."""
-    return vol_level_set_with_error(target, t, mc_samples=mc_samples, seed=seed)[0]
+    return vol_level_set_with_error(target, t)[0]
 
 
 def diam_level_set(target, t: float) -> float:
@@ -233,41 +219,6 @@ def diam_level_set(target, t: float) -> float:
         return 2.0 * balls[0].radius
     dist = float(np.linalg.norm(np.asarray(balls[0].center) - np.asarray(balls[1].center)))
     return max(2.0 * balls[0].radius, 2.0 * balls[1].radius, dist + balls[0].radius + balls[1].radius)
-
-
-@functools.lru_cache(maxsize=64)
-def _level_volume_integral(target) -> float:
-    """Normaliser int_0^sup vol(K(s)) ds, which equals the mass of the density.
-
-    The integrand is piecewise smooth with kinks where a component drops out
-    or the level set splits, so the quadrature domain is split there.
-    """
-    sup = target.sup_norm
-    kinks = sorted({k for k in target.kink_levels() if 0.0 < k < sup})
-    if target.dim <= 2:
-        val, _ = integrate.quad(
-            lambda s: vol_level_set(target, s) if s > 0 else vol_level_set(target, sup * 1e-15),
-            0.0,
-            sup,
-            points=kinks or None,
-            epsrel=1e-9,
-            epsabs=0.0,
-            limit=400,
-        )
-        return val
-    # Monte Carlo volumes are noisy; a fixed composite rule is more stable here.
-    grid = np.linspace(0.0, sup, 513)[1:]
-    vols = [vol_level_set(target, float(s), seed=7) for s in grid]
-    return float(np.trapezoid(vols, grid)) + float(grid[0]) * vols[0]
-
-
-def level_density(target, t: float) -> float:
-    """Density of the accepted-level distribution, vol(K(t)) normalised to mass one."""
-    if t <= 0.0:
-        raise ValueError("level must be positive")
-    if t > target.sup_norm:
-        return 0.0
-    return vol_level_set(target, t) / _level_volume_integral(target)
 
 
 def _sample_region(region: Region, rng: np.random.Generator) -> np.ndarray:

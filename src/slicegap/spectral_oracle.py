@@ -571,17 +571,17 @@ def op_norm_centered(K: DiscreteKernel) -> float:
             asym = float(np.abs(C[rows] - C[:, rows].T).max())
             if asym > 1e-8:
                 raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
-        K._norm = _largest_eigenvalue(C, dense_max=800)
+        K._norm = _largest_eigenvalue(C)
     return K._norm
 
 
-def _largest_eigenvalue(C: np.ndarray, dense_max: int) -> float:
+def _largest_eigenvalue(C: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
-    Dense up to ``dense_max`` rows, ARPACK above (dense again if it fails).
+    Dense up to 800 rows, ARPACK above (dense again if it fails).
     """
     n = C.shape[0]
-    if n > dense_max:
+    if n > 800:
         try:
             # a deterministic, structure-free start vector
             v0 = np.sin(np.arange(1, n + 1, dtype=float))

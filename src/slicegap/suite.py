@@ -141,11 +141,13 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
 
     # samplers against exact references
     u01 = UniformInterval(0.0, 1.0)
-    ys = np.array([samplers.simple_slice_step(u01, np.array([0.3]), rng)[0] for _ in range(20_000)])
+    simple = samplers.SamplerConfig(samplers.SamplerKind.SIMPLE)
+    ys = np.array([samplers._step_with_level(u01, simple, np.array([0.3]), rng)[0][0] for _ in range(20_000)])
     rows.append(Check("uniform_slice_ks", 0.01, float(stats.kstest(ys, "uniform").pvalue), 0.0))
     rows += level_move_law(t1, 0.5, -1.0, w, bins=12, n=20_000, rng=rng)
+    so_sh = samplers.SamplerConfig(samplers.SamplerKind.SO_SH, w)
     starts = samplers.sample_stationary(t1, 20_000, rng)
-    steps = np.array([samplers.so_sh_step(t1, x, rng, w)[0] for x in starts])
+    steps = np.array([samplers._step_with_level(t1, so_sh, x, rng)[0][0] for x in starts])
     diag_grid = oracle.Grid.for_target(t1, 40)
     res = diagnostics.chi_square_invariance(diag_grid.locate(steps[:, None]), oracle.discretize_target(t1, diag_grid))
     rows.append(Check("invariance_chi2", 0.01, res.p_value, 0.0))

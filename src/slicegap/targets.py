@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import MembershipViolationError, UnsupportedShapeError
+from .errors import OutOfClassError, UnsupportedShapeError
 
 
 @dataclass(frozen=True)
@@ -245,15 +245,6 @@ class TargetDensity:
                 regions.append(region)
         return regions
 
-    def kink_levels(self) -> list[float]:
-        """Levels where the level-set volume has a kink: component heights and the split level."""
-        levels = sorted({comp.height for comp in self.components})
-        if len(self.components) == 2:
-            t1 = merge_level(self)
-            if 0.0 < t1 < levels[0]:
-                levels.insert(0, t1)
-        return levels
-
     def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
         """Per-axis bounds of a box covering {density >= eps_cut}."""
         los = np.full(self.dim, np.inf)
@@ -300,9 +291,6 @@ class UniformInterval:
             return []
         return [Interval(self.lo, self.hi)]
 
-    def kink_levels(self) -> list[float]:
-        return [self.height]
-
     def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
         return [(self.lo, self.hi)]
 
@@ -342,9 +330,6 @@ class UniformBall:
             return []
         return [Ball(self.center, self.radius)]
 
-    def kink_levels(self) -> list[float]:
-        return [self.height]
-
     def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
         m = np.asarray(self.center)
         return list(zip((m - self.radius).tolist(), (m + self.radius).tolist()))
@@ -367,11 +352,6 @@ def eval_density(target, x) -> float:
     """Density of ``target`` at a single point ``x``, through its scalar ``line_density``."""
     x = np.asarray(x, dtype=float)
     return target.line_density(x, np.zeros_like(x))(0.0)
-
-
-def sup_norm(target) -> float:
-    """Supremum of the unnormalised density."""
-    return float(target.sup_norm)
 
 
 def merge_level(target: TargetDensity) -> float:
@@ -414,12 +394,12 @@ def _region_gap(r1: Region | None, r2: Region | None) -> float:
     return dist - r1.radius - r2.radius
 
 
-def check_Rw(target: TargetDensity, w: float, probe_levels: int = 64) -> RwCertificate:
+def check_Rw(target: TargetDensity, w: float) -> RwCertificate:
     """Certify that a 1D target admits stepping-out with width ``w``.
 
     Computes the split level t1 by bisection, sets t2 to the smaller
     component height, and verifies that the inter-part gap is below ``w``
-    on a grid of ``probe_levels`` levels in (t1, t2].
+    on a grid of 64 levels in (t1, t2].
     """
     if target.dim != 1:
         raise ValueError("check_Rw is defined for one-dimensional targets")
@@ -432,10 +412,10 @@ def check_Rw(target: TargetDensity, w: float, probe_levels: int = 64) -> RwCerti
     t2 = min(c1.height, c2.height)
     t1 = merge_level(target)
     if t1 < t2:
-        for t in np.linspace(t1, t2, probe_levels + 1)[1:]:
+        for t in np.linspace(t1, t2, 65)[1:]:
             gap = _region_gap(c1.level_region(float(t)), c2.level_region(float(t)))
             if gap >= w:
-                raise MembershipViolationError(
+                raise OutOfClassError(
                     f"level-set gap {gap:.6g} at level {t:.6g} reaches the step width {w:.6g}"
                 )
     return RwCertificate(t1, t2, w)

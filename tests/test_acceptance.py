@@ -17,7 +17,7 @@ import pytest
 
 from oracles import bin_masses_1d, bin_masses_2d
 from slicegap.diagnostics import chi_square_invariance, detailed_balance_test
-from slicegap.samplers import har_so_sh_step, sample_stationary, so_sh_step, stepping_out
+from slicegap.samplers import SamplerConfig, SamplerKind, _step_with_level, sample_stationary, stepping_out
 from slicegap.spectral_oracle import (
     DiscreteKernel,
     Grid,
@@ -177,9 +177,10 @@ def test_criterion_9_tv_convergence(t1, t1_bundle):
     null_tvs = [0.5 * np.abs(rng.multinomial(n_rep, pi_coarse) / n_rep - pi_coarse).sum() for _ in range(500)]
     allowance = float(np.quantile(null_tvs, 0.999))
     empirical_ok, details, step = True, [], 0
+    so_sh = SamplerConfig(SamplerKind.SO_SH, W)
     for n in [5, 10, 15, 20]:
         while step < n:
-            xs = np.array([so_sh_step(t1, np.array([x]), rng, W)[0] for x in xs])
+            xs = np.array([_step_with_level(t1, so_sh, np.array([x]), rng)[0][0] for x in xs])
             step += 1
         freq = np.bincount(grid.locate(xs[:, None]) // agg, minlength=pi_coarse.size) / n_rep
         tv_emp = 0.5 * float(np.abs(freq - pi_coarse).sum())
@@ -199,12 +200,13 @@ def test_criterion_10_reversibility_and_invariance(t1, t2, t1_bundle, t2_bundle)
 
     rng = np.random.default_rng(104)
     starts = sample_stationary(t1, 100_000, rng)
-    steps = np.array([so_sh_step(t1, x, rng, W)[0] for x in starts])
+    so_sh, har_so_sh = SamplerConfig(SamplerKind.SO_SH, W), SamplerConfig(SamplerKind.HAR_SO_SH, W)
+    steps = np.array([_step_with_level(t1, so_sh, x, rng)[0][0] for x in starts])
     edges = np.linspace(-2.0, 2.0, 41)
     probs = bin_masses_1d(t1, edges)
     p_t1 = chi_square_invariance(np.clip(np.digitize(steps, edges) - 1, 0, 39), probs).p_value
 
-    steps2 = np.array([har_so_sh_step(t2, x, rng, W) for x in sample_stationary(t2, 100_000, rng)])
+    steps2 = np.array([_step_with_level(t2, har_so_sh, x, rng)[0] for x in sample_stationary(t2, 100_000, rng)])
     xedges, yedges = np.linspace(-2.8, 5.2, 16), np.linspace(-3.8, 3.8, 16)
     ix = np.clip(np.digitize(steps2[:, 0], xedges) - 1, 0, 14)
     iy = np.clip(np.digitize(steps2[:, 1], yedges) - 1, 0, 14)

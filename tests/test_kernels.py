@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from slicegap.errors import OutOfClassError, SingularityError
+from slicegap.errors import OutOfClassError
 from slicegap.kernels import (
     beta_k_so_sh_closed_form,
-    combined_level_kernel_density,
     combined_norm_bound,
     gamma_t,
-    har_kernel_density,
     har_level_norm_bound,
-    line_kernel_weights,
-    make_so_sh_kernel,
-    op_norm_so_sh,
-    so_sh_level_kernel_measure,
+    mixture_weight,
     sphere_surface_area,
 )
 from slicegap.slice_geometry import level_set_1d, line_section
@@ -73,42 +68,16 @@ class TestGamma:
         assert gamma_t(level_set_1d(t1, 0.5), 3.0) == pytest.approx(GAMMA_T1_HALF, abs=1e-14)
 
 
-class TestMixtureMeasure:
-    def test_no_gap_is_pure_uniform(self, t1):
-        kernel = make_so_sh_kernel(level_set_1d(t1, 0.9), 3.0)
-        mix = so_sh_level_kernel_measure(kernel, -1.0)
-        assert mix.uniform_weight == 1.0
-        assert mix.local_weight == 0.0
-
-    def test_t1_left_point(self, t1):
-        kernel = make_so_sh_kernel(level_set_1d(t1, 0.5), 3.0)
-        mix = so_sh_level_kernel_measure(kernel, -1.0)
-        assert mix.uniform_weight == pytest.approx(GAMMA_T1_HALF)
-        assert mix.local_weight == pytest.approx(1.0 - GAMMA_T1_HALF)
-        assert (mix.local.intervals[0].lo, mix.local.intervals[0].hi) == pytest.approx((-1.5, -0.5))
-
-    def test_right_point_switches_local_part(self, t1):
-        kernel = make_so_sh_kernel(level_set_1d(t1, 0.5), 3.0)
-        mix = so_sh_level_kernel_measure(kernel, 1.0)
-        assert mix.uniform_weight == pytest.approx(GAMMA_T1_HALF)
-        assert (mix.local.intervals[0].lo, mix.local.intervals[0].hi) == pytest.approx((0.625, 1.375))
-
-    def test_off_slice_point_rejected(self, t1):
-        kernel = make_so_sh_kernel(level_set_1d(t1, 0.5), 3.0)
-        with pytest.raises(ValueError):
-            so_sh_level_kernel_measure(kernel, 0.0)
-
-
 class TestOpNormSoSh:
     def test_no_gap(self, t1):
-        assert op_norm_so_sh(level_set_1d(t1, 0.9), 3.0) == 0.0
+        assert 1.0 - gamma_t(level_set_1d(t1, 0.9), 3.0) == 0.0
 
     def test_t1_value(self, t1):
-        assert op_norm_so_sh(level_set_1d(t1, 0.5), 3.0) == pytest.approx(1.0 - GAMMA_T1_HALF)
+        assert 1.0 - gamma_t(level_set_1d(t1, 0.5), 3.0) == pytest.approx(1.0 - GAMMA_T1_HALF)
 
     def test_approaches_one(self, t1):
         ls = level_set_1d(t1, 0.5)
-        assert op_norm_so_sh(ls, ls.delta_t * (1 + 1e-12)) > 1.0 - 1e-9
+        assert 1.0 - gamma_t(ls, ls.delta_t * (1 + 1e-12)) > 1.0 - 1e-9
 
     def test_matches_discretized_second_singular_value(self, t1):
         grid = Grid.for_target(t1, 500)
@@ -117,7 +86,7 @@ class TestOpNormSoSh:
             root = np.sqrt(K.pi)
             A = (root[:, None] * K.P) / root[None, :]
             svals = np.linalg.svd(A, compute_uv=False)
-            assert svals[1] == pytest.approx(op_norm_so_sh(level_set_1d(t1, t), 3.0), abs=1e-6)
+            assert svals[1] == pytest.approx(1.0 - gamma_t(level_set_1d(t1, t), 3.0), abs=1e-6)
 
 
 class TestBetaClosedForm:
@@ -142,43 +111,6 @@ class TestBetaClosedForm:
             beta_k_so_sh_closed_form(t1, 3.0, 0)
 
 
-class TestHarDensity:
-    def test_disk_center_value(self):
-        # chord through the centre of a unit disk has length two, so the
-        # density at radius one half is (2/(2 pi)) / (0.5 * 2) = 1/pi
-        disk = UniformBall((0.0, 0.0), 1.0)
-        val = har_kernel_density(disk, 0.5, (0.0, 0.0), (0.5, 0.0))
-        assert val == pytest.approx(1.0 / math.pi)
-
-    def test_symmetry(self, t2):
-        rng = np.random.default_rng(21)
-        t = 0.4
-        count = 0
-        while count < 50:
-            x = rng.uniform(-1.0, 2.5, size=2)
-            y = rng.uniform(-1.0, 2.5, size=2)
-            if float(t2.density(x)) < t or float(t2.density(y)) < t:
-                continue
-            assert har_kernel_density(t2, t, x, y) == pytest.approx(har_kernel_density(t2, t, y, x), rel=1e-9)
-            count += 1
-
-    def test_mass_integrates_to_one_on_disk(self):
-        # polar integration around the centre: (1/pi) * 2*pi * int_0^1 (1/(2)) dr = 1
-        disk = UniformBall((0.0, 0.0), 1.0)
-        rs = np.linspace(1e-6, 1.0, 2001)
-        vals = np.array([har_kernel_density(disk, 0.5, (0.0, 0.0), (float(r), 0.0)) for r in rs])
-        mass = float(np.trapezoid(vals * 2 * math.pi * rs, rs))
-        assert mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_diagonal_singularity(self, t2):
-        with pytest.raises(SingularityError):
-            har_kernel_density(t2, 0.5, (0.0, 0.0), (0.0, 0.0))
-
-    def test_off_slice_rejected(self, t2):
-        with pytest.raises(ValueError):
-            har_kernel_density(t2, 0.9, (0.0, 0.0), (3.0, 0.0))
-
-
 class TestHarNormBound:
     def test_disk_value(self):
         disk = UniformBall((0.0, 0.0), 1.0)
@@ -197,45 +129,12 @@ class TestHarNormBound:
 
 
 class TestCombinedDensity:
-    def test_single_part_direction_reduces_to_chord_density(self, t2):
-        # the vertical chord from the origin meets only the first ball
-        x, y = (0.0, 0.0), (0.0, 0.3)
-        assert combined_level_kernel_density(t2, 0.5, 3.0, x, y) == pytest.approx(
-            har_kernel_density(t2, 0.5, x, y)
-        )
-
-    def test_other_part_strictly_smaller(self, t2):
-        x, y = (0.0, 0.0), (1.5, 0.0)
-        assert combined_level_kernel_density(t2, 0.5, 3.0, x, y) < har_kernel_density(t2, 0.5, x, y)
-
-    def test_frozen_value_against_recomputation(self, t2):
-        # x -> y along the first axis at level one half: sections are
-        # [-r1, r1] and [1.5 - r2, 1.5 + r2]; y falls in the far part
-        x, y = (0.0, 0.0), (1.5, 0.0)
-        r1 = math.sqrt(math.log(2.0) / 2.0)
-        r2 = math.sqrt(math.log(2.0))
-        length = 2 * r1 + 2 * r2
-        delta = (1.5 - r2) - r1
-        gamma = ((3.0 - delta) / 3.0) * (length / (length + delta))
-        expected = (2.0 / (2.0 * math.pi)) * (1.0 / 1.5) * gamma / length
-        assert combined_level_kernel_density(t2, 0.5, 3.0, x, y) == pytest.approx(expected, rel=1e-12)
-
-    def test_same_part_adds_local_term(self, t2):
-        x, y = (0.0, 0.0), (0.4, 0.0)
-        r1 = math.sqrt(math.log(2.0) / 2.0)
-        r2 = math.sqrt(math.log(2.0))
-        length = 2 * r1 + 2 * r2
-        delta = (1.5 - r2) - r1
-        gamma = ((3.0 - delta) / 3.0) * (length / (length + delta))
-        expected = (2.0 / (2.0 * math.pi)) * (1.0 / 0.4) * (gamma / length + (1 - gamma) / (2 * r1))
-        assert combined_level_kernel_density(t2, 0.5, 3.0, x, y) == pytest.approx(expected, rel=1e-12)
-
     def test_line_weights_match_section(self, t2):
         sec = line_section(t2, 0.5, (0.0, 0.0), (1.0, 0.0))
-        weights = line_kernel_weights(sec, 3.0)
-        assert 0.0 < weights.gamma < 1.0
+        weight = mixture_weight(sec.total_length, sec.delta, 3.0)
+        assert 0.0 < weight < 1.0
         gamma = ((3.0 - sec.delta) / 3.0) * (sec.total_length / (sec.total_length + sec.delta))
-        assert weights.gamma == pytest.approx(gamma)
+        assert weight == pytest.approx(gamma)
 
 
 class TestCombinedNormBound:

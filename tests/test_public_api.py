@@ -1,0 +1,85 @@
+"""The package's public surface, and the names the benchmark harness imports.
+
+``slicegap.__all__`` is pinned as a literal, so adding or removing an
+export is a visible diff to this file.  ``bench/`` imports a few names by
+module path, including one private function; each must keep resolving.
+"""
+
+import importlib
+
+import pytest
+
+import slicegap
+
+PUBLIC = [
+    "DiscreteKernel",
+    "GapReport",
+    "Grid",
+    "KernelKind",
+    "QuasiConcaveComponent",
+    "RwCertificate",
+    "SamplerConfig",
+    "SamplerKind",
+    "Shape",
+    "SliceGapError",
+    "TargetDensity",
+    "Trace",
+    "beta_k_so_sh_closed_form",
+    "build_full_matrix",
+    "build_k_step_matrices",
+    "build_level_matrix",
+    "check_Rdw",
+    "check_Rw",
+    "combined_norm_bound",
+    "diam_level_set",
+    "discretize_target",
+    "errors",
+    "eval_density",
+    "gamma_t",
+    "gaussian_pair",
+    "har_level_norm_bound",
+    "har_small_set_weight",
+    "kernels",
+    "level_set_1d",
+    "line_section",
+    "mixture_weight",
+    "op_norm_centered",
+    "psd_check",
+    "reversibility_check",
+    "run_chain",
+    "samplers",
+    "slice_geometry",
+    "spectral_gap",
+    "spectral_oracle",
+    "targets",
+    "twin_triangles",
+    "uniform_sample_level_set",
+    "verify_corollary",
+    "verify_monotonicity",
+    "verify_mt_bound",
+    "verify_power_bound",
+    "verify_sandwich",
+    "verify_theorem_bounds",
+    "verify_tv_bound",
+    "vol_level_set",
+]
+
+#: (module, name) pairs that bench/child.py imports and bench/tracer.py wraps by name
+BENCH_NAMES = [
+    ("config", "load_config"),
+    ("spectral_oracle", "Grid"),
+    ("spectral_oracle", "KernelKind"),
+    ("spectral_oracle", "build_full_matrix"),
+    ("targets", "gaussian_pair"),
+    ("targets", "twin_triangles"),
+    ("samplers", "_step_with_level"),
+]
+
+
+def test_exports_are_pinned():
+    assert sorted(slicegap.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module, name", BENCH_NAMES)
+def test_bench_names_resolve(module, name):
+    assert callable(getattr(importlib.import_module(f"slicegap.{module}"), name))

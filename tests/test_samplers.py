@@ -13,17 +13,14 @@ from slicegap.samplers import (
     SamplerConfig,
     SamplerKind,
     Trace,
+    _step_with_level,
     hit_and_run_level_move,
-    hit_and_run_slice_step,
-    k_step_hybrid_step,
     read_trace_csv,
     run_chain,
     sample_stationary,
     shrinkage,
-    simple_slice_step,
     so_sh_level_move,
     so_sh_line_move,
-    so_sh_step,
     stepping_out,
 )
 from slicegap.slice_geometry import level_set_1d, line_section
@@ -162,7 +159,8 @@ class TestSoShStep:
         x0 = float(grid.centers[start_cell, 0])
         rng = np.random.default_rng(6)
         n = 50_000
-        ys = np.array([so_sh_step(t1, np.array([x0]), rng, 3.0)[0] for _ in range(n)])
+        so_sh = SamplerConfig(SamplerKind.SO_SH, w=3.0)
+        ys = np.array([_step_with_level(t1, so_sh, np.array([x0]), rng)[0][0] for _ in range(n)])
         cells = grid.locate(ys[:, None])
         row = H.P[np.searchsorted(H.support, start_cell)]
         probs = np.zeros(grid.n)
@@ -179,7 +177,8 @@ class TestSoShStep:
         rng = np.random.default_rng(7)
         n = 30_000
         starts = sample_stationary(t1, n, rng)
-        steps = np.array([so_sh_step(t1, x, rng, 3.0)[0] for x in starts])
+        so_sh = SamplerConfig(SamplerKind.SO_SH, w=3.0)
+        steps = np.array([_step_with_level(t1, so_sh, x, rng)[0][0] for x in starts])
         edges = np.linspace(-2.0, 2.0, 41)
         probs = bin_masses_1d(t1, edges)
         cells = np.clip(np.digitize(steps, edges) - 1, 0, 39)
@@ -193,18 +192,20 @@ class TestSimpleSlice:
     def test_uniform_target_gives_iid_uniform(self):
         u = UniformInterval(0.0, 1.0)
         rng = np.random.default_rng(8)
-        ys = np.array([simple_slice_step(u, np.array([0.9]), rng)[0] for _ in range(100_000)])
+        simple = SamplerConfig(SamplerKind.SIMPLE)
+        ys = np.array([_step_with_level(u, simple, np.array([0.9]), rng)[0][0] for _ in range(100_000)])
         assert stats.kstest(ys, "uniform").pvalue > 0.01
 
     def test_zero_density_state_rejected(self, t1):
         with pytest.raises(InvalidStateError):
-            simple_slice_step(t1, np.array([5.0]), np.random.default_rng(0))
+            _step_with_level(t1, SamplerConfig(SamplerKind.SIMPLE), np.array([5.0]), np.random.default_rng(0))
 
     def test_invariance(self, t1):
         rng = np.random.default_rng(9)
         n = 30_000
         starts = sample_stationary(t1, n, rng)
-        steps = np.array([simple_slice_step(t1, x, rng)[0] for x in starts])
+        simple = SamplerConfig(SamplerKind.SIMPLE)
+        steps = np.array([_step_with_level(t1, simple, x, rng)[0][0] for x in starts])
         edges = np.linspace(-2.0, 2.0, 41)
         probs = bin_masses_1d(t1, edges)
         from slicegap.diagnostics import chi_square_invariance
@@ -291,7 +292,8 @@ class TestHitAndRun:
                 masses[i, j] = vals.mean() * cell_area
         rng = np.random.default_rng(11)
         n = 100_000
-        steps = np.array([hit_and_run_slice_step(t2, x0, rng) for _ in range(n)])
+        har = SamplerConfig(SamplerKind.HAR)
+        steps = np.array([_step_with_level(t2, har, x0, rng)[0] for _ in range(n)])
         ix = np.clip(np.digitize(steps[:, 0], xedges) - 1, 0, 29)
         iy = np.clip(np.digitize(steps[:, 1], yedges) - 1, 0, 29)
         keep = ~((ix == start[0]) & (iy == start[1]))
@@ -306,7 +308,8 @@ class TestHitAndRun:
         rng = np.random.default_rng(12)
         n = 50_000
         starts = sample_stationary(t2, n, rng)
-        steps = np.array([hit_and_run_slice_step(t2, x, rng) for x in starts])
+        har = SamplerConfig(SamplerKind.HAR)
+        steps = np.array([_step_with_level(t2, har, x, rng)[0] for x in starts])
         from oracles import bin_masses_2d
         from slicegap.diagnostics import chi_square_invariance
 
@@ -333,14 +336,14 @@ class TestHarSoSh:
         assert stats.kstest((ss - iv.lo) / iv.length, "uniform").pvalue > 0.01
 
     def test_two_part_section_matches_line_mixture(self, t2):
-        from slicegap.kernels import line_kernel_weights
+        from slicegap.kernels import mixture_weight
 
         rng = np.random.default_rng(14)
         t, w, n = 0.5, 3.0, 30_000
         x = np.array([0.0, 0.0])
         theta = np.array([1.0, 0.0])
         sec = line_section(t2, t, x, theta)
-        gamma = line_kernel_weights(sec, w).gamma
+        gamma = mixture_weight(sec.total_length, sec.delta, w)
         first, second = sec.parts.intervals
         ys = np.array([so_sh_line_move(t2, t, x, theta, rng, w) for _ in range(n)])
         ss = ys[:, 0]
@@ -358,7 +361,8 @@ class TestHarSoSh:
         rng = np.random.default_rng(15)
         n = 50_000
         starts = sample_stationary(t2, n, rng)
-        steps = np.array([k_step_hybrid_step(t2, x, rng, 1, SamplerKind.HAR_SO_SH, 3.0) for x in starts])
+        har_so_sh = SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0)
+        steps = np.array([_step_with_level(t2, har_so_sh, x, rng)[0] for x in starts])
         from oracles import bin_masses_2d
         from slicegap.diagnostics import chi_square_invariance
 
@@ -374,8 +378,9 @@ class TestHarSoSh:
 class TestKStep:
     def test_uniform_inner_independent_of_k(self, t1):
         rng = np.random.default_rng(16)
-        a = np.array([k_step_hybrid_step(t1, np.array([-1.0]), rng, 1, SamplerKind.SIMPLE)[0] for _ in range(20_000)])
-        b = np.array([k_step_hybrid_step(t1, np.array([-1.0]), rng, 7, SamplerKind.SIMPLE)[0] for _ in range(20_000)])
+        one, seven = SamplerConfig(SamplerKind.SIMPLE), SamplerConfig(SamplerKind.SIMPLE, k_inner=7)
+        a = np.array([_step_with_level(t1, one, np.array([-1.0]), rng)[0][0] for _ in range(20_000)])
+        b = np.array([_step_with_level(t1, seven, np.array([-1.0]), rng)[0][0] for _ in range(20_000)])
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_large_k_approaches_exact_refresh(self, t1):
@@ -383,8 +388,9 @@ class TestKStep:
         # refresh law is controlled by the convergence profile
         rng = np.random.default_rng(17)
         n, k = 20_000, 50
-        ys = np.array([k_step_hybrid_step(t1, np.array([-1.0]), rng, k, SamplerKind.SO_SH, 3.0)[0] for _ in range(n)])
-        us = np.array([simple_slice_step(t1, np.array([-1.0]), rng)[0] for _ in range(n)])
+        k_step, simple = SamplerConfig(SamplerKind.SO_SH, w=3.0, k_inner=k), SamplerConfig(SamplerKind.SIMPLE)
+        ys = np.array([_step_with_level(t1, k_step, np.array([-1.0]), rng)[0][0] for _ in range(n)])
+        us = np.array([_step_with_level(t1, simple, np.array([-1.0]), rng)[0][0] for _ in range(n)])
         edges = np.linspace(-2.0, 2.0, 51)
         fy = np.histogram(ys, edges)[0] / n
         fu = np.histogram(us, edges)[0] / n
@@ -395,19 +401,20 @@ class TestKStep:
 
     def test_k_inner_moves_share_one_level(self, t1):
         # reference: one level uniform on (0, density], then k_inner stepping-out moves at it
-        trace = run_chain(t1, SamplerConfig(SamplerKind.SO_SH, w=3.0, k_inner=3), np.array([-1.0]), 50, seed=4)
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=3.0, k_inner=3)
+        trace = run_chain(t1, cfg, np.array([-1.0]), 50, seed=4)
         rng, x = np.random.default_rng(4), np.array([-1.0])
         for i in range(1, 51):
             t = float(t1.density(x)) * (1.0 - rng.random())
             for _ in range(3):
                 x = so_sh_level_move(t1, t, x, rng, 3.0)
             assert trace.levels[i] == t and np.array_equal(trace.states[i], x)
-        first = k_step_hybrid_step(t1, trace.states[0], np.random.default_rng(4), 3, SamplerKind.SO_SH, 3.0)
+        first = _step_with_level(t1, cfg, trace.states[0], np.random.default_rng(4))[0]
         assert np.array_equal(first, trace.states[1])
 
     def test_k_must_be_positive(self, t1):
         with pytest.raises(ValueError):
-            k_step_hybrid_step(t1, np.array([-1.0]), np.random.default_rng(0), 0, SamplerKind.SIMPLE)
+            SamplerConfig(SamplerKind.SIMPLE, k_inner=0)
 
 
 class TestRunChain:

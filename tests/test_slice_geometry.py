@@ -9,7 +9,6 @@ from slicegap.errors import EmptyLevelSetError, OffSliceError
 from slicegap.slice_geometry import (
     IntervalUnion,
     diam_level_set,
-    level_density,
     level_set_1d,
     line_section,
     uniform_sample_level_set,
@@ -24,10 +23,6 @@ from slicegap.targets import (
     UniformBall,
     UniformInterval,
 )
-
-
-def single_triangle():
-    return TargetDensity(1, (QuasiConcaveComponent(Shape.TRIANGULAR, (0.0,), 1.0, 1.0),))
 
 
 class TestLevelSet1D:
@@ -178,30 +173,6 @@ class TestDiameter:
     def test_empty(self, t1):
         with pytest.raises(EmptyLevelSetError):
             diam_level_set(t1, 1.5)
-
-
-class TestLevelDensity:
-    def test_uniform_target(self):
-        u = UniformInterval(0.0, 1.0)
-        for t in (0.1, 0.5, 0.93):
-            assert level_density(u, t) == pytest.approx(1.0)
-
-    def test_single_triangle_closed_form(self):
-        tri = single_triangle()
-        for t in (0.2, 0.5, 0.8):
-            assert level_density(tri, t) == pytest.approx(2.0 * (1.0 - t), rel=1e-9)
-
-    def test_t1_against_riemann(self, t1):
-        ss = np.linspace(1e-7, 1.0, 100_001)
-        vols = np.array([level_set_1d(t1, float(s)).length for s in ss])
-        riemann = np.trapezoid(vols, ss)
-        val = level_density(t1, 0.5)
-        assert val == pytest.approx(level_set_1d(t1, 0.5).length / riemann, rel=1e-6)
-
-    def test_integrates_to_one(self, t1):
-        ts = np.linspace(1e-6, 1.0, 20_001)
-        dens = np.array([level_density(t1, float(t)) for t in ts])
-        assert np.trapezoid(dens, ts) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_vol_diam_ratio_bounded(t2):

@@ -103,7 +103,7 @@ class TestBuildLevelMatrix:
         assert spectral_gap(K) == pytest.approx(1.0, abs=1e-10)
 
     def test_so_sh_second_singular_value(self, t1):
-        from slicegap.kernels import op_norm_so_sh
+        from slicegap.kernels import gamma_t
         from slicegap.slice_geometry import level_set_1d
 
         grid = Grid.for_target(t1, 400)
@@ -111,7 +111,7 @@ class TestBuildLevelMatrix:
         root = np.sqrt(K.pi)
         A = (root[:, None] * K.P) / root[None, :]
         s2 = np.linalg.svd(A, compute_uv=False)[1]
-        assert s2 == pytest.approx(op_norm_so_sh(level_set_1d(t1, 0.5), 3.0), abs=1e-6)
+        assert s2 == pytest.approx(1.0 - gamma_t(level_set_1d(t1, 0.5), 3.0), abs=1e-6)
 
     def test_chord_rows_dominate_small_set(self, t2):
         from slicegap.kernels import har_small_set_weight

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slicegap.errors import MembershipViolationError, UnsupportedShapeError
+from slicegap.errors import OutOfClassError, UnsupportedShapeError
 from slicegap.slice_geometry import level_set_1d
 from slicegap.targets import (
     QuasiConcaveComponent,
@@ -11,7 +11,6 @@ from slicegap.targets import (
     check_Rw,
     eval_density,
     merge_level,
-    sup_norm,
 )
 
 
@@ -51,14 +50,14 @@ class TestEvalDensity:
 
 class TestSupNorm:
     def test_two_heights(self, t1):
-        assert sup_norm(t1) == 1.0
+        assert t1.sup_norm == 1.0
 
     def test_single_component(self):
         target = TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.0,), 2.5, 1.0),))
-        assert sup_norm(target) == 2.5
+        assert target.sup_norm == 2.5
 
     def test_t2(self, t2):
-        assert sup_norm(t2) == 1.0
+        assert t2.sup_norm == 1.0
         # grid search never exceeds the sup norm
         xs = np.random.default_rng(0).uniform(-3, 5, size=(20_000, 2))
         assert np.asarray(t2.density(xs)).max() <= 1.0 + 1e-15
@@ -108,13 +107,13 @@ class TestCheckRw:
         assert cert.w == 3.0
 
     def test_too_small_width_rejected(self, t1):
-        with pytest.raises(MembershipViolationError):
+        with pytest.raises(OutOfClassError):
             check_Rw(t1, 0.5)
 
     def test_unimodal_degenerate(self):
         target = TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.0,), 1.0, 1.0),))
         cert = check_Rw(target, 0.1)
-        assert cert.t1 == cert.t2 == sup_norm(target)
+        assert cert.t1 == cert.t2 == target.sup_norm
 
     def test_certificate_part_counts(self):
         target = make_gaussian_pair_1d()

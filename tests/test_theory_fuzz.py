@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slicegap.errors import MembershipViolationError, OutOfClassError
+from slicegap.errors import OutOfClassError
 from slicegap.slice_geometry import level_set_1d
 from slicegap.spectral_oracle import (
     Grid,
@@ -59,7 +59,7 @@ def gaussian_pair_2d(draw) -> TargetDensity:
 def admitted_1d(target, w) -> bool:
     try:
         check_Rw(target, w)
-    except MembershipViolationError:
+    except OutOfClassError:
         return False
     return True
 
