@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics, spectral_oracle as oracle, suite
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, SliceGapError
+from .errors import ConfigError, SliceGapError, TraceFormatError
 from .samplers import SamplerKind, Trace, read_trace_csv, run_chain
 from .spectral_oracle import GapReport, Grid, KernelKind
 
@@ -107,10 +107,23 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     return code
 
 
+def _read_trace(cfg: ExperimentConfig, path: str) -> Trace:
+    """A trace file as a ``Trace`` of the config, with one state column per target axis and rows past burn-in."""
+    try:
+        states, levels = read_trace_csv(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
+    d = cfg.target.dim
+    if states.ndim != 2 or states.shape[1] != d or states.shape[0] <= cfg.burn_in:
+        raise TraceFormatError(
+            f"trace {path} holds states of shape {states.shape}; expected (n, {d}) with n > burn_in = {cfg.burn_in}"
+        )
+    return Trace(states=states, levels=levels, seed=cfg.seed, config=cfg.sampler)
+
+
 def cmd_diag(cfg: ExperimentConfig, out_dir: Path, trace_path: str | None) -> int:
     if trace_path:
-        states, levels = read_trace_csv(trace_path)
-        trace = Trace(states=states, levels=levels, seed=cfg.seed, config=cfg.sampler)
+        trace = _read_trace(cfg, trace_path)
     else:
         trace = run_chain(cfg.target, cfg.sampler, np.asarray(cfg.x0), cfg.n, cfg.seed)
     code = _write_diagnostics(cfg, trace, out_dir)

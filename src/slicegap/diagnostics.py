@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateVarianceError, InsufficientDataError
 
@@ -78,6 +77,8 @@ def chi_square_invariance(cells: np.ndarray, pi: np.ndarray) -> ChiSquareResult:
     arr = np.asarray(groups)
     statistic = float(((arr[:, 0] - arr[:, 1]) ** 2 / arr[:, 1]).sum())
     dof = len(groups) - 1
+    from scipy import stats  # imported on use, to keep package start-up cheap
+
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=float(stats.chi2.sf(statistic, dof)))
 
 

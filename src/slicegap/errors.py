@@ -45,6 +45,10 @@ class DegenerateVarianceError(SliceGapError):
     """Statistic undefined for a constant series."""
 
 
+class TraceFormatError(SliceGapError):
+    """A trace file cannot be read, or its states do not fit the configured target."""
+
+
 class ChainError(SliceGapError):
     """A chain transition failed; carries the failing step index."""
 

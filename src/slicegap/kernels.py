@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import OutOfClassError
 from .slice_geometry import LevelSet1D, diam_level_set, level_set_1d, vol_level_set
@@ -65,6 +64,8 @@ def beta_k_so_sh_closed_form(target: TargetDensity, w: float, k: int) -> float:
         if t <= 0.0:
             return 0.0
         return (1.0 - gamma_t(level_set_1d(target, t), w)) ** (2 * k)
+
+    from scipy import integrate  # imported on use, to keep package start-up cheap
 
     points = [cert.t1] if 0.0 < cert.t1 < cert.t2 else None
     val, _ = integrate.quad(integrand, 0.0, cert.t2, points=points, epsrel=1e-8, epsabs=0.0, limit=400)

@@ -5,7 +5,13 @@ level uniformly below the current density value, then move on that level
 set ``k_inner`` times (``k_inner > 1`` is the k-step hybrid).  The level
 move of a ``SamplerKind`` is exact uniform sampling, stepping-out plus
 shrinkage on the axis, a hit-and-run chord draw, or stepping-out plus
-shrinkage along a random chord.
+shrinkage along a random chord (Neal 2003, *Slice sampling*).
+
+Each move also returns the density at the point it accepts, and the chain
+draws its next level from that value.  Stepping-out plus shrinkage already
+evaluated it on the line, bit for bit equal to ``eval_density`` there, so
+a step of those kinds evaluates the density only where the algorithm
+needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -14,6 +20,7 @@ chains are reproducible bit-for-bit for a fixed seed within one build.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +37,7 @@ from .errors import (
     SliceGapError,
 )
 from .slice_geometry import line_section, uniform_sample_level_set
-from .targets import Shape, eval_density
+from .targets import LineDensity, Shape, eval_density
 
 DEFAULT_MAX_LOOP = 10_000
 
@@ -100,8 +107,8 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(states), np.asarray(levels)
 
 
-def _draw_level(target, x: np.ndarray, rng: np.random.Generator) -> float:
-    rho = eval_density(target, x)
+def _draw_level(rho: float, x: np.ndarray, rng: np.random.Generator) -> float:
+    """A level uniform on (0, rho], where ``rho`` is the density at the current state ``x``."""
     if rho <= 0.0:
         raise InvalidStateError(f"density is zero at {x}; no transition defined")
     # uniform on (0, rho]; excluding 0 keeps the level set well defined
@@ -160,6 +167,11 @@ def shrinkage(
     max_loop: int = DEFAULT_MAX_LOOP,
 ) -> float:
     """Sample inside the bracket, shrinking the rejected side toward ``pos0``."""
+    return _shrink(bracket, pos0, t, line_density, rng, max_loop)[0]
+
+
+def _shrink(bracket, pos0, t, line_density, rng, max_loop) -> tuple[float, float]:
+    """``shrinkage``, also returning the line density at the accepted point."""
     left, right = bracket
     if not left < pos0 < right:
         raise ValueError(f"bracket ({left}, {right}) must strictly contain the start {pos0}")
@@ -167,8 +179,9 @@ def shrinkage(
         raise OffSliceError(f"shrinkage start {pos0} lies below level {t}")
     for _ in range(max_loop):
         y = left + rng.random() * (right - left)
-        if line_density(y) >= t:
-            return y
+        rho = line_density(y)
+        if rho >= t:
+            return y, rho
         if y < pos0:
             left = y
         else:
@@ -177,6 +190,15 @@ def shrinkage(
 
 
 # -- level-conditional moves (fixed level t) --------------------------------
+#
+# Each public move returns the new point; its private twin returns the point
+# and the density there, which the next level draw reads.
+
+
+@functools.cache
+def _axis_line(target) -> LineDensity:
+    """The density along the axis of a 1D target, built once per target."""
+    return target.line_density(0.0, 1.0)
 
 
 def uniform_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -184,17 +206,21 @@ def uniform_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator
     return uniform_sample_level_set(target, t, rng)
 
 
+def _so_sh_axis_move(target, t, x, rng, w, max_loop) -> tuple[np.ndarray, float]:
+    if target.dim != 1:
+        raise ValueError("axis stepping-out requires a one-dimensional target")
+    pos0 = float(np.atleast_1d(x)[0])
+    density = _axis_line(target)
+    bracket = stepping_out(density, pos0, t, w, rng, max_loop)
+    y, rho = _shrink(bracket, pos0, t, density, rng, max_loop)
+    return np.array([y]), rho
+
+
 def so_sh_level_move(
     target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
 ) -> np.ndarray:
     """One stepping-out plus shrinkage move on the axis of a 1D target."""
-    if target.dim != 1:
-        raise ValueError("axis stepping-out requires a one-dimensional target")
-    pos0 = float(np.atleast_1d(x)[0])
-    density = target.line_density(0.0, 1.0)
-    bracket = stepping_out(density, pos0, t, w, rng, max_loop)
-    y = shrinkage(bracket, pos0, t, density, rng, max_loop)
-    return np.array([y])
+    return _so_sh_axis_move(target, t, x, rng, w, max_loop)[0]
 
 
 def hit_and_run_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -204,6 +230,15 @@ def hit_and_run_level_move(target, t: float, x: np.ndarray, rng: np.random.Gener
     section = line_section(target, t, x, theta)
     s = section.parts.sample_uniform(rng)
     return x + s * theta
+
+
+def _so_sh_line_move(target, t, x, theta, rng, w, max_loop) -> tuple[np.ndarray, float]:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    density = target.line_density(x, theta)
+    bracket = stepping_out(density, 0.0, t, w, rng, max_loop)
+    s, rho = _shrink(bracket, 0.0, t, density, rng, max_loop)
+    return x + s * theta, rho
 
 
 def so_sh_line_move(
@@ -216,12 +251,7 @@ def so_sh_line_move(
     max_loop: int = DEFAULT_MAX_LOOP,
 ) -> np.ndarray:
     """Stepping-out plus shrinkage along a fixed direction, anchored at coordinate 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    density = target.line_density(x, theta)
-    bracket = stepping_out(density, 0.0, t, w, rng, max_loop)
-    s = shrinkage(bracket, 0.0, t, density, rng, max_loop)
-    return x + s * theta
+    return _so_sh_line_move(target, t, x, theta, rng, w, max_loop)[0]
 
 
 def har_so_sh_level_move(
@@ -232,16 +262,19 @@ def har_so_sh_level_move(
     return so_sh_line_move(target, t, x, theta, rng, w, max_loop)
 
 
-def _level_move(kind: SamplerKind, target, t, x, rng, w, max_loop) -> np.ndarray:
-    if kind is SamplerKind.SIMPLE:
-        return uniform_level_move(target, t, x, rng)
+def _level_move(kind: SamplerKind, target, t, x, rng, w, max_loop) -> tuple[np.ndarray, float]:
+    """The level move of ``kind`` from ``x``, and the density at the point it returns."""
     if kind is SamplerKind.SO_SH:
-        return so_sh_level_move(target, t, x, rng, w, max_loop)
-    if kind is SamplerKind.HAR:
-        return hit_and_run_level_move(target, t, x, rng)
+        return _so_sh_axis_move(target, t, x, rng, w, max_loop)
     if kind is SamplerKind.HAR_SO_SH:
-        return har_so_sh_level_move(target, t, x, rng, w, max_loop)
-    raise ValueError(f"no level move for kind {kind}")
+        return _so_sh_line_move(target, t, x, _unit_direction(rng, target.dim), rng, w, max_loop)
+    if kind is SamplerKind.SIMPLE:
+        y = uniform_level_move(target, t, x, rng)
+    elif kind is SamplerKind.HAR:
+        y = hit_and_run_level_move(target, t, x, rng)
+    else:
+        raise ValueError(f"no level move for kind {kind}")
+    return y, eval_density(target, y)
 
 
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,18 +323,27 @@ def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _step_with_level(target, config: SamplerConfig, x: np.ndarray, rng) -> tuple[np.ndarray, float]:
-    """One transition: a level draw, then ``config.k_inner`` level moves at that level."""
-    t = _draw_level(target, x, rng)
+def _step_with_level(
+    target, config: SamplerConfig, x: np.ndarray, rng, rho: float | None = None
+) -> tuple[np.ndarray, float, float]:
+    """One transition: a level draw, then ``config.k_inner`` level moves at that level.
+
+    ``rho`` is the density at ``x`` when the caller already has it.  Returns
+    the new state, the level and the density at the new state.
+    """
+    if rho is None:
+        rho = eval_density(target, x)
+    t = _draw_level(rho, x, rng)
     for _ in range(config.k_inner):
-        x = _level_move(config.kind, target, t, x, rng, config.w, config.max_loop)
-    return x, t
+        x, rho = _level_move(config.kind, target, t, x, rng, config.w, config.max_loop)
+    return x, t, rho
 
 
 def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:
     """Run ``n`` transitions from ``x0``; deterministic in all arguments."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if eval_density(target, x0) <= 0.0:
+    rho = eval_density(target, x0)
+    if rho <= 0.0:
         raise InvalidStateError(f"starting point {x0} has zero density")
     rng = np.random.default_rng(seed)
     states = np.empty((n + 1, target.dim))
@@ -310,7 +352,7 @@ def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:
     x = x0
     for i in range(1, n + 1):
         try:
-            x, t = _step_with_level(target, config, x, rng)
+            x, t, rho = _step_with_level(target, config, x, rng, rho)
         except SliceGapError as exc:
             raise ChainError(i, exc) from exc
         states[i] = x

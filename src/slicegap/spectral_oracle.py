@@ -29,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.sparse import csr_array
+# module-level on purpose: tools that count ARPACK calls rebind ``spectral_oracle.eigsh`` by name
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError

@@ -10,12 +10,13 @@ Scale comes from the arguments: ``run_verification_suite`` (behind
 targets, and the acceptance tests call them at full scale.  The functions
 reach ``kernels``, ``samplers`` and ``diagnostics`` through their modules
 at call time, so a negative control can corrupt one of them.
+``scipy.stats`` is imported inside the functions that use it, so that
+importing the package, which every command does, stays cheap.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from . import diagnostics, kernels, samplers, slice_geometry, spectral_oracle as oracle
 from .spectral_oracle import Check, KernelKind
@@ -67,6 +68,8 @@ def level_move_law(target, t: float, x0: float, w, bins: int, n: int, rng) -> li
     probs[mine] += (1.0 - gamma) * widths[mine] / ls.parts.intervals[local].length
     probs /= probs.sum()
     chi2 = float(((counts - n * probs) ** 2 / (n * probs)).sum())
+    from scipy import stats
+
     return [Check("level_kernel_match", 0.01, float(stats.chi2.sf(chi2, counts.size - 1)), 0.0)]
 
 
@@ -96,6 +99,8 @@ def strip_level_probes(target, grid, w, levels) -> list[Check]:
 
 def chi2_null_calibration(cells: int, n: int, replicates: int, rng) -> list[Check]:
     """Chi-square p-values of ``replicates`` uniform samples of size n over ``cells`` are uniform: KS p > 0.01."""
+    from scipy import stats
+
     pi = np.full(cells, 1.0 / cells)
     pvals = [diagnostics.chi_square_invariance(rng.choice(cells, size=n, p=pi), pi).p_value for _ in range(replicates)]
     return [Check("chi2_null_calibration", 0.01, float(stats.kstest(pvals, "uniform").pvalue), 0.0)]
@@ -118,6 +123,8 @@ VERIFY_SEED = 20_240_817
 
 def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     """The criteria at desk scale on the built-in reference targets, one row each."""
+    from scipy import stats
+
     rng = np.random.default_rng(seed)
     t1, t2, w = twin_triangles(), gaussian_pair(), 3.0
     levels_1d = [(j + 0.5) * 0.8 / 12 for j in range(12)]

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicegap.cli import main
+from slicegap.cli import _read_trace, main
 from slicegap.config import _SCHEMA, load_config_text
-from slicegap.errors import ConfigError
+from slicegap.errors import ConfigError, SliceGapError, TraceFormatError
 from slicegap.samplers import SamplerKind
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -445,3 +445,28 @@ class TestCliDiag:
             ["diag", "--config", str(cfg_path), "--out", str(out2), "--trace", str(out / "trace.csv")]
         )
         assert code == diagnostics_exit_code(out2)
+
+    def test_trace_of_wrong_width_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("step,level,x1\r\n0,0,0.5\r\n1,0.3,0.4\r\n")
+        cfg = str(ROOT / "configs" / "t2_har_so_sh.cfg")
+        assert main(["diag", "--config", cfg, "--out", str(tmp_path / "d"), "--trace", str(trace)]) == 3
+        err = capsys.readouterr().err
+        assert "shape (2, 1)" in err and "expected (n, 2)" in err
+
+    def test_trace_without_rows_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("# header only\nstep,level,x1\r\n")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL)
+        assert main(["diag", "--config", str(cfg_path), "--out", str(tmp_path / "d"), "--trace", str(trace)]) == 3
+        err = capsys.readouterr().err
+        assert "shape (0,)" in err and "expected (n, 1)" in err
+
+    def test_bad_trace_raises_a_package_error(self, tmp_path):
+        cfg = load_config_text(MINIMAL)
+        for name, text in (("wide", "step,level,x1,x2\r\n0,0,0.5,0\r\n"), ("ragged", "step,level,x1\r\n0,0\r\n1,0,0.4,1\r\n")):
+            (tmp_path / name).write_text(text)
+            with pytest.raises(TraceFormatError):
+                _read_trace(cfg, str(tmp_path / name))
+        assert issubclass(TraceFormatError, SliceGapError)

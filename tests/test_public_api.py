@@ -3,9 +3,15 @@
 ``slicegap.__all__`` is pinned as a literal, so adding or removing an
 export is a visible diff to this file.  ``bench/`` imports a few names by
 module path, including one private function; each must keep resolving.
+Importing the command line and the suite loads no scipy module that a
+command may not call.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +79,8 @@ BENCH_NAMES = [
     ("targets", "gaussian_pair"),
     ("targets", "twin_triangles"),
     ("samplers", "_step_with_level"),
+    # the tracer counts ARPACK calls by rebinding this attribute, so eigsh stays a module-level import
+    ("spectral_oracle", "eigsh"),
 ]
 
 
@@ -83,3 +91,13 @@ def test_exports_are_pinned():
 @pytest.mark.parametrize("module, name", BENCH_NAMES)
 def test_bench_names_resolve(module, name):
     assert callable(getattr(importlib.import_module(f"slicegap.{module}"), name))
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    code = (
+        "import sys, slicegap.cli, slicegap.suite; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
+    )
+    src = str(Path(slicegap.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from slicegap.samplers import (
     SamplerKind,
     Trace,
     _step_with_level,
+    har_so_sh_level_move,
     hit_and_run_level_move,
     read_trace_csv,
     run_chain,
@@ -22,10 +24,11 @@ from slicegap.samplers import (
     so_sh_level_move,
     so_sh_line_move,
     stepping_out,
+    uniform_level_move,
 )
 from slicegap.slice_geometry import level_set_1d, line_section
 from slicegap.spectral_oracle import Grid, KernelKind, build_full_matrix
-from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformInterval
+from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformInterval, eval_density
 
 
 class FakeRng:
@@ -479,6 +482,67 @@ class TestRunChain:
         reference = run_chain(ArrayLineTarget(target), config, x0, n, seed=11)
         assert np.array_equal(scalar.states, reference.states)
         assert np.array_equal(scalar.levels, reference.levels)
+
+
+#: (fixture, config) of every kind; the k-step case moves three times per level
+CHAIN_CASES = {
+    "simple": ("t1", SamplerConfig(SamplerKind.SIMPLE)),
+    "simple_2d": ("t2", SamplerConfig(SamplerKind.SIMPLE)),
+    "so_sh": ("t1", SamplerConfig(SamplerKind.SO_SH, w=3.0)),
+    "har": ("t2", SamplerConfig(SamplerKind.HAR)),
+    "har_so_sh": ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0)),
+    "har_so_sh_k3": ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0, k_inner=3)),
+}
+
+#: SHA-256 of the uncommented ``trace.csv`` of 2000 steps from the first mode, seed 2024.  A chain
+#: is reproducible within one build (numpy, libm), so these digests pin this build's traces.
+TRACE_SHA256 = {
+    "simple": "f405e1bf9ba839ed5441b12fea9695c3790252717f579033444c101bca8aad9d",
+    "simple_2d": "7beabf89e5a61edbad069f7567995626a49f8169252d0f8795069914f98d9f4a",
+    "so_sh": "f967896cd07a3d88d8708aa0dfb9c9531c9825379a279e9eb43ca56e1b0480a1",
+    "har": "9902d2b8cf626d74238731df582e5efd00f6021972f9d543889d80fd40952361",
+    "har_so_sh": "26617cc8f6d939bda8b0242912542d824787ac366e79a9e61c6e47f14c9e72fd",
+    "har_so_sh_k3": "3783886480504411d24f4f6c09d174c47a6eddebca01120e51816987990ae05f",
+}
+
+
+def _reference_chain(target, config, x0, n, seed):
+    """The transition as the paper states it: a level uniform on (0, density(x)], then ``k_inner`` public level moves."""
+    rng = np.random.default_rng(seed)
+    moves = {
+        SamplerKind.SIMPLE: lambda t, x: uniform_level_move(target, t, x, rng),
+        SamplerKind.SO_SH: lambda t, x: so_sh_level_move(target, t, x, rng, config.w),
+        SamplerKind.HAR: lambda t, x: hit_and_run_level_move(target, t, x, rng),
+        SamplerKind.HAR_SO_SH: lambda t, x: har_so_sh_level_move(target, t, x, rng, config.w),
+    }
+    move = moves[config.kind]
+    x, states, levels = np.atleast_1d(np.asarray(x0, dtype=float)), [], []
+    for _ in range(n):
+        t = eval_density(target, x) * (1.0 - rng.random())
+        for _ in range(config.k_inner):
+            x = move(t, x)
+        states.append(x)
+        levels.append(t)
+    return np.array(states), np.array(levels)
+
+
+class TestChainPins:
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_trace_digest(self, case, request, tmp_path):
+        name, config = CHAIN_CASES[case]
+        target = request.getfixturevalue(name)
+        run_chain(target, config, target.components[0].mode, 2000, seed=2024).to_csv(tmp_path / "trace.csv")
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == TRACE_SHA256[case]
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_run_chain_is_the_reference_loop(self, case, request):
+        name, config = CHAIN_CASES[case]
+        target = request.getfixturevalue(name)
+        x0 = np.asarray(target.components[0].mode) + 0.1
+        trace = run_chain(target, config, x0, 300, seed=31)
+        states, levels = _reference_chain(target, config, x0, 300, seed=31)
+        assert trace.states[1:].tobytes() == states.tobytes()
+        assert trace.levels[1:].tobytes() == levels.tobytes()
 
 
 def _csv_writer_bytes(trace, path, comment):
