@@ -143,10 +143,6 @@ def _gap_report(cfg: ExperimentConfig) -> GapReport:
         (*cfg.k_list, cfg.sampler.k_inner),
         cfg.levels_m,
         k_max=cfg.k_max,
-        tol=cfg.tol_theorem,
-        exact_tol=cfg.tol_exact,
-        mt_tol=cfg.tol_mt,
-        tv_tol=cfg.tol_tv,
         tv_n_max=cfg.tv_n_max,
         norm_bins=cfg.norm_bins,
         kstep_grid=grid if same_cells else Grid.for_target(cfg.target, cfg.kstep_cells, cfg.eps_cut),

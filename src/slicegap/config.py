@@ -61,10 +61,6 @@ _SCHEMA = {
         "eps_cut": float,
         "kstep_cells": _parse_ints,
         "kstep_m": int,
-        "tol_exact": float,
-        "tol_theorem": float,
-        "tol_mt": float,
-        "tol_tv": float,
     },
     "output": {"directory": str},
 }
@@ -89,10 +85,6 @@ class ExperimentConfig:
     eps_cut: float = oracle.EPS_CUT
     kstep_cells: tuple[int, ...] | None = None
     kstep_m: int | None = None
-    tol_exact: float = oracle.TOL_EXACT
-    tol_theorem: float = oracle.TOL_THEOREM
-    tol_mt: float = oracle.TOL_MT
-    tol_tv: float = oracle.TOL_TV
     directory: str = "."
     config_hash: str = field(default="", repr=False)
 
@@ -110,6 +102,16 @@ class ExperimentConfig:
             self.kstep_cells = self.cells if d == 1 else (24,) * d
         if self.kstep_m is None:
             self.kstep_m = self.levels_m if d == 1 else 8
+        if len(self.kstep_cells) != d:
+            raise ConfigError(f"oracle.kstep_cells needs {d} entries, got {len(self.kstep_cells)}")
+        for key in ("cells", "kstep_cells", "k_list"):
+            if any(v < 1 for v in getattr(self, key)):
+                raise ConfigError(f"oracle.{key} entries must be at least 1, got {getattr(self, key)}")
+        for key in ("levels_m", "kstep_m", "k_max", "tv_n_max", "norm_bins"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"oracle.{key} must be at least 1, got {getattr(self, key)}")
+        if not 0.0 < self.eps_cut < self.target.sup_norm:
+            raise ConfigError(f"oracle.eps_cut must lie in (0, {self.target.sup_norm:g}), the target's density range")
         if self.x0 is None:
             self.x0 = self.target.components[0].mode
         if len(self.x0) != d:

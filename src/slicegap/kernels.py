@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import OutOfClassError
-from .slice_geometry import LevelSet1D, diam_level_set, level_set_1d, vol_level_set
+from .slice_geometry import LineSection, diam_level_set, level_set_1d, vol_level_set
 from .targets import TargetDensity, check_Rw
 
 
@@ -43,9 +43,9 @@ def mixture_weight(length, delta, w: float):
     return float(g) if g.ndim == 0 else g
 
 
-def gamma_t(level_set: LevelSet1D, w: float) -> float:
-    """Mixture weight ((w - delta)/w) * |K| / (|K| + delta) of one level set."""
-    return mixture_weight(level_set.length, level_set.delta_t, w)
+def gamma_t(section: LineSection, w: float) -> float:
+    """Mixture weight ((w - delta)/w) * |K| / (|K| + delta) of one level-set section."""
+    return mixture_weight(section.length, section.delta, w)
 
 
 def beta_k_so_sh_closed_form(target: TargetDensity, w: float, k: int) -> float:

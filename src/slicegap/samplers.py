@@ -7,11 +7,11 @@ move of a ``SamplerKind`` is exact uniform sampling, stepping-out plus
 shrinkage on the axis, a hit-and-run chord draw, or stepping-out plus
 shrinkage along a random chord (Neal 2003, *Slice sampling*).
 
-Each move also returns the density at the point it accepts, and the chain
-draws its next level from that value.  Stepping-out plus shrinkage already
-evaluated it on the line, bit for bit equal to ``eval_density`` there, so
-a step of those kinds evaluates the density only where the algorithm
-needs it.
+Each level move is defined once and returns the point it accepts and the
+density there, from which the chain draws its next level.  Stepping-out
+plus shrinkage already evaluated that density on the line, bit for bit
+equal to ``eval_density`` there, so a step of those kinds evaluates the
+density only where the algorithm needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -78,10 +78,6 @@ class Trace:
     levels: np.ndarray  # (n+1,), levels[0] = 0
     seed: int
     config: SamplerConfig = field(repr=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
 
     def to_csv(self, path, comment: str | None = None) -> None:
         """Write ``step,level,x1,...,xd`` rows with 17 significant digits and CSV (``\\r\\n``) line ends."""
@@ -165,13 +161,8 @@ def shrinkage(
     line_density: Callable[[float], float],
     rng: np.random.Generator,
     max_loop: int = DEFAULT_MAX_LOOP,
-) -> float:
-    """Sample inside the bracket, shrinking the rejected side toward ``pos0``."""
-    return _shrink(bracket, pos0, t, line_density, rng, max_loop)[0]
-
-
-def _shrink(bracket, pos0, t, line_density, rng, max_loop) -> tuple[float, float]:
-    """``shrinkage``, also returning the line density at the accepted point."""
+) -> tuple[float, float]:
+    """Sample inside the bracket, shrinking the rejected side toward ``pos0``; returns the point and its density."""
     left, right = bracket
     if not left < pos0 < right:
         raise ValueError(f"bracket ({left}, {right}) must strictly contain the start {pos0}")
@@ -191,8 +182,8 @@ def _shrink(bracket, pos0, t, line_density, rng, max_loop) -> tuple[float, float
 
 # -- level-conditional moves (fixed level t) --------------------------------
 #
-# Each public move returns the new point; its private twin returns the point
-# and the density there, which the next level draw reads.
+# Each move returns the new point and the density there, which the next
+# level draw reads.
 
 
 @functools.cache
@@ -201,80 +192,65 @@ def _axis_line(target) -> LineDensity:
     return target.line_density(0.0, 1.0)
 
 
-def uniform_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def uniform_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Exact uniform refresh on the level set; ignores the current point."""
-    return uniform_sample_level_set(target, t, rng)
+    y = uniform_sample_level_set(target, t, rng)
+    return y, eval_density(target, y)
 
 
-def _so_sh_axis_move(target, t, x, rng, w, max_loop) -> tuple[np.ndarray, float]:
+def so_sh_level_move(
+    target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
+) -> tuple[np.ndarray, float]:
+    """One stepping-out plus shrinkage move on the axis of a 1D target."""
     if target.dim != 1:
         raise ValueError("axis stepping-out requires a one-dimensional target")
     pos0 = float(np.atleast_1d(x)[0])
     density = _axis_line(target)
     bracket = stepping_out(density, pos0, t, w, rng, max_loop)
-    y, rho = _shrink(bracket, pos0, t, density, rng, max_loop)
+    y, rho = shrinkage(bracket, pos0, t, density, rng, max_loop)
     return np.array([y]), rho
 
 
-def so_sh_level_move(
-    target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
-) -> np.ndarray:
-    """One stepping-out plus shrinkage move on the axis of a 1D target."""
-    return _so_sh_axis_move(target, t, x, rng, w, max_loop)[0]
-
-
-def hit_and_run_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def hit_and_run_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Uniform draw on the chord through ``x`` in a uniform random direction."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = _unit_direction(rng, target.dim)
     section = line_section(target, t, x, theta)
-    s = section.parts.sample_uniform(rng)
-    return x + s * theta
+    y = x + section.parts.sample_uniform(rng) * theta
+    return y, eval_density(target, y)
 
 
-def _so_sh_line_move(target, t, x, theta, rng, w, max_loop) -> tuple[np.ndarray, float]:
+def so_sh_line_move(
+    target, t: float, x: np.ndarray, theta: np.ndarray, rng: np.random.Generator, w: float,
+    max_loop: int = DEFAULT_MAX_LOOP,
+) -> tuple[np.ndarray, float]:
+    """Stepping-out plus shrinkage along a fixed direction, anchored at coordinate 0."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.asarray(theta, dtype=float)
     density = target.line_density(x, theta)
     bracket = stepping_out(density, 0.0, t, w, rng, max_loop)
-    s, rho = _shrink(bracket, 0.0, t, density, rng, max_loop)
+    s, rho = shrinkage(bracket, 0.0, t, density, rng, max_loop)
     return x + s * theta, rho
-
-
-def so_sh_line_move(
-    target,
-    t: float,
-    x: np.ndarray,
-    theta: np.ndarray,
-    rng: np.random.Generator,
-    w: float,
-    max_loop: int = DEFAULT_MAX_LOOP,
-) -> np.ndarray:
-    """Stepping-out plus shrinkage along a fixed direction, anchored at coordinate 0."""
-    return _so_sh_line_move(target, t, x, theta, rng, w, max_loop)[0]
 
 
 def har_so_sh_level_move(
     target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Random direction, then stepping-out plus shrinkage along it."""
-    theta = _unit_direction(rng, target.dim)
-    return so_sh_line_move(target, t, x, theta, rng, w, max_loop)
+    return so_sh_line_move(target, t, x, _unit_direction(rng, target.dim), rng, w, max_loop)
 
 
 def _level_move(kind: SamplerKind, target, t, x, rng, w, max_loop) -> tuple[np.ndarray, float]:
     """The level move of ``kind`` from ``x``, and the density at the point it returns."""
     if kind is SamplerKind.SO_SH:
-        return _so_sh_axis_move(target, t, x, rng, w, max_loop)
+        return so_sh_level_move(target, t, x, rng, w, max_loop)
     if kind is SamplerKind.HAR_SO_SH:
-        return _so_sh_line_move(target, t, x, _unit_direction(rng, target.dim), rng, w, max_loop)
+        return har_so_sh_level_move(target, t, x, rng, w, max_loop)
     if kind is SamplerKind.SIMPLE:
-        y = uniform_level_move(target, t, x, rng)
-    elif kind is SamplerKind.HAR:
-        y = hit_and_run_level_move(target, t, x, rng)
-    else:
-        raise ValueError(f"no level move for kind {kind}")
-    return y, eval_density(target, y)
+        return uniform_level_move(target, t, x, rng)
+    if kind is SamplerKind.HAR:
+        return hit_and_run_level_move(target, t, x, rng)
+    raise ValueError(f"no level move for kind {kind}")
 
 
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:

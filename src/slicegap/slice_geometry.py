@@ -71,27 +71,25 @@ class IntervalUnion:
 
 
 @dataclass(frozen=True)
-class LevelSet1D:
-    """A 1D level set: union of at most two intervals with its gap and length."""
-
-    t: float
-    parts: IntervalUnion
-    delta_t: float
-    length: float
-
-
-@dataclass(frozen=True)
 class LineSection:
-    """Intersection of a level set with the line x + s*theta, in the coordinate s.
+    """Intersection of a level set with a line, in the line's coordinate.
 
-    ``parts`` is the merged disjoint union of the per-component sections.
+    ``parts`` is the merged disjoint union of the per-component sections and
+    ``delta`` the gap between them (0 for one part).  The section of a 1D
+    level set along its axis is the level set itself.
     """
 
     parts: IntervalUnion
     delta: float
 
+    @classmethod
+    def from_intervals(cls, items) -> "LineSection":
+        """Merge ``items`` into the section's parts and measure the gap between them."""
+        union = IntervalUnion.from_intervals(items)
+        return cls(parts=union, delta=union.gaps()[0] if union.nparts == 2 else 0.0)
+
     @property
-    def total_length(self) -> float:
+    def length(self) -> float:
         return self.parts.total_length
 
 
@@ -102,15 +100,12 @@ def _validate_level(target, t: float) -> None:
         raise EmptyLevelSetError(f"level {t} exceeds the density maximum {target.sup_norm}")
 
 
-def level_set_1d(target, t: float) -> LevelSet1D:
-    """Level set of a 1D target as a union of at most two intervals."""
+def level_set_1d(target, t: float) -> LineSection:
+    """Level set of a 1D target as a section of at most two intervals."""
     if target.dim != 1:
         raise ValueError("level_set_1d requires a one-dimensional target")
     _validate_level(target, t)
-    regions = target.level_regions(min(t, target.sup_norm))
-    union = IntervalUnion.from_intervals(regions)
-    delta = union.gaps()[0] if union.nparts == 2 else 0.0
-    return LevelSet1D(t=t, parts=union, delta_t=delta, length=union.total_length)
+    return LineSection.from_intervals(target.level_regions(min(t, target.sup_norm)))
 
 
 def line_section(target, t: float, x, theta) -> LineSection:
@@ -135,9 +130,7 @@ def line_section(target, t: float, x, theta) -> LineSection:
     present = [iv for iv in sections if iv is not None]
     if not present:
         raise OffSliceError("line misses every level region")  # unreachable when rho(x) >= t
-    union = IntervalUnion.from_intervals(present)
-    delta = union.gaps()[0] if union.nparts == 2 else 0.0
-    return LineSection(parts=union, delta=delta)
+    return LineSection.from_intervals(present)
 
 
 def _line_region_section(region: Region | None, x: np.ndarray, theta: np.ndarray) -> Interval | None:

@@ -33,7 +33,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
-from .kernels import mixture_weight
+from .kernels import gamma_t, mixture_weight
 from .slice_geometry import level_set_1d
 
 #: boundary tolerance when assigning grid cells to a level set
@@ -42,7 +42,7 @@ LEVEL_TOL = 1e-12
 #: density below which a grid box drops a target's tails
 EPS_CUT = 1e-4
 
-# default margins of the gap report's checks, and its number of TV steps
+# margins of the gap report's checks, and its default number of TV steps
 TOL_THEOREM = 5e-3  # gap inequalities: sandwich and k-step corollary
 TOL_EXACT = 1e-6  # identities of exact kernels: monotone norms, power bound
 TOL_MT = 1e-3  # Doeblin bound on gap(U)
@@ -307,7 +307,7 @@ def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, 
     """Level-set geometry per node and the side of the gap each cell keeps."""
     sets = [level_set_1d(target, float(t)) for t in mids]
     plan.length = np.array([ls.length for ls in sets])
-    plan.gap = np.array([ls.delta_t for ls in sets])
+    plan.gap = np.array([ls.delta for ls in sets])
     two = np.flatnonzero([ls.parts.nparts == 2 for ls in sets])
     nodes = mids.size
     plan.side_count = np.zeros((2, nodes), dtype=np.int64)
@@ -509,7 +509,7 @@ def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float 
     P = np.tile(u, (idx.size, 1))
     ls = None if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN) else level_set_1d(target, t)
     if ls is not None and ls.parts.nparts == 2:
-        gamma = mixture_weight(ls.length, ls.delta_t, w)
+        gamma = gamma_t(ls, w)
         in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
         P *= gamma
         for mask in (in_first, ~in_first):
@@ -633,7 +633,7 @@ def _level_norm(target, grid: Grid, vals: np.ndarray, t: float, kind: KernelKind
     in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
     if ls.parts.nparts == 1 or in_first.all() or not in_first.any():
         return 0.0
-    return 1.0 - mixture_weight(ls.length, ls.delta_t, w)
+    return 1.0 - gamma_t(ls, w)
 
 
 def beta_profile(
@@ -681,10 +681,6 @@ def verify_theorem_bounds(
     k_list,
     m: int,
     k_max: int = 1,
-    tol: float = TOL_THEOREM,
-    exact_tol: float = TOL_EXACT,
-    mt_tol: float = TOL_MT,
-    tv_tol: float = TOL_TV,
     tv_n_max: int = TV_N_MAX,
     norm_bins: int = 1024,
     kstep_grid: Grid | None = None,
@@ -696,8 +692,10 @@ def verify_theorem_bounds(
     the kernels.  The k-step set covers ``k_list`` and 1..``k_max`` on
     ``kstep_grid`` with ``kstep_m`` levels (by default the main grid and
     ``m``); when those are the main ones, its k=1 kernel is H and the
-    corollary reuses gap(U) and beta.  The exact checks use ``exact_tol``,
-    capped at 1e-10 for the positivity of H and 1e-8 for reversibility.
+    corollary reuses gap(U) and beta.  The margins are the module's
+    ``TOL_*`` constants, read at call time; the exact checks use
+    ``TOL_EXACT``, capped at 1e-10 for the positivity of H and 1e-8 for
+    reversibility.
     """
     k_list = sorted(set(k_list))
     kgrid, km = kstep_grid or grid, kstep_m or m
@@ -708,21 +706,21 @@ def verify_theorem_bounds(
     H = ksteps[1] if shared else build_full_matrix(target, grid, kind, w, m)
     gap_u, gap_h = spectral_gap(U), spectral_gap(H)
 
-    checks = [Check("psd_H", lhs=-psd_check(H), rhs=0.0, tol=min(1e-10, exact_tol))]
-    checks += verify_sandwich(U, H, beta, tol)
+    checks = [Check("psd_H", lhs=-psd_check(H), rhs=0.0, tol=min(1e-10, TOL_EXACT))]
+    checks += verify_sandwich(U, H, beta, TOL_THEOREM)
     if shared:
         U_k, beta_k = U, beta
     else:
         U_k = build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km)
         beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)
-    checks += verify_corollary(U_k, beta_k, ksteps, tol)
+    checks += verify_corollary(U_k, beta_k, ksteps, TOL_THEOREM)
 
     for name, K in (("reversibility_U", U), ("reversibility_H", H)):
-        checks.append(Check(name, lhs=reversibility_check(K), rhs=0.0, tol=min(1e-8, exact_tol)))
-    checks += verify_monotonicity(ksteps, k_max, exact_tol)
-    checks += verify_power_bound(ksteps, k_max, exact_tol)
-    checks.append(verify_mt_bound(target, grid, U, mt_tol))
-    checks += verify_tv_bound(H, n_max=tv_n_max, tol=tv_tol)
+        checks.append(Check(name, lhs=reversibility_check(K), rhs=0.0, tol=min(1e-8, TOL_EXACT)))
+    checks += verify_monotonicity(ksteps, k_max, TOL_EXACT)
+    checks += verify_power_bound(ksteps, k_max, TOL_EXACT)
+    checks.append(verify_mt_bound(target, grid, U, TOL_MT))
+    checks += verify_tv_bound(H, n_max=tv_n_max, tol=TOL_TV)
     return GapReport(gap_u=gap_u, gap_h=gap_h, beta=beta, checks=checks)
 
 
@@ -772,7 +770,11 @@ def verify_mt_bound(target, grid: Grid, U: DiscreteKernel, tol: float = TOL_MT) 
 def verify_tv_bound(
     H: DiscreteKernel, nu: np.ndarray | None = None, n_max: int = TV_N_MAX, tol: float = TOL_TV
 ) -> list[Check]:
-    """Iterated total-variation distance against the geometric gap bound."""
+    """Iterated total-variation distance against the geometric gap bound.
+
+    TV(nu H^n, pi) <= 1/2 ||nu/pi - 1||_{L2(pi)} (1 - gap)^n, with the
+    factor 1/2 of the total-variation norm.
+    """
     gap = spectral_gap(H)
     pi = H.pi
     if nu is None:
@@ -787,5 +789,5 @@ def verify_tv_bound(
     for n in range(1, n_max + 1):
         mu = mu @ H.P
         tv = 0.5 * float(np.abs(mu - pi).sum())
-        checks.append(Check(f"tv_decay_n{n}", lhs=tv, rhs=(1.0 - gap) ** n * l2, tol=tol))
+        checks.append(Check(f"tv_decay_n{n}", lhs=tv, rhs=0.5 * (1.0 - gap) ** n * l2, tol=tol))
     return checks

@@ -135,7 +135,7 @@ def _two_part_refresh(target, x, rows, t, w, k):
     parts = [(x >= iv.lo - 1e-12) & (x <= iv.hi + 1e-12) for iv in ls.parts.intervals]
     gamma = 1.0
     if w is not None and len(parts) == 2:
-        gamma = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta_t, w)) ** k
+        gamma = 1.0 - (1.0 - mixture_weight(ls.length, ls.delta, w)) ** k
     members = np.logical_or.reduce(parts)
     A = gamma * np.outer(rows, members) / members.sum()
     for part in parts if gamma < 1.0 else ():

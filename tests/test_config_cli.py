@@ -136,6 +136,42 @@ kind = simple
         assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("norm_bins = 128", "norm_bins = 128\nkstep_cells = 200,200", "kstep_cells"),
+            ("cells = 200", "cells = 0", "cells"),
+            ("norm_bins = 128", "norm_bins = 128\nkstep_cells = 0", "kstep_cells"),
+            ("levels_m = 50", "levels_m = 0", "levels_m"),
+            ("norm_bins = 128", "norm_bins = 128\nkstep_m = 0", "kstep_m"),
+            ("k_list = 1,2", "k_list = 1,0", "k_list"),
+            ("norm_bins = 128", "norm_bins = 0", "norm_bins"),
+            ("norm_bins = 128", "norm_bins = 128\neps_cut = 0", "eps_cut"),
+            ("norm_bins = 128", "norm_bins = 128\neps_cut = 1.0", "eps_cut"),
+            ("k_max = 3", "k_max = 0", "k_max"),
+            ("tv_n_max = 10", "tv_n_max = -1", "tv_n_max"),
+        ],
+        ids=[
+            "kstep_cells_count",
+            "cells_zero",
+            "kstep_cells_zero",
+            "levels_m_zero",
+            "kstep_m_zero",
+            "k_list_zero",
+            "norm_bins_zero",
+            "eps_cut_zero",
+            "eps_cut_at_max_density",
+            "k_max_zero",
+            "tv_n_max_negative",
+        ],
+    )
+    def test_invalid_oracle_value_exits_2(self, tmp_path, capsys, old, new, key):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.replace(old, new))
+        assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / "gap")]) == 2
+        assert f"oracle.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "gap").exists()
+
     def test_readme_block_documents_every_key(self):
         readme = (ROOT / "README.md").read_text()
         block = readme.split("```ini\n")[1].split("```")[0]
@@ -213,16 +249,13 @@ class TestCliGap:
         assert len(passing) == len(lines) - 2
         assert "ALL CHECKS PASS" in (out / "gap_summary.txt").read_text()
 
-    def test_zero_tolerance_negative_control(self, tmp_path):
-        text = MINIMAL + "\n[oracle]\ntol_exact = 0\ntol_tv = 0\ntol_theorem = 0\ntol_mt = 0\n".replace(
-            "[oracle]\n", ""
-        )
-        merged = MINIMAL.replace(
-            "norm_bins = 128",
-            "norm_bins = 128\ntol_exact = 0\ntol_tv = 0\ntol_theorem = 0\ntol_mt = 0",
-        )
+    def test_zero_tolerance_negative_control(self, tmp_path, monkeypatch):
+        from slicegap import spectral_oracle as oracle
+
+        for name in ("TOL_EXACT", "TOL_TV", "TOL_THEOREM", "TOL_MT"):
+            monkeypatch.setattr(oracle, name, 0.0)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(merged)
+        cfg_path.write_text(MINIMAL)
         out = tmp_path / "gap"
         assert main(["gap", "--config", str(cfg_path), "--out", str(out)]) == 4
         lines = (out / "gap_report.csv").read_text().splitlines()
@@ -246,16 +279,18 @@ class TestCliGap:
 
 
     @pytest.mark.parametrize(
-        "config, vacuous",
+        "config, rows, vacuous",
         [
-            ("configs/t1_so_sh.cfg", []),
-            ("bench/gap2d.cfg", [f"{row}_k{k}" for row in ("sandwich_lower", "corollary_kstep_gap") for k in (1, 2)]),
+            ("configs/t1_so_sh.cfg", 84, []),
+            ("bench/gap2d.cfg", 70, [f"{row}_k{k}" for row in ("sandwich_lower", "corollary_kstep_gap") for k in (1, 2)]),
         ],
         ids=["t1", "gap2d"],
     )
-    def test_summary_flags_vacuous_lower_bounds(self, tmp_path, config, vacuous):
+    def test_summary_flags_vacuous_lower_bounds(self, tmp_path, config, rows, vacuous):
         out = tmp_path / "gap"
-        assert main(["gap", "--config", str(Path(__file__).resolve().parents[1] / config), "--out", str(out)]) == 0
+        assert main(["gap", "--config", str(ROOT / config), "--out", str(out)]) == 0
+        # bench/run.py expects these row counts (GAP_ROWS)
+        assert len((out / "gap_report.csv").read_text().splitlines()) == 2 + rows
         summary = (out / "gap_summary.txt").read_text().splitlines()
         assert [ln.split("] ")[1].split(":")[0] for ln in summary if ln.endswith(" (vacuous)")] == vacuous
         assert summary[-1] == f"result: ALL CHECKS PASS; {len(vacuous)} vacuous lower bounds"
@@ -284,19 +319,19 @@ class TestGapReportSharing:
             return oracle.build_k_step_matrices(target, grid, kind, w, ks, m)
 
         beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)
-        checks = [Check("psd_H", lhs=-oracle.psd_check(full(kind)), rhs=0.0, tol=min(1e-10, cfg.tol_exact))]
-        checks += oracle.verify_sandwich(full(KernelKind.UNIFORM), full(kind), beta, tol=cfg.tol_theorem)
+        checks = [Check("psd_H", lhs=-oracle.psd_check(full(kind)), rhs=0.0, tol=min(1e-10, oracle.TOL_EXACT))]
+        checks += oracle.verify_sandwich(full(KernelKind.UNIFORM), full(kind), beta, tol=oracle.TOL_THEOREM)
         gap_u, kmats = oracle.spectral_gap(full(KernelKind.UNIFORM)), ksteps(k_list)
         for k in k_list:
             gap_k = oracle.spectral_gap(kmats[k])
-            checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u - beta[k], rhs=gap_k, tol=cfg.tol_theorem))
-        rev_tol = min(1e-8, cfg.tol_exact)
+            checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u - beta[k], rhs=gap_k, tol=oracle.TOL_THEOREM))
+        rev_tol = min(1e-8, oracle.TOL_EXACT)
         for name, kk in (("reversibility_U", KernelKind.UNIFORM), ("reversibility_H", kind)):
             checks.append(Check(name, lhs=oracle.reversibility_check(full(kk)), rhs=0.0, tol=rev_tol))
-        checks += oracle.verify_monotonicity(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=cfg.tol_exact)
-        checks += oracle.verify_power_bound(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=cfg.tol_exact)
-        checks.append(oracle.verify_mt_bound(target, grid, full(KernelKind.UNIFORM), tol=cfg.tol_mt))
-        checks += oracle.verify_tv_bound(full(kind), n_max=cfg.tv_n_max, tol=cfg.tol_tv)
+        checks += oracle.verify_monotonicity(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=oracle.TOL_EXACT)
+        checks += oracle.verify_power_bound(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=oracle.TOL_EXACT)
+        checks.append(oracle.verify_mt_bound(target, grid, full(KernelKind.UNIFORM), tol=oracle.TOL_MT))
+        checks += oracle.verify_tv_bound(full(kind), n_max=cfg.tv_n_max, tol=oracle.TOL_TV)
         return checks
 
     def test_each_kernel_assembled_and_solved_once(self, monkeypatch):
@@ -337,6 +372,8 @@ class TestCliVerify:
         assert main(["verify", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "verify_report.csv").read_text()
         assert "so_sh_norm_identity" in report
+        # bench/run.py expects this row count (VERIFY_ROWS)
+        assert len(report.splitlines()) == 2 + 19
 
     def test_config_only_supplies_the_seed(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -404,7 +441,7 @@ class TestCliVerify:
         (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
         assert check.passed
         left = level_set_1d(t1, 0.5).parts.intervals[0]
-        monkeypatch.setattr(samplers, "so_sh_level_move", lambda target, t, x, rng, w: rng.uniform(left.lo, left.hi, 1))
+        monkeypatch.setattr(samplers, "so_sh_level_move", lambda target, t, x, rng, w: (rng.uniform(left.lo, left.hi, 1), 1.0))
         (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
         assert not check.passed
 

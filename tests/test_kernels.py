@@ -43,26 +43,22 @@ class TestGamma:
 
     def test_direct_arithmetic(self, t1):
         # synthetic numbers: length 1, gap 0.5, width 1 -> (0.5/1) * (1/1.5)
-        from slicegap.slice_geometry import IntervalUnion, LevelSet1D
+        from slicegap.slice_geometry import LineSection
         from slicegap.targets import Interval
 
-        ls = LevelSet1D(
-            t=0.5,
-            parts=IntervalUnion((Interval(0.0, 0.5), Interval(1.0, 1.5))),
-            delta_t=0.5,
-            length=1.0,
-        )
+        ls = LineSection.from_intervals([Interval(0.0, 0.5), Interval(1.0, 1.5)])
+        assert (ls.length, ls.delta) == (1.0, 0.5)
         assert gamma_t(ls, 1.0) == pytest.approx(1.0 / 3.0)
 
     def test_vanishes_as_gap_approaches_width(self, t1):
         ls = level_set_1d(t1, 0.5)
-        w = ls.delta_t * (1.0 + 1e-9)
+        w = ls.delta * (1.0 + 1e-9)
         assert gamma_t(ls, w) < 1e-8
 
     def test_gap_at_width_rejected(self, t1):
         ls = level_set_1d(t1, 0.5)
         with pytest.raises(OutOfClassError):
-            gamma_t(ls, ls.delta_t)
+            gamma_t(ls, ls.delta)
 
     def test_t1_frozen_value(self, t1):
         assert gamma_t(level_set_1d(t1, 0.5), 3.0) == pytest.approx(GAMMA_T1_HALF, abs=1e-14)
@@ -77,7 +73,7 @@ class TestOpNormSoSh:
 
     def test_approaches_one(self, t1):
         ls = level_set_1d(t1, 0.5)
-        assert 1.0 - gamma_t(ls, ls.delta_t * (1 + 1e-12)) > 1.0 - 1e-9
+        assert 1.0 - gamma_t(ls, ls.delta * (1 + 1e-12)) > 1.0 - 1e-9
 
     def test_matches_discretized_second_singular_value(self, t1):
         grid = Grid.for_target(t1, 500)
@@ -131,9 +127,9 @@ class TestHarNormBound:
 class TestCombinedDensity:
     def test_line_weights_match_section(self, t2):
         sec = line_section(t2, 0.5, (0.0, 0.0), (1.0, 0.0))
-        weight = mixture_weight(sec.total_length, sec.delta, 3.0)
+        weight = mixture_weight(sec.length, sec.delta, 3.0)
         assert 0.0 < weight < 1.0
-        gamma = ((3.0 - sec.delta) / 3.0) * (sec.total_length / (sec.total_length + sec.delta))
+        gamma = ((3.0 - sec.delta) / 3.0) * (sec.length / (sec.length + sec.delta))
         assert weight == pytest.approx(gamma)
 
 

@@ -104,7 +104,7 @@ class TestSteppingOut:
 class TestShrinkage:
     def test_exact_bracket_accepts_first_uniform(self):
         rng = np.random.default_rng(3)
-        ys = np.array([shrinkage((0.0, 1.0), 0.5, 0.5, indicator01, rng) for _ in range(50_000)])
+        ys = np.array([shrinkage((0.0, 1.0), 0.5, 0.5, indicator01, rng)[0] for _ in range(50_000)])
         assert stats.kstest(ys, "uniform").pvalue > 0.01
 
     def test_left_rejection_moves_left_edge(self):
@@ -112,13 +112,13 @@ class TestShrinkage:
         # the second draw must come from the shrunk bracket [y1, 2]
         fake = FakeRng([0.1, 0.7])
         y1 = -2.0 + 0.1 * 4.0
-        y = shrinkage((-2.0, 2.0), 0.5, 0.5, indicator01, fake)
+        y, _ = shrinkage((-2.0, 2.0), 0.5, 0.5, indicator01, fake)
         assert y == pytest.approx(y1 + 0.7 * (2.0 - y1))
 
     def test_right_rejection_moves_right_edge(self):
         fake = FakeRng([0.9, 0.7])
         y1 = -2.0 + 0.9 * 4.0
-        y = shrinkage((-2.0, 2.0), 0.5, 0.5, indicator01, fake)
+        y, _ = shrinkage((-2.0, 2.0), 0.5, 0.5, indicator01, fake)
         assert y == pytest.approx(-2.0 + 0.7 * (y1 - (-2.0)))
 
     def test_bad_bracket_rejected(self):
@@ -132,7 +132,7 @@ class TestSoShStep:
         rng = np.random.default_rng(4)
         t = 0.4
         iv = level_set_1d(tri, t).parts.intervals[0]
-        ys = np.array([so_sh_level_move(tri, t, np.array([0.1]), rng, 3.0)[0] for _ in range(30_000)])
+        ys = np.array([so_sh_level_move(tri, t, np.array([0.1]), rng, 3.0)[0][0] for _ in range(30_000)])
         assert stats.kstest((ys - iv.lo) / iv.length, "uniform").pvalue > 0.01
 
     def test_level_kernel_matches_mixture(self, t1):
@@ -142,7 +142,7 @@ class TestSoShStep:
         ls = level_set_1d(t1, t)
         gamma = gamma_t(ls, w)
         left, right = ls.parts.intervals
-        ys = np.array([so_sh_level_move(t1, t, np.array([-1.0]), rng, w)[0] for _ in range(n)])
+        ys = np.array([so_sh_level_move(t1, t, np.array([-1.0]), rng, w)[0][0] for _ in range(n)])
         edges_l = np.linspace(left.lo, left.hi, 13)
         edges_r = np.linspace(right.lo, right.hi, 13)
         counts = np.concatenate([np.histogram(ys, edges_l)[0], np.histogram(ys, edges_r)[0]])
@@ -222,7 +222,7 @@ class TestHitAndRun:
         rng = np.random.default_rng(10)
         t = 0.5
         ls = level_set_1d(t1, t)
-        ys = np.array([hit_and_run_level_move(t1, t, np.array([-1.0]), rng)[0] for _ in range(30_000)])
+        ys = np.array([hit_and_run_level_move(t1, t, np.array([-1.0]), rng)[0][0] for _ in range(30_000)])
         p_left = float((ys < 0.0).mean())
         expect = ls.parts.intervals[0].length / ls.length
         assert abs(p_left - expect) <= 3.0 * math.sqrt(expect * (1 - expect) / ys.size)
@@ -334,7 +334,7 @@ class TestHarSoSh:
         theta = np.array([0.0, 1.0])
         sec = line_section(t2, t, x, theta)
         iv = sec.parts.intervals[0]
-        ys = np.array([so_sh_line_move(t2, t, x, theta, rng, 3.0) for _ in range(20_000)])
+        ys = np.array([so_sh_line_move(t2, t, x, theta, rng, 3.0)[0] for _ in range(20_000)])
         ss = ys[:, 1]
         assert stats.kstest((ss - iv.lo) / iv.length, "uniform").pvalue > 0.01
 
@@ -346,15 +346,15 @@ class TestHarSoSh:
         x = np.array([0.0, 0.0])
         theta = np.array([1.0, 0.0])
         sec = line_section(t2, t, x, theta)
-        gamma = mixture_weight(sec.total_length, sec.delta, w)
+        gamma = mixture_weight(sec.length, sec.delta, w)
         first, second = sec.parts.intervals
-        ys = np.array([so_sh_line_move(t2, t, x, theta, rng, w) for _ in range(n)])
+        ys = np.array([so_sh_line_move(t2, t, x, theta, rng, w)[0] for _ in range(n)])
         ss = ys[:, 0]
         edges_l = np.linspace(first.lo, first.hi, 13)
         edges_r = np.linspace(second.lo, second.hi, 13)
         counts = np.concatenate([np.histogram(ss, edges_l)[0], np.histogram(ss, edges_r)[0]])
         widths = np.concatenate([np.diff(edges_l), np.diff(edges_r)])
-        probs = gamma * widths / sec.total_length
+        probs = gamma * widths / sec.length
         probs[:12] += (1.0 - gamma) * widths[:12] / first.length
         probs /= probs.sum()
         chi2 = float(((counts - n * probs) ** 2 / (n * probs)).sum())
@@ -410,7 +410,7 @@ class TestKStep:
         for i in range(1, 51):
             t = float(t1.density(x)) * (1.0 - rng.random())
             for _ in range(3):
-                x = so_sh_level_move(t1, t, x, rng, 3.0)
+                x, _ = so_sh_level_move(t1, t, x, rng, 3.0)
             assert trace.levels[i] == t and np.array_equal(trace.states[i], x)
         first = _step_with_level(t1, cfg, trace.states[0], np.random.default_rng(4))[0]
         assert np.array_equal(first, trace.states[1])
@@ -520,7 +520,7 @@ def _reference_chain(target, config, x0, n, seed):
     for _ in range(n):
         t = eval_density(target, x) * (1.0 - rng.random())
         for _ in range(config.k_inner):
-            x = move(t, x)
+            x = move(t, x)[0]
         states.append(x)
         levels.append(t)
     return np.array(states), np.array(levels)

@@ -33,7 +33,7 @@ class TestLevelSet1D:
         # frozen values, cross-checked against the dense membership scan below
         assert (a1, b1) == pytest.approx((-1.5, -0.5), abs=1e-12)
         assert (a2, b2) == pytest.approx((0.625, 1.375), abs=1e-12)
-        assert ls.delta_t == pytest.approx(1.125, abs=1e-12)
+        assert ls.delta == pytest.approx(1.125, abs=1e-12)
         assert ls.length == pytest.approx(1.75, abs=1e-12)
         scanned = scan_intervals_1d(t1, 0.5, -2.5, 2.5)
         assert len(scanned) == 2
@@ -45,7 +45,7 @@ class TestLevelSet1D:
         ls = level_set_1d(t1, 0.9)
         assert ls.parts.nparts == 1
         assert (ls.parts.intervals[0].lo, ls.parts.intervals[0].hi) == pytest.approx((-1.1, -0.9))
-        assert ls.delta_t == 0.0
+        assert ls.delta == 0.0
 
     def test_empty_and_invalid_levels(self, t1):
         with pytest.raises(EmptyLevelSetError):

@@ -442,6 +442,22 @@ class TestVerifiers:
         checks = verify_tv_bound(build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=80), n_max=50)
         assert all(c.passed for c in checks)
 
+    def test_tv_bound_is_tight_on_two_state_chain(self):
+        # from a point mass the TV distance is 1/2 |2p - 1|^n and the L2 norm is 1: the bound holds with equality
+        checks = verify_tv_bound(two_state(0.8), n_max=5)
+        assert [c.lhs for c in checks] == pytest.approx([c.rhs for c in checks], rel=1e-12)
+        assert checks[0].lhs == pytest.approx(0.3)
+
+    def test_tv_bound_fails_an_overstated_gap(self, monkeypatch):
+        # 1 - gap at 3/4 of its value puts each TV distance between the bound and twice the bound
+        from slicegap import spectral_oracle as oracle
+
+        K = two_state(0.8)
+        monkeypatch.setattr(oracle, "spectral_gap", lambda _: 1.0 - 0.75 * 0.6)
+        checks = verify_tv_bound(K, n_max=2)
+        assert all(c.rhs < c.lhs <= 2.0 * c.rhs for c in checks)
+        assert not any(c.passed for c in checks)
+
     def test_tv_rank_one_collapses_in_one_step(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))

@@ -97,4 +97,4 @@ def test_gap_reaching_width_raises(target, fraction):
     ls = level_set_1d(target, 0.5 * min(c.height for c in target.components))
     assume(ls.parts.nparts == 2)
     with pytest.raises(OutOfClassError):
-        verify_theorem_bounds(target, Grid.for_target(target, 200), KernelKind.SO_SH, fraction * ls.delta_t, [1], 20)
+        verify_theorem_bounds(target, Grid.for_target(target, 200), KernelKind.SO_SH, fraction * ls.delta, [1], 20)
