@@ -13,11 +13,17 @@ kernels sum powers of the level matrices), so every kernel is stochastic
 and reversible by construction, with the discretized target as its
 stationary weights.  Operator norms are the largest absolute eigenvalues
 of the symmetric stationary-similarity transform, solved once per kernel.
+The norm and the positivity check keep one n x n working array besides
+the kernel, the detailed-balance check none: each reads a matrix against
+its transpose in blocks of 256 rows.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
-explicit margin, on kernels it is given.  ``verify_theorem_bounds`` is the
-one place that assembles the kernels of a gap report, each once, and runs
-every check on them.
+explicit margin, on the gaps and norms it is given (the TV bound alone
+iterates a kernel).  ``verify_theorem_bounds`` is the one place that
+assembles the kernels of a gap report, each once, and runs every check:
+it reduces U to numbers and releases it, then walks the k-step set one
+kernel at a time, so at most H and one working n x n array coexist with
+the kernel being solved.
 """
 
 from __future__ import annotations
@@ -124,6 +130,9 @@ class DiscreteKernel:
     _norm: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1] or self.pi.shape != self.P.shape[:1]:
+            shapes = f"got P {self.P.shape} and pi {self.pi.shape}"
+            raise ValueError(f"{self.label or 'kernel'} needs a square P and pi of shape (n,); {shapes}")
         if self.P.min() < 0.0:
             raise ValueError(f"{self.label or 'kernel'} has a negative entry {self.P.min():.3e}")
         drift = np.abs(self.P.sum(axis=1) - 1.0).max()
@@ -418,8 +427,15 @@ class _StripPlan:
         flow /= N_THETA * self.rho[:, None]
         return flow
 
-    def power_kernels(self, w, k_list) -> dict[int, np.ndarray]:
-        """H_k from rho(x) H_k(x, y) = sum over nodes j of width_j A_j^k(x, y), for the sorted ``k_list``."""
+    def power_kernels(self, w, k_list):
+        """H_k for the sorted ``k_list``, handed out in its order, each flow released as its kernel goes.
+
+        H alone is one prefix sum per strip (``kernel``); a set holding k > 1 sums
+        rho(x) H_k(x, y) = sum over nodes j of width_j A_j^k(x, y) for every k in one joint pass, k=1 included.
+        """
+        if k_list == (1,):
+            yield self.kernel(w)
+            return
         falling = np.argsort(-self.rank, kind="stable")  # every node's cells lead
         flows = {k: np.zeros((self.rho.size,) * 2) for k in k_list}
         for j, (width, size) in enumerate(zip(self.width, _count_from(self.rank, (self.levels.size,)))):
@@ -431,7 +447,8 @@ class _StripPlan:
                     step += 1
                 flows[k][:size, :size] += width * power
         back = np.ix_(*(np.argsort(falling),) * 2)
-        return {k: flow[back] / self.rho[:, None] for k, flow in flows.items()}
+        for k in k_list:
+            yield flows.pop(k)[back] / self.rho[:, None]
 
 
 def _strip_pairs(strip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,41 +536,51 @@ def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float 
 
 def build_full_matrix(target, grid: Grid, kind: KernelKind, w: float | None = None, m: int = 64) -> DiscreteKernel:
     """Full transition matrix: the level integral of level kernels."""
-    return _build_power_matrix(target, grid, kind, w, (1,), m)[1]
+    return dict(_power_kernels(target, grid, kind, w, (1,), m))[1]
 
 
 def build_k_step_matrices(
     target, grid: Grid, kind: KernelKind, w: float | None, k_list, m: int = 64
 ) -> dict[int, DiscreteKernel]:
     """One pass over levels shared by several ``k`` values."""
-    return _build_power_matrix(target, grid, kind, w, tuple(k_list), m)
+    return dict(_power_kernels(target, grid, kind, w, tuple(k_list), m))
 
 
-def _build_power_matrix(target, grid, kind, w, k_list, m) -> dict[int, DiscreteKernel]:
-    """Kernels taking ``k`` inner steps per level, for every ``k`` of ``k_list``.
+def _power_kernels(target, grid, kind, w, k_list, m):
+    """Kernels taking ``k`` inner steps per level, for every ``k`` of ``k_list``, one at a time by increasing ``k``.
 
-    1D and uniform kernels refine their level nodes by ``m`` levels; 2D strip kernels are exact and ignore it.
-    H alone is one prefix sum per strip; a 2D set holding k > 1 sums width_j A_j^k over nodes, k=1 included.
+    1D and uniform kernels refine their level nodes by ``m`` levels and are built per ``k``; 2D strip kernels
+    are exact, ignore it, and come from one joint pass.  Nothing here keeps a kernel it has handed out.
     """
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
     k_list = tuple(sorted(set(k_list)))
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
-        mats = {k: plan.kernel(kind, w, k) for k in k_list}
+        mats = (plan.kernel(kind, w, k) for k in k_list)
     else:
         plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
-        mats = {1: plan.kernel(w)} if k_list == (1,) else plan.power_kernels(w, k_list)
+        mats = plan.power_kernels(w, k_list)
     pi = plan.rho / plan.rho.sum()
-    return {k: DiscreteKernel(P=mats[k], pi=pi, label=f"{kind.value}-k{k}-m{m}", support=plan.support) for k in k_list}
+    # next() rather than a loop variable: while suspended, this frame holds no matrix it has handed out
+    for k in k_list:
+        yield k, DiscreteKernel(P=next(mats), pi=pi, label=f"{kind.value}-k{k}-m{m}", support=plan.support)
 
 
 # -- norms and spectra ---------------------------------------------------------
 
 
+#: rows per block where a check reads a matrix and its transpose together
+ROW_BLOCK = 256
+
+
 def _centered_similarity(K: DiscreteKernel) -> np.ndarray:
+    """D^(1/2) (P - 1 pi^T) D^(-1/2), built in place in one n x n array."""
     root = np.sqrt(K.pi)
-    return (root[:, None] * (K.P - K.pi[None, :])) / root[None, :]
+    C = K.P - K.pi[None, :]
+    C *= root[:, None]
+    C /= root[None, :]
+    return C
 
 
 def op_norm_centered(K: DiscreteKernel) -> float:
@@ -567,8 +594,8 @@ def op_norm_centered(K: DiscreteKernel) -> float:
     if K._norm is None:
         C = _centered_similarity(K)
         # row blocks keep the check from allocating a second n x n array
-        for start in range(0, K.n, 256):
-            rows = slice(start, start + 256)
+        for start in range(0, K.n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
             asym = float(np.abs(C[rows] - C[:, rows].T).max())
             if asym > 1e-8:
                 raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
@@ -600,19 +627,29 @@ def spectral_gap(K: DiscreteKernel) -> float:
 def psd_check(K: DiscreteKernel) -> float:
     """Minimum eigenvalue of the symmetrized similarity transform."""
     root = np.sqrt(K.pi)
-    # in place, so at most one n x n temporary (for A.T) coexists with A
     A = root[:, None] * K.P
     A /= root[None, :]
-    A += A.T
+    # A + A^T in place, a block of rows and its mirrored columns at a time: each block reads
+    # only entries that no earlier block wrote, so no n x n copy of A^T is made
+    for start in range(0, K.n, ROW_BLOCK):
+        rows, rest = slice(start, start + ROW_BLOCK), slice(start, None)
+        both = A[rows, rest] + A[rest, rows].T
+        A[rows, rest] = both
+        A[rest, rows] = both.T
     A *= 0.5
     return float(np.linalg.eigvalsh(A).min())
 
 
 def reversibility_check(K: DiscreteKernel) -> float:
     """Largest detailed-balance residual max_ij |pi_i P_ij - pi_j P_ji|."""
-    flow = K.pi[:, None] * K.P
-    flow -= flow.T  # in place, as in psd_check
-    return float(np.abs(flow, out=flow).max())
+    worst = 0.0
+    # a block of rows of the flow against the same columns, so no n x n flow or transpose is made
+    for start in range(0, K.n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        residual = K.pi[rows, None] * K.P[rows]
+        residual -= (K.pi[:, None] * K.P[:, rows]).T
+        worst = max(worst, float(np.abs(residual, out=residual).max()))
+    return worst
 
 
 # -- numeric beta profile ------------------------------------------------------
@@ -688,83 +725,85 @@ def verify_theorem_bounds(
 ) -> GapReport:
     """Assemble the kernels of a gap report once and run every check on them.
 
-    The beta profile comes first, so its level matrices never coexist with
-    the kernels.  The k-step set covers ``k_list`` and 1..``k_max`` on
-    ``kstep_grid`` with ``kstep_m`` levels (by default the main grid and
-    ``m``); when those are the main ones, its k=1 kernel is H and the
-    corollary reuses gap(U) and beta.  The margins are the module's
-    ``TOL_*`` constants, read at call time; the exact checks use
-    ``TOL_EXACT``, capped at 1e-10 for the positivity of H and 1e-8 for
-    reversibility.
+    The order of work bounds memory.  The beta profile comes first, so its
+    level matrices never coexist with the kernels.  U is reduced to gap(U)
+    and its detailed-balance residual, then released.  The k-step set
+    covers ``k_list`` and 1..``k_max`` on ``kstep_grid`` with ``kstep_m``
+    levels (by default the main grid and ``m``) and is walked one kernel at
+    a time, each kept only as its norm; when those are the main ones, its
+    k=1 kernel is H and the corollary reuses gap(U) and beta.  H alone is
+    held in full, so at most H and one working n x n array coexist with
+    the kernel being solved.  The margins are the module's ``TOL_*``
+    constants, read at call time; the exact checks use ``TOL_EXACT``,
+    capped at 1e-10 for the positivity of H and 1e-8 for reversibility.
     """
     k_list = sorted(set(k_list))
     kgrid, km = kstep_grid or grid, kstep_m or m
     shared = kgrid is grid and km == m
     beta = beta_k_numeric_many(target, grid, kind, w, k_list, m, norm_bins)
-    ksteps = build_k_step_matrices(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km)
     U = build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
-    H = ksteps[1] if shared else build_full_matrix(target, grid, kind, w, m)
-    gap_u, gap_h = spectral_gap(U), spectral_gap(H)
+    gap_u, reversibility_u = spectral_gap(U), reversibility_check(U)
+    del U
+    if shared:
+        gap_uk, beta_k = gap_u, beta
+    else:
+        gap_uk = spectral_gap(build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km))
+        beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)
+
+    norms = {}
+    for k, K in _power_kernels(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km):
+        norms[k] = op_norm_centered(K)
+        if shared and k == 1:
+            H = K
+        del K  # released before the next kernel is built
+    if not shared:
+        H = build_full_matrix(target, grid, kind, w, m)
+    gap_h = spectral_gap(H)
 
     checks = [Check("psd_H", lhs=-psd_check(H), rhs=0.0, tol=min(1e-10, TOL_EXACT))]
-    checks += verify_sandwich(U, H, beta, TOL_THEOREM)
-    if shared:
-        U_k, beta_k = U, beta
-    else:
-        U_k = build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km)
-        beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)
-    checks += verify_corollary(U_k, beta_k, ksteps, TOL_THEOREM)
-
-    for name, K in (("reversibility_U", U), ("reversibility_H", H)):
-        checks.append(Check(name, lhs=reversibility_check(K), rhs=0.0, tol=min(1e-8, TOL_EXACT)))
-    checks += verify_monotonicity(ksteps, k_max, TOL_EXACT)
-    checks += verify_power_bound(ksteps, k_max, TOL_EXACT)
-    checks.append(verify_mt_bound(target, grid, U, TOL_MT))
+    checks += verify_sandwich(gap_u, gap_h, beta, TOL_THEOREM)
+    checks += verify_corollary(gap_uk, beta_k, norms, TOL_THEOREM)
+    for name, residual in (("reversibility_U", reversibility_u), ("reversibility_H", reversibility_check(H))):
+        checks.append(Check(name, lhs=residual, rhs=0.0, tol=min(1e-8, TOL_EXACT)))
+    checks += verify_monotonicity(norms, k_max, TOL_EXACT)
+    checks += verify_power_bound(norms, k_max, TOL_EXACT)
+    checks.append(verify_mt_bound(target, grid, gap_u, TOL_MT))
     checks += verify_tv_bound(H, n_max=tv_n_max, tol=TOL_TV)
     return GapReport(gap_u=gap_u, gap_h=gap_h, beta=beta, checks=checks)
 
 
-def verify_sandwich(
-    U: DiscreteKernel, H: DiscreteKernel, beta: dict[int, float], tol: float = TOL_THEOREM
-) -> list[Check]:
+def verify_sandwich(gap_u: float, gap_h: float, beta: dict[int, float], tol: float = TOL_THEOREM) -> list[Check]:
     """gap(H) <= gap(U), and (gap(U) - beta_k) / k <= gap(H) for every k of ``beta``."""
-    gap_u, gap_h = spectral_gap(U), spectral_gap(H)
     checks = [Check("sandwich_upper_gapH_le_gapU", lhs=gap_h, rhs=gap_u, tol=tol)]
     return checks + [Check(f"sandwich_lower_k{k}", lhs=(gap_u - beta[k]) / k, rhs=gap_h, tol=tol) for k in sorted(beta)]
 
 
 def verify_corollary(
-    U: DiscreteKernel, beta: dict[int, float], ksteps: dict[int, DiscreteKernel], tol: float = TOL_THEOREM
+    gap_u: float, beta: dict[int, float], norms: dict[int, float], tol: float = TOL_THEOREM
 ) -> list[Check]:
-    """The k-step corollary gap(U) - beta_k <= gap(H_k) for every k of ``beta``."""
-    gap_u = spectral_gap(U)
-    return [Check(f"corollary_kstep_gap_k{k}", gap_u - beta[k], spectral_gap(ksteps[k]), tol) for k in sorted(beta)]
+    """The k-step corollary gap(U) - beta_k <= gap(H_k) = 1 - ``norms[k]`` for every k of ``beta``."""
+    return [Check(f"corollary_kstep_gap_k{k}", gap_u - beta[k], 1.0 - norms[k], tol) for k in sorted(beta)]
 
 
-def verify_monotonicity(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = TOL_EXACT) -> list[Check]:
-    """Centered norms of the k-step kernels must not increase with ``k`` up to ``k_max``."""
-    norms = [op_norm_centered(ksteps[k]) for k in range(1, k_max + 1)]
+def verify_monotonicity(norms: dict[int, float], k_max: int, tol: float = TOL_EXACT) -> list[Check]:
+    """Centered norms of the k-step kernels, ``norms[k]``, must not increase with ``k`` up to ``k_max``."""
     return [
-        Check(f"monotone_norm_k{k + 1}_le_k{k}", lhs=norms[k], rhs=norms[k - 1], tol=tol) for k in range(1, k_max)
+        Check(f"monotone_norm_k{k + 1}_le_k{k}", lhs=norms[k + 1], rhs=norms[k], tol=tol) for k in range(1, k_max)
     ]
 
 
-def verify_power_bound(ksteps: dict[int, DiscreteKernel], k_max: int, tol: float = TOL_EXACT) -> list[Check]:
-    """The one-step norm to the k-th power is bounded by the k-step norm."""
-    norm_h = op_norm_centered(ksteps[1])
-    return [
-        Check(f"power_bound_k{k}", lhs=norm_h**k, rhs=op_norm_centered(ksteps[k]), tol=tol)
-        for k in range(1, k_max + 1)
-    ]
+def verify_power_bound(norms: dict[int, float], k_max: int, tol: float = TOL_EXACT) -> list[Check]:
+    """The one-step norm to the k-th power is bounded by the k-step norm, for k up to ``k_max``."""
+    return [Check(f"power_bound_k{k}", lhs=norms[1] ** k, rhs=norms[k], tol=tol) for k in range(1, k_max + 1)]
 
 
-def verify_mt_bound(target, grid: Grid, U: DiscreteKernel, tol: float = TOL_MT) -> Check:
-    """Doeblin lower bound on the exact-refresh gap from mass over box volume."""
+def verify_mt_bound(target, grid: Grid, gap_u: float, tol: float = TOL_MT) -> Check:
+    """Doeblin lower bound on the exact-refresh gap ``gap_u`` from mass over box volume."""
     vals = density_on_grid(target, grid)
     act = _active_cells(vals)
     mass = float(vals[act].sum()) * grid.cell_vol
     bound = mass / (float(vals.max()) * act.size * grid.cell_vol)
-    return Check("mt_lower_bound_gapU", lhs=bound, rhs=spectral_gap(U), tol=tol)
+    return Check("mt_lower_bound_gapU", lhs=bound, rhs=gap_u, tol=tol)
 
 
 def verify_tv_bound(

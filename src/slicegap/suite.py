@@ -136,12 +136,13 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     U = oracle.build_full_matrix(t1, g_full, KernelKind.UNIFORM, None, m=150)
     mats = oracle.build_k_step_matrices(t1, g_full, KernelKind.SO_SH, w, list(range(1, 6)), m=150)
     betas = oracle.beta_k_numeric_many(t1, g_full, KernelKind.SO_SH, w, [1, 5], m=150, norm_bins=512)
+    gap_u, norms = oracle.spectral_gap(U), {k: oracle.op_norm_centered(K) for k, K in mats.items()}
     rows = [identity, _fold("beta_closed_vs_numeric", beta)]
     rows.append(Check("full_kernel_reversibility", max(map(oracle.reversibility_check, (U, mats[1]))), 0.0, 1e-8))
-    rows.append(_fold("gap_sandwich", oracle.verify_sandwich(U, mats[1], betas)))
-    rows.append(_fold("kstep_monotonicity", oracle.verify_monotonicity(mats, 5)))
-    rows.append(_fold("kstep_power_bound", oracle.verify_power_bound(mats, 5)))
-    rows.append(_fold("doeblin_gap_bound", [oracle.verify_mt_bound(t1, g_full, U)]))
+    rows.append(_fold("gap_sandwich", oracle.verify_sandwich(gap_u, oracle.spectral_gap(mats[1]), betas)))
+    rows.append(_fold("kstep_monotonicity", oracle.verify_monotonicity(norms, 5)))
+    rows.append(_fold("kstep_power_bound", oracle.verify_power_bound(norms, 5)))
+    rows.append(_fold("doeblin_gap_bound", [oracle.verify_mt_bound(t1, g_full, gap_u)]))
     rows.append(_fold("tv_decay_bound", oracle.verify_tv_bound(mats[1], n_max=30)))
     rows.append(psd_1d)
     rows += strip_level_probes(t2, oracle.Grid.for_target(t2, (32, 32)), w, [(j + 0.5) / 6 for j in range(6)])

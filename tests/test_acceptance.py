@@ -25,6 +25,7 @@ from slicegap.spectral_oracle import (
     beta_k_numeric_many,
     build_full_matrix,
     build_k_step_matrices,
+    op_norm_centered,
     reversibility_check,
     spectral_gap,
     verify_corollary,
@@ -87,16 +88,16 @@ def t2_bundle(t2):
     coarse = Grid.for_target(t2, (24, 24))
     U_c = build_full_matrix(t2, coarse, KernelKind.UNIFORM, W, m=8)
     betas_c = beta_k_numeric_many(t2, coarse, KernelKind.COMBINED, W, K_LIST_2D, m=8, norm_bins=256)
-    corollary = verify_corollary(
-        U_c, betas_c, build_k_step_matrices(t2, coarse, KernelKind.COMBINED, W, K_LIST_2D, m=8), tol=1e-2
-    )
+    ksteps_c = build_k_step_matrices(t2, coarse, KernelKind.COMBINED, W, K_LIST_2D, m=8)
+    norms_c = {k: op_norm_centered(K) for k, K in ksteps_c.items()}
+    corollary = verify_corollary(spectral_gap(U_c), betas_c, norms_c, tol=1e-2)
     return dict(grid=grid, U=U, H=H, betas=betas, probes=probes, corollary=corollary, elapsed=time.time() - start)
 
 
 def test_criterion_1_gap_sandwich(t1_bundle):
     """Gap sandwich on the 1D reference target with the mixture kernel."""
     b = t1_bundle
-    checks = verify_sandwich(b["U"], b["H"], b["betas"], tol=5e-3)
+    checks = verify_sandwich(spectral_gap(b["U"]), spectral_gap(b["H"]), b["betas"], tol=5e-3)
     assert announce(
         1,
         passed(checks) and b["elapsed_core"] < 120.0,
@@ -136,7 +137,8 @@ def test_criterion_6_combined_sampler_theory(t2_bundle):
     """Level-kernel positivity, combined norm bound, gap sandwich and k-step corollary on the 2D target."""
     b = t2_bundle
     psd, norm = b["probes"]["psd_levels_2d"], b["probes"]["combined_norm_bound"]
-    checks = [psd, norm, *verify_sandwich(b["U"], b["H"], b["betas"], tol=1e-2), *b["corollary"]]
+    sandwich = verify_sandwich(spectral_gap(b["U"]), spectral_gap(b["H"]), b["betas"], tol=1e-2)
+    checks = [psd, norm, *sandwich, *b["corollary"]]
     assert announce(
         6,
         passed(checks) and b["elapsed"] < 900.0,
@@ -147,8 +149,9 @@ def test_criterion_6_combined_sampler_theory(t2_bundle):
 
 def test_criterion_7_monotonicity_and_power_bound(t1_bundle):
     """k-step norms decrease in k and dominate the matching one-step power."""
-    mono = verify_monotonicity(t1_bundle["mats"], 10, tol=1e-6)
-    power = verify_power_bound(t1_bundle["mats"], 10, tol=1e-6)
+    norms = {k: op_norm_centered(K) for k, K in t1_bundle["mats"].items()}
+    mono = verify_monotonicity(norms, 10, tol=1e-6)
+    power = verify_power_bound(norms, 10, tol=1e-6)
     assert announce(
         7,
         passed(mono + power),
@@ -158,7 +161,8 @@ def test_criterion_7_monotonicity_and_power_bound(t1_bundle):
 
 def test_criterion_8_doeblin_bound(t1, t2, t1_bundle, t2_bundle):
     """Mass-over-box lower bound on the exact-refresh gap, both targets."""
-    checks = [verify_mt_bound(t, b["grid"], b["U"], tol=1e-3) for t, b in ((t1, t1_bundle), (t2, t2_bundle))]
+    bundles = ((t1, t1_bundle), (t2, t2_bundle))
+    checks = [verify_mt_bound(t, b["grid"], spectral_gap(b["U"]), tol=1e-3) for t, b in bundles]
     assert announce(8, passed(checks), "; ".join(f"{c.lhs:.4f} <= {c.rhs:.4f}" for c in checks))
 
 

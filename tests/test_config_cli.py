@@ -300,6 +300,13 @@ class TestGapReportSharing:
     TEXT = MINIMAL.replace("levels_m = 50", "levels_m = 40").replace("k_list = 1,2", "k_list = 1,2,5").replace(
         "k_max = 3", "k_max = 5"
     )
+    # 2D, with the k-step set on the main grid: its kernels come from the joint strip power pass
+    TEXT_2D = (
+        TEXT.replace("twin_triangles", "gaussian_pair")
+        .replace("so_sh", "har_so_sh")
+        .replace("cells = 200", "cells = 10,10\nkstep_cells = 10,10\nkstep_m = 8")
+        .replace("levels_m = 40", "levels_m = 8")
+    )
 
     @staticmethod
     def _reference_checks(cfg):
@@ -320,51 +327,57 @@ class TestGapReportSharing:
 
         beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)
         checks = [Check("psd_H", lhs=-oracle.psd_check(full(kind)), rhs=0.0, tol=min(1e-10, oracle.TOL_EXACT))]
-        checks += oracle.verify_sandwich(full(KernelKind.UNIFORM), full(kind), beta, tol=oracle.TOL_THEOREM)
         gap_u, kmats = oracle.spectral_gap(full(KernelKind.UNIFORM)), ksteps(k_list)
+        checks += oracle.verify_sandwich(gap_u, oracle.spectral_gap(full(kind)), beta, tol=oracle.TOL_THEOREM)
         for k in k_list:
             gap_k = oracle.spectral_gap(kmats[k])
             checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u - beta[k], rhs=gap_k, tol=oracle.TOL_THEOREM))
         rev_tol = min(1e-8, oracle.TOL_EXACT)
         for name, kk in (("reversibility_U", KernelKind.UNIFORM), ("reversibility_H", kind)):
             checks.append(Check(name, lhs=oracle.reversibility_check(full(kk)), rhs=0.0, tol=rev_tol))
-        checks += oracle.verify_monotonicity(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=oracle.TOL_EXACT)
-        checks += oracle.verify_power_bound(ksteps(range(1, cfg.k_max + 1)), cfg.k_max, tol=oracle.TOL_EXACT)
-        checks.append(oracle.verify_mt_bound(target, grid, full(KernelKind.UNIFORM), tol=oracle.TOL_MT))
+        norms = {k: oracle.op_norm_centered(K) for k, K in ksteps(range(1, cfg.k_max + 1)).items()}
+        checks += oracle.verify_monotonicity(norms, cfg.k_max, tol=oracle.TOL_EXACT)
+        checks += oracle.verify_power_bound(norms, cfg.k_max, tol=oracle.TOL_EXACT)
+        checks.append(oracle.verify_mt_bound(target, grid, gap_u, tol=oracle.TOL_MT))
         checks += oracle.verify_tv_bound(full(kind), n_max=cfg.tv_n_max, tol=oracle.TOL_TV)
         return checks
 
-    def test_each_kernel_assembled_and_solved_once(self, monkeypatch):
+    def test_each_kernel_assembled_and_solved_once(self):
         from collections import Counter
 
         from slicegap import spectral_oracle as oracle
-        from slicegap.cli import _gap_report
+        from slicegap.cli import _KIND_MAP, _gap_report
 
-        cfg = load_config_text(self.TEXT)
-        reference = self._reference_checks(cfg)
-        assembled, solved, kernels = Counter(), Counter(), []
-        build, similarity = oracle._build_power_matrix, oracle._centered_similarity
+        power_kernels, similarity = oracle._power_kernels, oracle._centered_similarity
+        for text in (self.TEXT, self.TEXT_2D):
+            cfg = load_config_text(text)
+            reference = self._reference_checks(cfg)
+            calls, assembled, solved, kernels = [], Counter(), Counter(), []
 
-        def counting_build(target, grid, kind, w, k_list, m):
-            for k in set(k_list):
-                assembled[(grid.bounds, grid.shape, kind, m, k)] += 1
-            return build(target, grid, kind, w, k_list, m)
+            def counting_kernels(target, grid, kind, w, k_list, m):
+                calls.append(kind)
+                for k in set(k_list):
+                    assembled[(grid.bounds, grid.shape, kind, m, k)] += 1
+                return power_kernels(target, grid, kind, w, k_list, m)
 
-        def counting_similarity(K):
-            kernels.append(K)  # keeps every kernel alive, so ids stay unique
-            solved[id(K)] += 1
-            return similarity(K)
+            def counting_similarity(K):
+                kernels.append(K)  # keeps every kernel alive, so ids stay unique
+                solved[id(K)] += 1
+                return similarity(K)
 
-        monkeypatch.setattr(oracle, "_build_power_matrix", counting_build)
-        monkeypatch.setattr(oracle, "_centered_similarity", counting_similarity)
-        report = _gap_report(cfg)
-        assert len(assembled) == 1 + 5  # U and the k-step kernels 1..5, k=1 being H
-        assert set(assembled.values()) == {1}
-        assert set(solved.values()) == {1}
-        assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in reference]
-        for got, ref in zip(report.checks, reference):
-            assert got.lhs == pytest.approx(ref.lhs, abs=1e-12)
-            assert got.rhs == pytest.approx(ref.rhs, abs=1e-12)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(oracle, "_power_kernels", counting_kernels)
+                monkeypatch.setattr(oracle, "_centered_similarity", counting_similarity)
+                report = _gap_report(cfg)
+            # U, then the k-step set 1..5 in one pass, k=1 being H
+            assert calls == [oracle.KernelKind.UNIFORM, _KIND_MAP[cfg.sampler.kind]]
+            assert len(assembled) == 1 + 5
+            assert set(assembled.values()) == {1}
+            assert set(solved.values()) == {1}
+            assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in reference]
+            for got, ref in zip(report.checks, reference):
+                assert got.lhs == pytest.approx(ref.lhs, abs=1e-12)
+                assert got.rhs == pytest.approx(ref.rhs, abs=1e-12)
 
 
 class TestCliVerify:

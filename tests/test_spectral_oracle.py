@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,60 @@ class TestOpNorm:
         with pytest.raises(ValueError, match="negative"):
             DiscreteKernel(P=P, pi=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "P, pi",
+        [
+            (np.full((2, 3), 1.0 / 3.0), np.full(2, 0.5)),
+            (np.full((3, 3), 1.0 / 3.0), np.full(2, 0.5)),
+            (np.full((3, 3), 1.0 / 3.0), np.full((3, 1), 1.0 / 3.0)),
+            (np.full(3, 1.0), np.full(3, 1.0 / 3.0)),
+        ],
+        ids=["P-not-square", "pi-too-short", "pi-not-a-vector", "P-not-a-matrix"],
+    )
+    def test_shape_mismatch_names_both_shapes(self, P, pi):
+        with pytest.raises(ValueError, match=re.escape(f"got P {P.shape} and pi {pi.shape}")):
+            DiscreteKernel(P=P, pi=pi)
+
+
+class TestRowBlocks:
+    """The row-blocked checks against their full-matrix formulas, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def K(self):
+        # 517 rows: two full 256-row blocks and a partial one of 5
+        rng = np.random.default_rng(517)
+        S = rng.random((517, 517)) ** 4
+        S += S.T
+        S[rng.random(S.shape) < 0.3] = 0.0
+        S = np.maximum(S, S.T)
+        S[np.diag_indices_from(S)] += 1.0  # a lazy diagonal: the mass that _broken moves
+        return DiscreteKernel(P=S / S.sum(axis=1, keepdims=True), pi=S.sum(axis=1), label="random-reversible")
+
+    def test_op_norm_centered(self, K):
+        root = np.sqrt(K.pi)
+        C = (root[:, None] * (K.P - K.pi[None, :])) / root[None, :]
+        assert op_norm_centered(K) == float(np.abs(np.linalg.eigvalsh(C)).max())
+
+    @staticmethod
+    def _broken(K):
+        """K with detailed balance broken between two cells of the partial last block, and nowhere else."""
+        P = K.P.copy()
+        P[515, [512, 515]] += [5e-3, -5e-3]
+        return DiscreteKernel(P=P, pi=K.pi, label="broken")
+
+    def test_psd_check(self, K):
+        for kernel in (K, self._broken(K)):
+            root = np.sqrt(kernel.pi)
+            A = (root[:, None] * kernel.P) / root[None, :]
+            assert psd_check(kernel) == float(np.linalg.eigvalsh((A + A.T) * 0.5).min())
+
+    def test_reversibility_check(self, K):
+        broken = self._broken(K)
+        for kernel in (K, broken):
+            flow = kernel.pi[:, None] * kernel.P
+            assert reversibility_check(kernel) == float(np.abs(flow - flow.T).max())
+        assert reversibility_check(broken) > 1e-6 > reversibility_check(K)
+
 
 class TestBetaNumeric:
     def test_uniform_kind_is_zero(self, t1):
@@ -394,6 +450,25 @@ class TestVerifiers:
         assert len(lines) == 2 + len(small_report.checks)
         assert "ALL CHECKS PASS" in small_report.summary()
 
+    def test_memory_holds_h_and_one_working_array(self, t1):
+        # tracemalloc sees numpy's array buffers; the level plan is cached before either measured run
+        import tracemalloc
+
+        grid = Grid.for_target(t1, 500)
+
+        def peak(k_max):
+            tracemalloc.start()
+            try:
+                verify_theorem_bounds(t1, grid, KernelKind.SO_SH, 3.0, [1, 2, 5], m=50, k_max=k_max, norm_bins=128)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        verify_theorem_bounds(t1, grid, KernelKind.SO_SH, 3.0, [1], m=50, norm_bins=128)
+        low, high = peak(2), peak(10)
+        assert high < 6 * grid.n**2 * 8
+        assert high <= 1.1 * low
+
     def test_uniform_kind_sandwich_is_tight(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(40,))
@@ -406,20 +481,22 @@ class TestVerifiers:
     def test_monotonicity_and_power(self, t1):
         grid = Grid.for_target(t1, 300)
         ksteps = build_k_step_matrices(t1, grid, KernelKind.SO_SH, 3.0, range(1, 7), m=80)
-        mono = verify_monotonicity(ksteps, 6)
-        power = verify_power_bound(ksteps, 6)
+        norms = {k: op_norm_centered(K) for k, K in ksteps.items()}
+        mono = verify_monotonicity(norms, 6)
+        power = verify_power_bound(norms, 6)
         assert all(c.passed for c in mono)
         assert all(c.passed for c in power)
 
     def test_monotonicity_constant_for_uniform(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
-        mono = verify_monotonicity(build_k_step_matrices(u, grid, KernelKind.UNIFORM, None, range(1, 5), m=10), 4)
+        ksteps = build_k_step_matrices(u, grid, KernelKind.UNIFORM, None, range(1, 5), m=10)
+        mono = verify_monotonicity({k: op_norm_centered(K) for k, K in ksteps.items()}, 4)
         assert all(abs(c.margin) < 1e-12 for c in mono)
 
     def test_mt_bound(self, t1):
         grid = Grid.for_target(t1, 300)
-        check = verify_mt_bound(t1, grid, build_full_matrix(t1, grid, KernelKind.UNIFORM, None, m=64))
+        check = verify_mt_bound(t1, grid, spectral_gap(build_full_matrix(t1, grid, KernelKind.UNIFORM, None, m=64)))
         assert check.passed
         # mass 1.8 over height 1 times support length 4
         assert check.lhs == pytest.approx(0.45, abs=5e-3)
@@ -427,7 +504,7 @@ class TestVerifiers:
     def test_mt_bound_uniform_equality(self):
         u = UniformInterval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
-        check = verify_mt_bound(u, grid, build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=64))
+        check = verify_mt_bound(u, grid, spectral_gap(build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=64)))
         assert check.lhs == pytest.approx(1.0)
         assert check.rhs == pytest.approx(1.0, abs=1e-10)
 
@@ -478,27 +555,27 @@ class TestVerifierNegativeControls:
         return build_full_matrix(t1, grid, KernelKind.UNIFORM, None, m=30)
 
     def test_lazier_k2_breaks_monotonicity(self, U):
-        (check,) = verify_monotonicity({1: U, 2: self._lazy(U, 0.5)}, 2)
+        (check,) = verify_monotonicity({1: op_norm_centered(U), 2: op_norm_centered(self._lazy(U, 0.5))}, 2)
         assert not check.passed
 
     def test_faster_k2_breaks_power_bound(self, U):
         # norm(H)^2 exceeds the norm of a k=2 kernel that mixes in one step
         rank_one = DiscreteKernel(P=np.tile(U.pi, (U.n, 1)), pi=U.pi)
-        checks = verify_power_bound({1: self._lazy(U, 0.5), 2: rank_one}, 2)
+        checks = verify_power_bound({1: op_norm_centered(self._lazy(U, 0.5)), 2: op_norm_centered(rank_one)}, 2)
         assert [c.passed for c in checks] == [True, False]
 
     def test_lazy_kernel_breaks_doeblin_bound(self, t1, U):
         grid = Grid.for_target(t1, 120)
-        assert verify_mt_bound(t1, grid, U).passed
-        assert not verify_mt_bound(t1, grid, self._lazy(U, 0.99)).passed
+        assert verify_mt_bound(t1, grid, spectral_gap(U)).passed
+        assert not verify_mt_bound(t1, grid, spectral_gap(self._lazy(U, 0.99))).passed
 
     def test_swapped_kernels_break_sandwich(self, U):
-        lazy = self._lazy(U, 0.5)
-        assert all(c.passed for c in verify_sandwich(U, lazy, {1: 1.0}))
-        upper, _ = verify_sandwich(lazy, U, {1: 1.0})
+        gap_u, gap_lazy = spectral_gap(U), spectral_gap(self._lazy(U, 0.5))
+        assert all(c.passed for c in verify_sandwich(gap_u, gap_lazy, {1: 1.0}))
+        upper, _ = verify_sandwich(gap_lazy, gap_u, {1: 1.0})
         assert not upper.passed
         # beta_1 = 0 would make the lazy kernel as fast as the exact refresh
-        _, lower = verify_sandwich(U, lazy, {1: 0.0})
+        _, lower = verify_sandwich(gap_u, gap_lazy, {1: 0.0})
         assert not lower.passed
 
 
