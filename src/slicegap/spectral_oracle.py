@@ -11,9 +11,13 @@ over 128 directions and change only at its nodes.  A flow is one prefix
 sum over nodes gathered at the smaller rank of each pair (2D k-step
 kernels sum powers of the level matrices), so every kernel is stochastic
 and reversible by construction, with the discretized target as its
-stationary weights.  Operator norms are the largest absolute eigenvalues
-of the symmetric stationary-similarity transform, solved once per kernel.
-The norm and the positivity check keep one n x n working array besides
+stationary weights.  The 2D level matrices come from one walk over the
+nodes in a single buffer, each node adding only the weight changes of its
+strips; each matrix handed out is a view that later nodes overwrite.
+Operator norms are the largest absolute eigenvalues of the symmetric
+stationary-similarity transform, solved once per kernel; ``scipy.sparse``
+is imported only when a kernel above 800 cells needs ARPACK.  The norm
+and the positivity check keep one n x n working array besides
 the kernel, the detailed-balance check none: each reads a matrix against
 its transpose in blocks of 256 rows.
 
@@ -34,9 +38,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_array
-# module-level on purpose: tools that count ARPACK calls rebind ``spectral_oracle.eigsh`` by name
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from .kernels import gamma_t, mixture_weight
@@ -347,6 +348,9 @@ def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, 
 #: line directions of a 2D level kernel, evenly spaced over a half-turn
 N_THETA = 128
 
+#: index entries per update of a level matrix walk, which bounds its temporaries
+UPDATE_BLOCK = 1 << 16
+
 
 @dataclass(eq=False)
 class _StripPlan:
@@ -365,6 +369,14 @@ class _StripPlan:
     where the strip can split above it.  ``span`` holds, per side of each
     strip that can split (its ``row``), the lowest and highest chord
     coordinate of the side's first c cells by falling density.
+
+    A level matrix is the sum of w_c 1_c 1_c^T over its columns c: each
+    strip key, then each part key ``2 * key + side`` after the strip keys.
+    ``falling`` orders the cells by falling density, so node j's
+    ``size[j]`` cells lead it.  ``members`` is (member, first), with the
+    positions in that order of column c's cells, rising, at
+    member[first[c]:first[c + 1]].  ``level_matrices`` walks the nodes in
+    one buffer and hands out each A_j as a view that later nodes overwrite.
     """
 
     rho: np.ndarray
@@ -379,35 +391,79 @@ class _StripPlan:
     row: np.ndarray
     span: np.ndarray
 
+    @functools.cached_property
+    def falling(self) -> np.ndarray:
+        return np.argsort(-self.rank, kind="stable")
+
+    @functools.cached_property
+    def size(self) -> np.ndarray:
+        return _count_from(self.rank, (self.levels.size,))
+
+    @functools.cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        # made on the first walk, not with the plan, so the plan's temporaries are gone by then
+        strip, part = self.columns(self.falling)
+        # one direction's keys form a run of columns, rising with the direction: sorting each row sorts them all
+        member = np.empty((2, *strip.shape), dtype=np.min_scalar_type(self.rho.size))
+        for half, keys in enumerate((strip, part)):
+            member[half] = np.argsort(keys, axis=1, kind="stable")
+        return member.ravel(), np.concatenate([[0], np.cumsum(self.column_count(self.falling))])
+
+    def columns(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Strip keys and part keys ``2 * key + side`` of ``cells``, one row per direction."""
+        sid = self.sid[:, cells]
+        return sid, 2 * sid + self.side[cells]
+
+    def column_count(self, cells) -> np.ndarray:
+        """Cells of ``cells`` in each level-matrix column: the strip keys, then the part keys."""
+        strip, part = self.columns(cells)
+        strips = N_THETA * self.strips
+        counts = np.bincount(strip.ravel(), minlength=strips), np.bincount(part.ravel(), minlength=2 * strips)
+        return np.concatenate(counts)
+
     def gamma(self, key, j, count0, count1, w):
         """Weight of the whole-strip refresh per strip key at node ``j``, given each side's cells there."""
         two = (self.levels[j] > self.both[key]) & (count0 > 0) & (count1 > 0)
-        if not two.any():  # one region: hit-and-run needs no step width
-            return np.ones(two.shape)
-        first = np.where(two, 2 * self.row[key], 0)
-        lo0, hi0 = self.span[:, first, np.where(two, count0 - 1, 0)]
-        lo1, hi1 = self.span[:, first + 1, np.where(two, count1 - 1, 0)]
-        length = np.where(two, (hi0 - lo0) + (hi1 - lo1), 0.0)
-        gap = np.where(two, np.maximum(np.maximum(lo0, lo1) - np.minimum(hi0, hi1), 0.0), 0.0)
-        return mixture_weight(length, gap, w)
+        gamma = np.ones(two.shape)
+        if two.any():  # else one region: hit-and-run needs no step width
+            key, count0, count1 = (np.broadcast_to(a, two.shape)[two] for a in (key, count0, count1))
+            lo0, hi0 = self.span[:, 2 * self.row[key], count0 - 1]
+            lo1, hi1 = self.span[:, 2 * self.row[key] + 1, count1 - 1]
+            gap = np.maximum(np.maximum(lo0, lo1) - np.minimum(hi0, hi1), 0.0)
+            gamma[two] = mixture_weight((hi0 - lo0) + (hi1 - lo1), gap, w)
+        return gamma
 
-    def level_matrix(self, j: int, w, cells: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """A_t on node ``j``'s interval and its cells, those of rank at least ``j`` (in the order of ``cells``)."""
-        if cells is None:
-            cells = np.flatnonzero(self.rank >= j)
-        keys = self.sid[:, cells].T
-        count = np.bincount(keys.ravel(), minlength=N_THETA * self.strips)
-        parts = 2 * keys + self.side[cells, None]
-        part_count = np.bincount(parts.ravel(), minlength=2 * count.size).reshape(-1, 2)
-        gamma = self.gamma(np.arange(count.size), j, *part_count.T, w)
-        local = (1.0 - gamma)[:, None] / (N_THETA * np.maximum(part_count, 1))
-        weight = np.concatenate([gamma / (N_THETA * np.maximum(count, 1)), local.ravel()])
-        keys = np.hstack([keys, parts + count.size])
-        # A = F diag(weight) F^T, F one column per strip and part that carries weight
-        used = weight[keys] > 0.0
-        cols, indptr = keys[used], np.concatenate([[0], np.cumsum(used.sum(axis=1))])
-        F = csr_array((np.ones(cols.size), cols, indptr), shape=(cells.size, weight.size))
-        return (csr_array((weight[cols], cols, indptr), shape=F.shape) @ F.T).toarray(), cells
+    def level_matrices(self, w, nodes):
+        """A_t on the interval of each of the increasing ``nodes``, over the node's cells in ``falling`` order.
+
+        One buffer spans the first node's cells, and every later node's cells lead it.  A_t is the sum
+        of w_c 1_c 1_c^T over the strip and part columns c; moving on to a node adds (w_c - w'_c) 1_c 1_c^T
+        over the cells still in c for each column whose weight changed since the last node yielded, the
+        first node starting from zero.  Each A_j is handed out as a view that later nodes overwrite.
+        """
+        (member, first), strip_cols, size = self.members, N_THETA * self.strips, self.size[nodes[0]]
+        buf = np.zeros((size, size))
+        flat = buf.reshape(-1)
+        count = self.column_count(self.falling[:size])
+        weight = np.zeros(count.size)
+        for j in nodes:
+            count -= self.column_count(self.falling[self.size[j] : size])
+            size = self.size[j]
+            part_count = count[strip_cols:].reshape(-1, 2)
+            gamma = self.gamma(np.arange(strip_cols), j, *part_count.T, w)
+            local = (1.0 - gamma)[:, None] / (N_THETA * np.maximum(part_count, 1))
+            now = np.concatenate([gamma / (N_THETA * np.maximum(count[:strip_cols], 1)), local.ravel()])
+            delta, weight = now - weight, now
+            changed = np.flatnonzero((delta != 0.0) & (count > 0))
+            # the columns of c cells each in blocks of at most UPDATE_BLOCK entries, added pair by pair
+            for c in np.unique(count[changed]):
+                group, step = changed[count[changed] == c], max(1, UPDATE_BLOCK // c**2)
+                for lo in range(0, group.size, step):
+                    cols = group[lo : lo + step]
+                    cells = member[first[cols, None] + np.arange(c)].astype(np.intp)
+                    pairs = cells[:, :, None] * buf.shape[0] + cells[:, None, :]
+                    np.add.at(flat, pairs.ravel(), np.repeat(delta[cols], c * c))
+            yield buf[:size, :size]
 
     def kernel(self, w) -> np.ndarray:
         """H from its flow rho(x) H(x, y): per strip, a prefix sum over nodes gathered at the pair's smaller rank."""
@@ -436,17 +492,16 @@ class _StripPlan:
         if k_list == (1,):
             yield self.kernel(w)
             return
-        falling = np.argsort(-self.rank, kind="stable")  # every node's cells lead
         flows = {k: np.zeros((self.rho.size,) * 2) for k in k_list}
-        for j, (width, size) in enumerate(zip(self.width, _count_from(self.rank, (self.levels.size,)))):
-            A, _ = self.level_matrix(j, w, falling[:size])
+        for width, A in zip(self.width, self.level_matrices(w, range(self.levels.size))):
+            size = A.shape[0]
             power, step = A, 1
             for k in k_list:
                 while step < k:
                     power = power @ A
                     step += 1
                 flows[k][:size, :size] += width * power
-        back = np.ix_(*(np.argsort(falling),) * 2)
+        back = np.ix_(*(np.argsort(self.falling),) * 2)
         for k in k_list:
             yield flows.pop(k)[back] / self.rho[:, None]
 
@@ -477,10 +532,10 @@ def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
     # nearby cells never share a strip, and the cells on the anchor's diagonals sit on strip edges
     offset = (np.arange(N_THETA) * (math.sqrt(5.0) - 1.0) / 2.0 + 0.5) % 1.0
     strips = int(np.floor(xi.max() + 1.0)) + 1
-    sid = np.floor(xi + offset[:, None]).astype(np.int64) + np.arange(N_THETA)[:, None] * strips
+    sid = (np.floor(xi + offset[:, None]) + np.arange(N_THETA)[:, None] * strips).astype(np.int32)
     comps = getattr(target, "components", None) if parts else None
     values = np.stack([comp.density(pts) for comp in comps]) if comps else rho[None]
-    side = np.argmax(values, axis=0)
+    side = np.argmax(values, axis=0).astype(np.int32)
     keys, sides = sid.ravel(), np.tile(side, N_THETA)
     both = np.zeros(N_THETA * strips)
     if values.shape[0] == 2:  # a cell lies in both regions up to its lower component value
@@ -510,13 +565,17 @@ def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
 
 
 def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
-    """Discretized per-level kernel on the sub-grid of cells clearing level ``t``."""
+    """Discretized per-level kernel on the sub-grid of cells clearing level ``t``.
+
+    A 2D strip kernel lists its cells by falling density, the order of the plan's level-matrix walk.
+    """
     label = f"{kind.value}-level-{t:.6g}"
     if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
         plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
         if t > plan.levels[-1] + LEVEL_TOL:
             raise EmptyLevelSetError(f"no grid cell clears level {t}")
-        P, cells = plan.level_matrix(int(np.searchsorted(plan.levels, t - LEVEL_TOL)), w)
+        P = next(plan.level_matrices(w, [int(np.searchsorted(plan.levels, t - LEVEL_TOL))]))
+        cells = plan.falling[: P.shape[0]]
         return DiscreteKernel(P=P, pi=np.full(cells.size, 1.0 / cells.size), label=label, support=plan.support[cells])
     vals = density_on_grid(target, grid)
     if t > vals.max() + LEVEL_TOL:
@@ -593,14 +652,26 @@ def op_norm_centered(K: DiscreteKernel) -> float:
     """
     if K._norm is None:
         C = _centered_similarity(K)
-        # row blocks keep the check from allocating a second n x n array
+        # row blocks keep the check from allocating a second n x n array; each block reads its
+        # columns from its own first row on, so every pair is compared once
         for start in range(0, K.n, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            asym = float(np.abs(C[rows] - C[:, rows].T).max())
+            asym = float(np.abs(C[rows, start:] - C[start:, rows].T).max())
             if asym > 1e-8:
                 raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
         K._norm = _largest_eigenvalue(C)
     return K._norm
+
+
+def eigsh(A, **kwargs):
+    """ARPACK's ``scipy.sparse.linalg.eigsh``, loaded on the first call.
+
+    Only kernels above 800 cells need ``scipy.sparse``, so no other command
+    loads it; tools that count ARPACK calls rebind this name.
+    """
+    from scipy.sparse.linalg import eigsh as arpack
+
+    return arpack(A, **kwargs)
 
 
 def _largest_eigenvalue(C: np.ndarray) -> float:
@@ -610,6 +681,8 @@ def _largest_eigenvalue(C: np.ndarray) -> float:
     """
     n = C.shape[0]
     if n > 800:
+        from scipy.sparse.linalg import ArpackNoConvergence
+
         try:
             # a deterministic, structure-free start vector
             v0 = np.sin(np.arange(1, n + 1, dtype=float))
@@ -689,7 +762,7 @@ def beta_profile(
         plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
         nodes, bins = np.unique(np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL), return_inverse=True)
         # A_t is PSD: its distance to the uniform refresh is its second eigenvalue (0 on a lone cell)
-        norms = np.array([np.append(0.0, np.linalg.eigvalsh(plan.level_matrix(j, w)[0]))[-2] for j in nodes])
+        norms = np.array([np.append(0.0, np.linalg.eigvalsh(A))[-2] for A in plan.level_matrices(w, nodes)])
         return norms[bins], width
     return np.array([_level_norm(target, grid, vals, t, kind, w) for t in levels]), width
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import bin_masses_1d, level_integral_kernels
+from oracles import bin_masses_1d, level_integral_kernels, strip_level_matrix
 from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.spectral_oracle import (
@@ -303,6 +303,64 @@ class TestLevelPlan:
         grid = Grid(bounds=((-2.0, 2.0),), shape=(200,))
         with pytest.raises(OutOfClassError, match="not nested"):
             build_full_matrix(_DriftingGap(), grid, KernelKind.SO_SH, 3.0, m=20)
+
+
+class TestStripWalk:
+    """Level matrices walked by weight updates against ``strip_level_matrix``, built one strip at a time."""
+
+    @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    @pytest.mark.parametrize("name", ["gaussian_pair", "separated_pair"])
+    def test_every_node_jumps_and_single_nodes(self, kind, name):
+        from slicegap.spectral_oracle import _strip_plan
+
+        target = TestLevelPlan.TARGETS[name]
+        # a step width of 4 keeps separated_pair's widest strip gap, 3.1 on this grid, inside the class
+        grid = Grid.for_target(target, (10, 10))
+        combined = kind is KernelKind.COMBINED
+        plan = _strip_plan(target, grid, combined)
+        nodes = np.arange(plan.levels.size)
+        mids, centers = plan.levels - plan.width / 2.0, grid.centers[plan.support[plan.falling]]
+        w = 4.0 if combined else None
+        refs = [strip_level_matrix(target, grid, centers[:size], t, w) for t, size in zip(mids, plan.size)]
+        # an interval within rounding of zero width has no midpoint at which the oracle's regions match the plan's
+        wide = plan.width > 1e-12
+        for walk in (nodes, nodes[1::3], nodes[2::5], *([j] for j in (0, nodes.size // 2, nodes.size - 1))):
+            seen = 0
+            for j, A in zip(walk, plan.level_matrices(4.0, walk)):
+                assert A.shape == refs[j].shape
+                assert np.array_equal(A, A.T)
+                assert not wide[j] or np.abs(A - refs[j]).max() <= 1e-13
+                seen += 1
+            assert seen == len(walk)
+
+    @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    def test_level_matrix_support_follows_falling_density(self, t2, kind):
+        grid = Grid.for_target(t2, (12, 12))
+        K = build_level_matrix(t2, grid, 0.3, kind, 3.0)
+        rho = density_on_grid(t2, grid)[K.support]
+        assert np.all(rho >= 0.3 - 1e-12) and np.all(np.diff(rho) <= 0.0)
+        assert np.count_nonzero(density_on_grid(t2, grid) >= 0.3 - 1e-12) == K.n
+
+    def test_peaks_at_most_the_sparse_product(self, t2):
+        # tracemalloc peaks, with the strip plans cached, of the sparse product F diag(w) F^T that built every
+        # level matrix before the walk, measured the same way: 7074845 bytes for the k-step set, 3572828 for one matrix
+        import tracemalloc
+
+        g16, g32 = Grid.for_target(t2, (16, 16)), Grid.for_target(t2, (32, 32))
+        runs = [
+            (lambda: build_k_step_matrices(t2, g16, KernelKind.COMBINED, 3.0, range(1, 6)), 7_074_845),
+            # the lowest 2D level probe of ``slicegap verify``
+            (lambda: build_level_matrix(t2, g32, 0.5 / 6, KernelKind.COMBINED, 3.0), 3_572_828),
+        ]
+        for run, bound in runs:
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
 
 class TestOpNorm:
