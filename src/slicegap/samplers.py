@@ -1,17 +1,22 @@
 """Markov-chain transition procedures and the chain runner.
 
-One transition function, ``_step_with_level``, serves every kind: draw a
-level uniformly below the current density value, then move on that level
-set ``k_inner`` times (``k_inner > 1`` is the k-step hybrid).  The level
-move of a ``SamplerKind`` is exact uniform sampling, stepping-out plus
-shrinkage on the axis, a hit-and-run chord draw, or stepping-out plus
-shrinkage along a random chord (Neal 2003, *Slice sampling*).
+One transition serves every kind: draw a level uniformly below the current
+density value, then move on that level set ``k_inner`` times
+(``k_inner > 1`` is the k-step hybrid).  The level move of a
+``SamplerKind`` is exact uniform sampling, stepping-out plus shrinkage on
+the axis, a hit-and-run chord draw, or stepping-out plus shrinkage along a
+random chord (Neal 2003, *Slice sampling*).
 
-Each level move is defined once and returns the point it accepts and the
-density there, from which the chain draws its next level.  Stepping-out
-plus shrinkage already evaluated that density on the line, bit for bit
-equal to ``eval_density`` there, so a step of those kinds evaluates the
-density only where the algorithm needs it.
+Each level move is defined once, as a binder that resolves what is fixed
+for a chain (the line density builder, or the axis line of a 1D target;
+``w``, ``max_loop`` and ``rng.random``) and returns a move on states of
+Python floats.  The move returns the point it accepts and the density
+there, from which the next level is drawn.  ``run_chain`` binds the
+transition once per chain and writes each state and level into
+preallocated arrays; ``_step_with_level`` and the public level moves bind
+it per call.  Stepping-out plus shrinkage checks its start against that
+carried density, bit for bit equal to ``eval_density`` there, so a step
+of those kinds evaluates the density only where the algorithm needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -20,7 +25,6 @@ chains are reproducible bit-for-bit for a fixed seed within one build.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,7 +41,7 @@ from .errors import (
     SliceGapError,
 )
 from .slice_geometry import line_section, uniform_sample_level_set
-from .targets import LineDensity, Shape, eval_density
+from .targets import LineDensity, Shape, axis_line, eval_density, line_builder
 
 DEFAULT_MAX_LOOP = 10_000
 
@@ -103,21 +107,55 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(states), np.asarray(levels)
 
 
-def _draw_level(rho: float, x: np.ndarray, rng: np.random.Generator) -> float:
-    """A level uniform on (0, rho], where ``rho`` is the density at the current state ``x``."""
-    if rho <= 0.0:
-        raise InvalidStateError(f"density is zero at {x}; no transition defined")
-    # uniform on (0, rho]; excluding 0 keeps the level set well defined
-    return rho * (1.0 - rng.random())
+def _unit_direction(normal, dim: int) -> list[float]:
+    """Uniform direction on the unit sphere via a normalised Gaussian vector, as Python floats.
 
-
-def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform direction on the unit sphere via a normalised Gaussian vector."""
+    ``sqrt(g.dot(g))`` is how ``np.linalg.norm`` computes the norm and each
+    ``gi / norm`` is one element of ``g / norm``, so the floats are the
+    array form's bits.
+    """
     while True:
-        g = rng.standard_normal(dim)
-        norm = np.linalg.norm(g)
+        g = normal(dim)
+        norm = math.sqrt(g.dot(g))
         if norm > 0.0:
-            return g / norm
+            return [gi / norm for gi in g.tolist()]
+
+
+def _stepping_out_loop(
+    line: LineDensity, pos0: float, t: float, w: float, random, max_loop: int
+) -> tuple[float, float]:
+    """The stepping-out loop; see ``stepping_out``."""
+    left = pos0 - random() * w
+    right = left + w
+    for _ in range(max_loop):
+        if line(left) < t:
+            break
+        left -= w
+    else:
+        raise RunawayExpansionError("left expansion exceeded max_loop; slice unbounded or w too small")
+    for _ in range(max_loop):
+        if line(right) < t:
+            break
+        right += w
+    else:
+        raise RunawayExpansionError("right expansion exceeded max_loop; slice unbounded or w too small")
+    return left, right
+
+
+def _shrinkage_loop(
+    line: LineDensity, left: float, right: float, pos0: float, t: float, random, max_loop: int
+) -> tuple[float, float]:
+    """The shrinkage loop; see ``shrinkage``."""
+    for _ in range(max_loop):
+        y = left + random() * (right - left)
+        rho = line(y)
+        if rho >= t:
+            return y, rho
+        if y < pos0:
+            left = y
+        else:
+            right = y
+    raise ShrinkageStallError("shrinkage exceeded max_loop; bracket numerically degenerate")
 
 
 def stepping_out(
@@ -136,22 +174,7 @@ def stepping_out(
     """
     if line_density(pos0) < t:
         raise OffSliceError(f"stepping-out start {pos0} lies below level {t}")
-    u = rng.random()
-    left = pos0 - u * w
-    right = left + w
-    for _ in range(max_loop):
-        if line_density(left) < t:
-            break
-        left -= w
-    else:
-        raise RunawayExpansionError("left expansion exceeded max_loop; slice unbounded or w too small")
-    for _ in range(max_loop):
-        if line_density(right) < t:
-            break
-        right += w
-    else:
-        raise RunawayExpansionError("right expansion exceeded max_loop; slice unbounded or w too small")
-    return left, right
+    return _stepping_out_loop(line_density, pos0, t, w, rng.random, max_loop)
 
 
 def shrinkage(
@@ -168,56 +191,114 @@ def shrinkage(
         raise ValueError(f"bracket ({left}, {right}) must strictly contain the start {pos0}")
     if line_density(pos0) < t:
         raise OffSliceError(f"shrinkage start {pos0} lies below level {t}")
-    for _ in range(max_loop):
-        y = left + rng.random() * (right - left)
-        rho = line_density(y)
-        if rho >= t:
-            return y, rho
-        if y < pos0:
-            left = y
-        else:
-            right = y
-    raise ShrinkageStallError("shrinkage exceeded max_loop; bracket numerically degenerate")
+    return _shrinkage_loop(line_density, left, right, pos0, t, rng.random, max_loop)
+
+
+def _so_sh(
+    line: LineDensity, pos0: float, t: float, rho: float, w: float, random, max_loop: int
+) -> tuple[float, float]:
+    """Stepping-out then shrinkage from ``pos0``, whose density ``rho`` proves it lies on the slice."""
+    if rho < t:
+        raise OffSliceError(f"stepping-out start {pos0} lies below level {t}")
+    left, right = _stepping_out_loop(line, pos0, t, w, random, max_loop)
+    return _shrinkage_loop(line, left, right, pos0, t, random, max_loop)
+
+
+def _line_move(
+    line: LineDensity, xs: list[float], ts: list[float], t: float, rho: float | None, w: float, random, max_loop: int
+) -> tuple[list[float], float]:
+    """Stepping-out plus shrinkage on ``line``, anchored at ``xs`` (coordinate 0) along ``ts``."""
+    s, rho = _so_sh(line, 0.0, t, line(0.0) if rho is None else rho, w, random, max_loop)
+    return [xi + s * ti for xi, ti in zip(xs, ts)], rho
 
 
 # -- level-conditional moves (fixed level t) --------------------------------
 #
-# Each move returns the new point and the density there, which the next
-# level draw reads.
+# Each kind binds what is fixed for a chain (target, rng, w, max_loop) once
+# and returns ``move(t, xs, rho=None) -> (xs, rho)``: the point it accepts
+# and the density there, which the next level draw reads.  States are lists
+# of Python floats.  ``rho`` is the density at ``xs`` when the caller already
+# has it; stepping-out plus shrinkage checks the start against it instead
+# of evaluating the density there again.
 
 
-@functools.cache
-def _axis_line(target) -> LineDensity:
-    """The density along the axis of a 1D target, built once per target."""
-    return target.line_density(0.0, 1.0)
+def _uniform_move(target, rng, w, max_loop):
+    def move(t, xs, rho=None):
+        y = uniform_sample_level_set(target, t, rng)
+        return y.tolist(), eval_density(target, y)
+
+    return move
+
+
+def _so_sh_move(target, rng, w, max_loop):
+    if target.dim != 1:
+        raise ValueError("axis stepping-out requires a one-dimensional target")
+    line, random = axis_line(target), rng.random
+
+    def move(t, xs, rho=None):
+        pos0 = xs[0]
+        y, rho = _so_sh(line, pos0, t, line(pos0) if rho is None else rho, w, random, max_loop)
+        return [y], rho
+
+    return move
+
+
+def _har_move(target, rng, w, max_loop):
+    normal, dim = rng.standard_normal, target.dim
+
+    def move(t, xs, rho=None):
+        x, theta = np.array(xs), np.array(_unit_direction(normal, dim))
+        section = line_section(target, t, x, theta)
+        y = x + section.parts.sample_uniform(rng) * theta
+        return y.tolist(), eval_density(target, y)
+
+    return move
+
+
+def _har_so_sh_move(target, rng, w, max_loop):
+    build, normal, random, dim = line_builder(target), rng.standard_normal, rng.random, target.dim
+
+    def move(t, xs, rho=None):
+        ts = _unit_direction(normal, dim)
+        return _line_move(build(xs, ts), xs, ts, t, rho, w, random, max_loop)
+
+    return move
+
+
+_MOVES = {
+    SamplerKind.SIMPLE: _uniform_move,
+    SamplerKind.SO_SH: _so_sh_move,
+    SamplerKind.HAR: _har_move,
+    SamplerKind.HAR_SO_SH: _har_so_sh_move,
+}
+
+
+def _floats(x) -> list[float]:
+    """A point (array, sequence or scalar) as a list of Python floats."""
+    xs = np.asarray(x, dtype=float).tolist()
+    return xs if isinstance(xs, list) else [xs]
+
+
+def _move_once(move, t: float, x) -> tuple[np.ndarray, float]:
+    ys, rho = move(t, _floats(x))
+    return np.array(ys), rho
 
 
 def uniform_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Exact uniform refresh on the level set; ignores the current point."""
-    y = uniform_sample_level_set(target, t, rng)
-    return y, eval_density(target, y)
+    return _move_once(_uniform_move(target, rng, None, DEFAULT_MAX_LOOP), t, x)
 
 
 def so_sh_level_move(
     target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
 ) -> tuple[np.ndarray, float]:
     """One stepping-out plus shrinkage move on the axis of a 1D target."""
-    if target.dim != 1:
-        raise ValueError("axis stepping-out requires a one-dimensional target")
-    pos0 = float(np.atleast_1d(x)[0])
-    density = _axis_line(target)
-    bracket = stepping_out(density, pos0, t, w, rng, max_loop)
-    y, rho = shrinkage(bracket, pos0, t, density, rng, max_loop)
-    return np.array([y]), rho
+    return _move_once(_so_sh_move(target, rng, w, max_loop), t, x)
 
 
 def hit_and_run_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Uniform draw on the chord through ``x`` in a uniform random direction."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = _unit_direction(rng, target.dim)
-    section = line_section(target, t, x, theta)
-    y = x + section.parts.sample_uniform(rng) * theta
-    return y, eval_density(target, y)
+    return _move_once(_har_move(target, rng, None, DEFAULT_MAX_LOOP), t, x)
 
 
 def so_sh_line_move(
@@ -225,32 +306,16 @@ def so_sh_line_move(
     max_loop: int = DEFAULT_MAX_LOOP,
 ) -> tuple[np.ndarray, float]:
     """Stepping-out plus shrinkage along a fixed direction, anchored at coordinate 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    density = target.line_density(x, theta)
-    bracket = stepping_out(density, 0.0, t, w, rng, max_loop)
-    s, rho = shrinkage(bracket, 0.0, t, density, rng, max_loop)
-    return x + s * theta, rho
+    xs, ts = _floats(x), _floats(theta)
+    ys, rho = _line_move(target.line_density(xs, ts), xs, ts, t, None, w, rng.random, max_loop)
+    return np.array(ys), rho
 
 
 def har_so_sh_level_move(
     target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
 ) -> tuple[np.ndarray, float]:
     """Random direction, then stepping-out plus shrinkage along it."""
-    return so_sh_line_move(target, t, x, _unit_direction(rng, target.dim), rng, w, max_loop)
-
-
-def _level_move(kind: SamplerKind, target, t, x, rng, w, max_loop) -> tuple[np.ndarray, float]:
-    """The level move of ``kind`` from ``x``, and the density at the point it returns."""
-    if kind is SamplerKind.SO_SH:
-        return so_sh_level_move(target, t, x, rng, w, max_loop)
-    if kind is SamplerKind.HAR_SO_SH:
-        return har_so_sh_level_move(target, t, x, rng, w, max_loop)
-    if kind is SamplerKind.SIMPLE:
-        return uniform_level_move(target, t, x, rng)
-    if kind is SamplerKind.HAR:
-        return hit_and_run_level_move(target, t, x, rng)
-    raise ValueError(f"no level move for kind {kind}")
+    return _move_once(_har_so_sh_move(target, rng, w, max_loop), t, x)
 
 
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,6 +364,28 @@ def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _bind_step(target, config: SamplerConfig, rng):
+    """The transition of ``config`` on ``target`` with its move bound once: ``step(xs, rho) -> (xs, t, rho)``.
+
+    ``rho`` is the density at the state ``xs``; the step draws a level
+    uniformly on (0, rho], makes ``config.k_inner`` level moves at it and
+    returns the new state, the level and the density there.
+    """
+    move = _MOVES[config.kind](target, rng, config.w, config.max_loop)
+    random, k_inner = rng.random, config.k_inner
+
+    def step(xs, rho):
+        if rho <= 0.0:
+            raise InvalidStateError(f"density is zero at {xs}; no transition defined")
+        # uniform on (0, rho]; excluding 0 keeps the level set well defined
+        t = rho * (1.0 - random())
+        for _ in range(k_inner):
+            xs, rho = move(t, xs, rho)
+        return xs, t, rho
+
+    return step
+
+
 def _step_with_level(
     target, config: SamplerConfig, x: np.ndarray, rng, rho: float | None = None
 ) -> tuple[np.ndarray, float, float]:
@@ -307,30 +394,36 @@ def _step_with_level(
     ``rho`` is the density at ``x`` when the caller already has it.  Returns
     the new state, the level and the density at the new state.
     """
+    xs = _floats(x)
+    if len(xs) != target.dim:
+        raise ValueError(f"state {x} does not have the target dimension {target.dim}")
     if rho is None:
         rho = eval_density(target, x)
-    t = _draw_level(rho, x, rng)
-    for _ in range(config.k_inner):
-        x, rho = _level_move(config.kind, target, t, x, rng, config.w, config.max_loop)
-    return x, t, rho
+    xs, t, rho = _bind_step(target, config, rng)(xs, rho)
+    return np.array(xs), t, rho
 
 
 def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:
-    """Run ``n`` transitions from ``x0``; deterministic in all arguments."""
+    """Run ``n`` transitions from ``x0``; deterministic in all arguments.
+
+    The transition is bound once per chain; each step runs on Python floats
+    and writes its state and level into the preallocated trace arrays.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     rho = eval_density(target, x0)
     if rho <= 0.0:
         raise InvalidStateError(f"starting point {x0} has zero density")
     rng = np.random.default_rng(seed)
+    step = _bind_step(target, config, rng)
     states = np.empty((n + 1, target.dim))
     levels = np.zeros(n + 1)
     states[0] = x0
-    x = x0
+    xs = x0.tolist()
     for i in range(1, n + 1):
         try:
-            x, t, rho = _step_with_level(target, config, x, rng, rho)
+            xs, t, rho = step(xs, rho)
         except SliceGapError as exc:
             raise ChainError(i, exc) from exc
-        states[i] = x
+        states[i] = xs
         levels[i] = t
     return Trace(states=states, levels=levels, seed=seed, config=config)

@@ -9,6 +9,7 @@ root-finding error anywhere in the verification chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -220,7 +221,13 @@ class TargetDensity:
         """
         if self.dim > _SCALAR_NORM_MAX_DIM:
             return _array_line_density(self, x, theta)
-        xs, ts = _line_floats(x, theta, self.dim)
+        return self._line(*_line_floats(x, theta, self.dim))
+
+    @functools.cached_property
+    def _axis_line(self) -> LineDensity:
+        return self.line_density(0.0, 1.0)
+
+    def _line(self, xs: list[float], ts: list[float]) -> LineDensity:
         lines = [comp._line(xs, ts) for comp in self.components]
         if len(lines) == 1:
             return lines[0]
@@ -346,6 +353,30 @@ class RwCertificate:
     t1: float
     t2: float
     w: float
+
+
+def line_builder(target) -> Callable[[list[float], list[float]], LineDensity]:
+    """``(xs, ts) -> line density`` through a point and along a direction given as Python floats.
+
+    A target on the scalar path gets the builder behind its ``line_density``,
+    which skips the array conversion and shape check; any other target gets
+    ``line_density`` itself.  Either way the line density is the same, bit
+    for bit.
+    """
+    if isinstance(target, TargetDensity) and target.dim <= _SCALAR_NORM_MAX_DIM:
+        return target._line
+    return target.line_density
+
+
+def axis_line(target) -> LineDensity:
+    """Density along the axis of a 1D target, ``line_density(0.0, 1.0)``.
+
+    A ``TargetDensity`` builds it on first use and keeps it for its own
+    lifetime; any other target builds it on each call.
+    """
+    if isinstance(target, TargetDensity):
+        return target._axis_line
+    return target.line_density(0.0, 1.0)
 
 
 def eval_density(target, x) -> float:

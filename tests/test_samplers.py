@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,17 +31,51 @@ from slicegap.samplers import (
 )
 from slicegap.slice_geometry import level_set_1d, line_section
 from slicegap.spectral_oracle import Grid, KernelKind, build_full_matrix
-from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformInterval, eval_density
+from slicegap.targets import (
+    QuasiConcaveComponent,
+    Shape,
+    TargetDensity,
+    UniformBall,
+    UniformInterval,
+    eval_density,
+    twin_triangles,
+)
 
 
 class FakeRng:
-    """Scripted uniforms for deterministic branch tests."""
+    """Scripted uniforms (and Gaussian vectors) for deterministic branch tests."""
 
-    def __init__(self, values):
+    def __init__(self, values, normals=()):
         self.values = list(values)
+        self.normals = list(normals)
 
     def random(self):
         return self.values.pop(0)
+
+    def standard_normal(self, dim):
+        return np.asarray(self.normals.pop(0), dtype=float)
+
+
+class CountingLines:
+    """A target whose line densities record each point ``x + s * theta`` they are evaluated at."""
+
+    def __init__(self, target):
+        self._target = target
+        self.points = []
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+    def line_density(self, x, theta):
+        line = self._target.line_density(x, theta)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+
+        def counted(s):
+            self.points.append((x + s * theta).tolist())
+            return line(s)
+
+        return counted
 
 
 def indicator01(s: float) -> float:
@@ -189,6 +226,36 @@ class TestSoShStep:
 
         res = chi_square_invariance(cells, probs)
         assert res.p_value > 0.01
+
+
+class TestDensityEvaluations:
+    """A transition evaluates the density only where the algorithm needs it: never at its start."""
+
+    def test_so_sh_step(self):
+        # level 0.75 on the flat [0, 1]; bracket [0.35, 0.65] steps out to [-0.25, 1.25];
+        # the proposal at 1.1 is rejected, the one at 0.425 accepted
+        target = CountingLines(UniformInterval(0.0, 1.0))
+        rng = FakeRng([0.25, 0.5, 0.9, 0.5])
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=0.3)
+        y, t, rho = _step_with_level(target, cfg, np.array([0.5]), rng, rho=1.0)
+        left, right, shrunk = [0.35, 0.05, -0.25], [0.65, 0.95, 1.25], [1.1, 0.425]
+        assert [p[0] for p in target.points] == pytest.approx(left + right + shrunk)
+        assert [0.5] not in target.points
+        assert (y[0], t, rho) == (pytest.approx(0.425), 0.75, 1.0)
+        assert rng.values == []
+
+    def test_har_so_sh_step(self):
+        # direction (0, 1) through (0.6, 0) on the unit disk: the chord is s in [-0.8, 0.8];
+        # bracket [-0.25, 0.25] steps out to [-1.25, 1.25]; 1.0 is rejected, -0.125 accepted
+        target = CountingLines(UniformBall((0.0, 0.0), 1.0))
+        rng = FakeRng([0.25, 0.5, 0.9, 0.5], normals=[[0.0, 2.0]])
+        cfg = SamplerConfig(SamplerKind.HAR_SO_SH, w=0.5)
+        y, t, rho = _step_with_level(target, cfg, np.array([0.6, 0.0]), rng, rho=1.0)
+        left, right, shrunk = [-0.25, -0.75, -1.25], [0.25, 0.75, 1.25], [1.0, -0.125]
+        assert target.points == [[0.6, s] for s in left + right + shrunk]
+        assert [0.6, 0.0] not in target.points
+        assert (y.tolist(), t, rho) == ([0.6, -0.125], 0.75, 1.0)
+        assert rng.values == [] and rng.normals == []
 
 
 class TestSimpleSlice:
@@ -458,10 +525,37 @@ class TestRunChain:
         assert stats.chi2.sf(chi2, probs.size - 1) > 0.01
 
     def test_step_error_carries_index(self, t1):
+        # the public-move reference loop at the same seed finds the failing transition
+        rng, x = np.random.default_rng(1), np.array([-1.0])
+        for failing in range(1, 51):
+            t = eval_density(t1, x) * (1.0 - rng.random())
+            try:
+                x = so_sh_level_move(t1, t, x, rng, 0.05, max_loop=3)[0]
+            except RunawayExpansionError as exc:
+                expected = exc
+                break
+        else:
+            pytest.fail("the reference loop never failed")
         cfg = SamplerConfig(SamplerKind.SO_SH, w=0.05, max_loop=3)
         with pytest.raises(ChainError) as excinfo:
             run_chain(t1, cfg, np.array([-1.0]), 50, seed=1)
-        assert excinfo.value.step >= 1
+        assert excinfo.value.step == failing
+        cause = excinfo.value.__cause__
+        assert type(cause) is RunawayExpansionError and str(cause) == str(expected)
+        assert excinfo.value.cause is cause
+
+    @pytest.mark.parametrize("call", ["run_chain", "so_sh_level_move"])
+    def test_target_is_released(self, call):
+        # a name no other target has, so no equal target met earlier can stand in for this one
+        target = dataclasses.replace(twin_triangles(), name=f"released-by-{call}")
+        ref = weakref.ref(target)
+        if call == "run_chain":
+            run_chain(target, SamplerConfig(SamplerKind.SO_SH, w=3.0), np.array([-1.0]), 20, seed=1)
+        else:
+            so_sh_level_move(target, 0.5, np.array([-1.0]), np.random.default_rng(1), 3.0)
+        del target
+        gc.collect()
+        assert ref() is None
 
     def test_invalid_start(self, t1):
         with pytest.raises(InvalidStateError):
