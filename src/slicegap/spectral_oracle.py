@@ -15,7 +15,8 @@ stationary weights.  The 2D level matrices come from one walk over the
 nodes in a single buffer, each node adding only the weight changes of its
 strips; each matrix handed out is a view that later nodes overwrite.
 Operator norms are the largest absolute eigenvalues of the symmetric
-stationary-similarity transform, solved once per kernel; ``scipy.sparse``
+stationary-similarity transform, solved once per kernel, a level kernel's
+from P itself (``level_spectrum``); ``scipy.sparse``
 is imported only when a kernel above 800 cells needs ARPACK.  The norm
 and the positivity check keep one n x n working array besides
 the kernel, the detailed-balance check none: each reads a matrix against
@@ -564,33 +565,47 @@ def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
 # -- kernel builders -----------------------------------------------------------
 
 
-def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
-    """Discretized per-level kernel on the sub-grid of cells clearing level ``t``.
+def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
+    """The level kernel at each of the ascending ``levels``, on the sub-grid of cells clearing it.
 
-    A 2D strip kernel lists its cells by falling density, the order of the plan's level-matrix walk.
+    2D strip kinds walk the levels' distinct nodes once: a kernel lists its cells by falling density,
+    and its P is a view that the next node overwrites.  1D and uniform kinds are built level by level.
     """
-    label = f"{kind.value}-level-{t:.6g}"
-    if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
-        plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
-        if t > plan.levels[-1] + LEVEL_TOL:
-            raise EmptyLevelSetError(f"no grid cell clears level {t}")
-        P = next(plan.level_matrices(w, [int(np.searchsorted(plan.levels, t - LEVEL_TOL))]))
-        cells = plan.falling[: P.shape[0]]
-        return DiscreteKernel(P=P, pi=np.full(cells.size, 1.0 / cells.size), label=label, support=plan.support[cells])
-    vals = density_on_grid(target, grid)
-    if t > vals.max() + LEVEL_TOL:
-        raise EmptyLevelSetError(f"no grid cell clears level {t}")
-    idx = np.flatnonzero(vals >= t - LEVEL_TOL)
-    u = np.full(idx.size, 1.0 / idx.size)
-    P = np.tile(u, (idx.size, 1))
-    ls = None if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN) else level_set_1d(target, t)
-    if ls is not None and ls.parts.nparts == 2:
-        gamma = gamma_t(ls, w)
-        in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
-        P *= gamma
-        for mask in (in_first, ~in_first):
-            P[np.ix_(mask, mask)] += (1.0 - gamma) / max(int(mask.sum()), 1)
-    return DiscreteKernel(P=P, pi=u, label=label, support=idx)
+    levels = [float(t) for t in levels]
+    if any(b < a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be ascending")
+    strips = grid.dim >= 2 and kind is not KernelKind.UNIFORM
+    plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN) if strips else None
+    vals = plan.rho if strips else density_on_grid(target, grid)
+    if levels and levels[-1] > vals.max() + LEVEL_TOL:
+        raise EmptyLevelSetError(f"no grid cell clears level {levels[-1]}")
+    if strips:
+        nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
+        walk, last = plan.level_matrices(w, np.unique(nodes)), -1
+        for t, j in zip(levels, nodes):
+            if j != last:
+                P, last = next(walk), j
+                cells = plan.falling[: P.shape[0]]
+                u = np.full(cells.size, 1.0 / cells.size)
+            yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=plan.support[cells])
+        return
+    for t in levels:
+        idx = np.flatnonzero(vals >= t - LEVEL_TOL)
+        u = np.full(idx.size, 1.0 / idx.size)
+        P = np.tile(u, (idx.size, 1))
+        ls = None if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN) else level_set_1d(target, t)
+        if ls is not None and ls.parts.nparts == 2:
+            gamma = gamma_t(ls, w)
+            in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
+            P *= gamma
+            for mask in (in_first, ~in_first):
+                P[np.ix_(mask, mask)] += (1.0 - gamma) / max(int(mask.sum()), 1)
+        yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=idx)
+
+
+def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
+    """Discretized level kernel at level ``t``: ``level_kernels`` at that one level."""
+    return next(level_kernels(target, grid, kind, w, [t]))
 
 
 def build_full_matrix(target, grid: Grid, kind: KernelKind, w: float | None = None, m: int = 64) -> DiscreteKernel:
@@ -666,8 +681,9 @@ def op_norm_centered(K: DiscreteKernel) -> float:
 def eigsh(A, **kwargs):
     """ARPACK's ``scipy.sparse.linalg.eigsh``, loaded on the first call.
 
-    Only kernels above 800 cells need ``scipy.sparse``, so no other command
-    loads it; tools that count ARPACK calls rebind this name.
+    Only kernels above 800 cells need ARPACK, so a ``gap`` report on smaller
+    grids never loads ``scipy.sparse``; ``verify`` loads it anyway, through
+    ``scipy.stats``.  Tools that count ARPACK calls rebind this name.
     """
     from scipy.sparse.linalg import eigsh as arpack
 
@@ -713,6 +729,18 @@ def psd_check(K: DiscreteKernel) -> float:
     return float(np.linalg.eigvalsh(A).min())
 
 
+def level_spectrum(K: DiscreteKernel) -> tuple[float, float]:
+    """Centered norm and smallest eigenvalue of a level kernel, from one eigen-solve of its symmetric P.
+
+    With the uniform law stationary, the norm is max(second-largest, -smallest eigenvalue), 0 on one cell.
+    """
+    asym = float(np.abs(K.P - K.P.T).max())
+    if asym >= 1e-12:
+        raise ValueError(f"{K.label} is not symmetric: {asym:.3e}")
+    eig = np.linalg.eigvalsh(K.P)
+    return float(np.abs(eig[:-1]).max(initial=0.0)), float(eig[0])
+
+
 def reversibility_check(K: DiscreteKernel) -> float:
     """Largest detailed-balance residual max_ij |pi_i P_ij - pi_j P_ji|."""
     worst = 0.0
@@ -751,8 +779,8 @@ def beta_profile(
 ) -> tuple[np.ndarray, float]:
     """Per-level kernel distances on a uniform bin grid over (0, max density].
 
-    A 2D strip kernel takes the second eigenvalue of each distinct level
-    matrix the bins fall on.
+    A 2D strip kernel takes the centered norm of each distinct level
+    matrix the bins fall on, from ``level_spectrum``.
     """
     vals = density_on_grid(target, grid)
     top = float(vals.max())
@@ -760,10 +788,10 @@ def beta_profile(
     levels = [(b + 0.5) * width for b in range(norm_bins)]
     if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
         plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
-        nodes, bins = np.unique(np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL), return_inverse=True)
-        # A_t is PSD: its distance to the uniform refresh is its second eigenvalue (0 on a lone cell)
-        norms = np.array([np.append(0.0, np.linalg.eigvalsh(A))[-2] for A in plan.level_matrices(w, nodes)])
-        return norms[bins], width
+        nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
+        _, first, bins = np.unique(nodes, return_index=True, return_inverse=True)
+        norms = [level_spectrum(K)[0] for K in level_kernels(target, grid, kind, w, [levels[b] for b in first])]
+        return np.array(norms)[bins], width
     return np.array([_level_norm(target, grid, vals, t, kind, w) for t in levels]), width
 
 

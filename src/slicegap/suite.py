@@ -7,9 +7,11 @@ numeric beta, the law of one stepping-out level move, the 2D strip level
 probes, and the null calibration of the chi-square and ESS diagnostics.
 Scale comes from the arguments: ``run_verification_suite`` (behind
 ``slicegap verify``) calls them at desk scale on the built-in reference
-targets, and the acceptance tests call them at full scale.  The functions
-reach ``kernels``, ``samplers`` and ``diagnostics`` through their modules
-at call time, so a negative control can corrupt one of them.
+targets, with the assembled-kernel rows folded from one
+``verify_theorem_bounds`` report, and the acceptance tests call them at
+full scale.  The functions reach the oracle, ``kernels``, ``samplers`` and
+``diagnostics`` through their modules at call time, so a negative control
+can corrupt one of them.
 ``scipy.stats`` is imported inside the functions that use it, so that
 importing the package, which every command does, stays cheap.
 """
@@ -23,23 +25,14 @@ from .spectral_oracle import Check, KernelKind
 from .targets import UniformInterval, gaussian_pair, twin_triangles
 
 
-def _level_kernel(target, grid, t: float, kind: KernelKind, w) -> oracle.DiscreteKernel:
-    """A level kernel; its stationary law is uniform, so detailed balance is the symmetry of P to 1e-12."""
-    K = oracle.build_level_matrix(target, grid, t, kind, w)
-    asym = float(np.abs(K.P - K.P.T).max())
-    if asym >= 1e-12:
-        raise ValueError(f"{K.label} is not symmetric: {asym:.3e}")
-    return K
-
-
 def level_probes_1d(target, grid, w, levels) -> list[Check]:
-    """Stepping-out level kernels: centered norm 1 - gamma_t within 1e-6, and PSD within 1e-10."""
+    """Stepping-out level kernels at the ascending ``levels``: norm 1 - gamma_t within 1e-6, PSD within 1e-10."""
     worst, min_eig = 0.0, np.inf
-    for t in levels:
-        K = _level_kernel(target, grid, t, KernelKind.SO_SH, w)
+    for t, K in zip(levels, oracle.level_kernels(target, grid, KernelKind.SO_SH, w, levels)):
+        norm, low = oracle.level_spectrum(K)
         gamma = kernels.gamma_t(slice_geometry.level_set_1d(target, t), w)
-        worst = max(worst, abs(oracle.op_norm_centered(K) - (1.0 - gamma)))
-        min_eig = min(min_eig, oracle.psd_check(K))
+        worst = max(worst, abs(norm - (1.0 - gamma)))
+        min_eig = min(min_eig, low)
     return [Check("so_sh_norm_identity", worst, 0.0, 1e-6), Check("psd_levels_1d", -min_eig, 0.0, 1e-10)]
 
 
@@ -75,18 +68,18 @@ def level_move_law(target, t: float, x0: float, w, bins: int, n: int, rng) -> li
 
 def strip_level_probes(target, grid, w, levels) -> list[Check]:
     """2D level kernels of both kinds PSD within 1e-10 and under their norm bounds within 5e-3;
-    hit-and-run rows above the small-set weight within 5e-3.
+    hit-and-run rows above the small-set weight within 5e-3.  One walk per kind over the ascending ``levels``.
 
     The row names ``chord_norm_bound`` and ``chord_small_set`` predate the strip kernels; they
     stay because the benchmark reads row names as operation names.
     """
     min_eig, excess, deficit = np.inf, {KernelKind.HIT_AND_RUN: -np.inf, KernelKind.COMBINED: -np.inf}, np.inf
     bounds = {KernelKind.HIT_AND_RUN: kernels.har_level_norm_bound, KernelKind.COMBINED: kernels.combined_norm_bound}
-    for t in levels:
-        for kind, bound in bounds.items():
-            K = _level_kernel(target, grid, t, kind, w)
-            min_eig = min(min_eig, oracle.psd_check(K))
-            excess[kind] = max(excess[kind], oracle.op_norm_centered(K) - bound(target, t))
+    for kind, bound in bounds.items():
+        for t, K in zip(levels, oracle.level_kernels(target, grid, kind, w, levels)):
+            norm, low = oracle.level_spectrum(K)
+            min_eig = min(min_eig, low)
+            excess[kind] = max(excess[kind], norm - bound(target, t))
             if kind is KernelKind.HIT_AND_RUN:
                 deficit = min(deficit, float((K.P - kernels.har_small_set_weight(target, t) * K.pi[None, :]).min()))
     return [
@@ -131,19 +124,20 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     identity, psd_1d = level_probes_1d(t1, oracle.Grid.for_target(t1, 800), w, levels_1d)
     beta = beta_closed_vs_numeric(t1, oracle.Grid.for_target(t1, 1600), w, [1, 5], m=300, norm_bins=1536)
 
-    # assembled kernels: reversibility, sandwich, monotonicity, power, Doeblin and TV bounds
-    g_full = oracle.Grid.for_target(t1, 600)
-    U = oracle.build_full_matrix(t1, g_full, KernelKind.UNIFORM, None, m=150)
-    mats = oracle.build_k_step_matrices(t1, g_full, KernelKind.SO_SH, w, list(range(1, 6)), m=150)
-    betas = oracle.beta_k_numeric_many(t1, g_full, KernelKind.SO_SH, w, [1, 5], m=150, norm_bins=512)
-    gap_u, norms = oracle.spectral_gap(U), {k: oracle.op_norm_centered(K) for k, K in mats.items()}
+    # assembled kernels: one row per family of the report's rows, its psd_H and corollary rows left out
+    report = oracle.verify_theorem_bounds(
+        t1, oracle.Grid.for_target(t1, 600), KernelKind.SO_SH, w, [1, 5], 150, k_max=5, tv_n_max=30, norm_bins=512
+    )
     rows = [identity, _fold("beta_closed_vs_numeric", beta)]
-    rows.append(Check("full_kernel_reversibility", max(map(oracle.reversibility_check, (U, mats[1]))), 0.0, 1e-8))
-    rows.append(_fold("gap_sandwich", oracle.verify_sandwich(gap_u, oracle.spectral_gap(mats[1]), betas)))
-    rows.append(_fold("kstep_monotonicity", oracle.verify_monotonicity(norms, 5)))
-    rows.append(_fold("kstep_power_bound", oracle.verify_power_bound(norms, 5)))
-    rows.append(_fold("doeblin_gap_bound", [oracle.verify_mt_bound(t1, g_full, gap_u)]))
-    rows.append(_fold("tv_decay_bound", oracle.verify_tv_bound(mats[1], n_max=30)))
+    for name, family in (
+        ("full_kernel_reversibility", "reversibility_"),
+        ("gap_sandwich", "sandwich_"),
+        ("kstep_monotonicity", "monotone_"),
+        ("kstep_power_bound", "power_bound_"),
+        ("doeblin_gap_bound", "mt_"),
+        ("tv_decay_bound", "tv_decay_"),
+    ):
+        rows.append(_fold(name, [c for c in report.checks if c.name.startswith(family)]))
     rows.append(psd_1d)
     rows += strip_level_probes(t2, oracle.Grid.for_target(t2, (32, 32)), w, [(j + 0.5) / 6 for j in range(6)])
 

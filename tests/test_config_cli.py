@@ -342,6 +342,19 @@ class TestGapReportSharing:
         checks += oracle.verify_tv_bound(full(kind), n_max=cfg.tv_n_max, tol=oracle.TOL_TV)
         return checks
 
+    @pytest.mark.parametrize("dim", ["1d", "2d"])
+    def test_two_runs_in_one_process_give_the_same_bytes(self, tmp_path, dim):
+        # the cached plans and the walk's views are shared by the beta profile, the level probes and the
+        # kernels: no run may leave state that changes the next (``verify`` is run twice at one seed by
+        # TestCliVerify::test_config_only_supplies_the_seed)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.TEXT if dim == "1d" else self.TEXT_2D)
+        outputs = []
+        for run in ("a", "b"):
+            assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / run)]) == 0
+            outputs.append([(tmp_path / run / name).read_bytes() for name in ("gap_report.csv", "gap_summary.txt")])
+        assert outputs[0] == outputs[1]
+
     def test_each_kernel_assembled_and_solved_once(self):
         from collections import Counter
 
@@ -430,19 +443,84 @@ class TestCliVerify:
         from slicegap import spectral_oracle as oracle, suite
         from slicegap.targets import gaussian_pair, twin_triangles
 
-        build = oracle.build_level_matrix
+        walk = oracle.level_kernels
 
         def reversed_half(*args):
-            K = build(*args)
-            return oracle.DiscreteKernel(P=0.5 * (K.P + np.eye(K.n)[::-1]), pi=K.pi, label=K.label)
+            for K in walk(*args):
+                yield oracle.DiscreteKernel(P=0.5 * (K.P + np.eye(K.n)[::-1]), pi=K.pi, label=K.label)
 
         t1, t2 = twin_triangles(), gaussian_pair()
         g1, g2 = oracle.Grid.for_target(t1, 200), oracle.Grid.for_target(t2, (12, 12))
         assert suite.level_probes_1d(t1, g1, 3.0, [0.3, 0.6])[1].passed
         assert suite.strip_level_probes(t2, g2, 3.0, [0.2, 0.6])[0].passed
-        monkeypatch.setattr(oracle, "build_level_matrix", reversed_half)
+        monkeypatch.setattr(oracle, "level_kernels", reversed_half)
         assert not suite.level_probes_1d(t1, g1, 3.0, [0.3, 0.6])[1].passed
         assert not suite.strip_level_probes(t2, g2, 3.0, [0.2, 0.6])[0].passed
+
+    def test_level_probes_walk_once_per_kind_and_solve_each_kernel_once(self, monkeypatch):
+        from slicegap import spectral_oracle as oracle, suite
+        from slicegap.targets import gaussian_pair, twin_triangles
+
+        walks, solves = [], []
+        walk, eigvalsh = oracle._StripPlan.level_matrices, np.linalg.eigvalsh
+
+        def counting_walk(plan, w, nodes):
+            walks.append(nodes)
+            return walk(plan, w, nodes)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            solves.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(oracle._StripPlan, "level_matrices", counting_walk)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        t1, t2 = twin_triangles(), gaussian_pair()
+        g2 = oracle.Grid.for_target(t2, (16, 16))
+        assert all(c.passed for c in suite.strip_level_probes(t2, g2, 3.0, [(j + 0.5) / 6 for j in range(6)]))
+        # one walk per kind over the six levels, one solve per level kernel
+        assert len(walks) == 2
+        assert len(solves) == 12
+        solves.clear()
+        assert all(c.passed for c in suite.level_probes_1d(t1, oracle.Grid.for_target(t1, 300), 3.0, [0.2, 0.5, 0.9]))
+        assert len(solves) == 3
+
+    def test_suite_takes_its_kernel_rows_from_theorem_bounds(self, monkeypatch):
+        from collections import Counter
+
+        from slicegap import spectral_oracle as oracle, suite
+
+        calls, inside = Counter(), []
+        bounds = oracle.verify_theorem_bounds
+
+        def counting_bounds(*args, **kwargs):
+            calls["verify_theorem_bounds"] += 1
+            inside.append(True)
+            try:
+                return bounds(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if not inside:  # the builders that verify_theorem_bounds calls are its own
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(oracle, "verify_theorem_bounds", counting_bounds)
+        for name in ("build_full_matrix", "build_k_step_matrices"):
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        rows = suite.run_verification_suite()
+        assert calls == Counter(verify_theorem_bounds=1)
+        assert [c.name for c in rows[2:8]] == [
+            "full_kernel_reversibility",
+            "gap_sandwich",
+            "kstep_monotonicity",
+            "kstep_power_bound",
+            "doeblin_gap_bound",
+            "tv_decay_bound",
+        ]
 
     def test_biased_level_move_fails_law(self, monkeypatch):
         # a move that never leaves the part of the level set it starts in

@@ -6,6 +6,7 @@ import pytest
 from oracles import bin_masses_1d, level_integral_kernels, strip_level_matrix
 from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from slicegap.kernels import beta_k_so_sh_closed_form
+from slicegap.slice_geometry import level_set_1d
 from slicegap.spectral_oracle import (
     Check,
     DiscreteKernel,
@@ -17,6 +18,8 @@ from slicegap.spectral_oracle import (
     build_level_matrix,
     density_on_grid,
     discretize_target,
+    level_kernels,
+    level_spectrum,
     op_norm_centered,
     psd_check,
     reversibility_check,
@@ -361,6 +364,57 @@ class TestStripWalk:
             finally:
                 tracemalloc.stop()
             assert peak <= bound
+
+
+class TestLevelKernels:
+    """``level_kernels`` against one level at a time, and ``level_spectrum`` against the full-kernel references."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["1d-one-part", "1d-two-part", "2d-hit_and_run", "2d-combined", "2d-one-cell-top"],
+    )
+    def test_spectrum_matches_the_full_kernel_references(self, t1, t2, case):
+        if case.startswith("1d"):
+            t = 0.9 if case == "1d-one-part" else 0.5
+            assert level_set_1d(t1, t).parts.nparts == (1 if case == "1d-one-part" else 2)
+            K = build_level_matrix(t1, Grid.for_target(t1, 300), t, KernelKind.SO_SH, 3.0)
+        else:
+            # an odd grid: one cell holds the top density
+            grid = Grid.for_target(t2, (15, 15))
+            kind = KernelKind.COMBINED if case == "2d-combined" else KernelKind.HIT_AND_RUN
+            top = case == "2d-one-cell-top"
+            K = build_level_matrix(t2, grid, float(density_on_grid(t2, grid).max()) if top else 0.3, kind, 3.0)
+            assert (K.n == 1) == top
+        norm, min_eig = level_spectrum(K)
+        assert norm == pytest.approx(op_norm_centered(K), abs=1e-12)
+        assert min_eig == pytest.approx(psd_check(K), abs=1e-12)
+        if K.n == 1:
+            assert (norm, min_eig) == (0.0, 1.0)
+
+    def test_non_symmetric_level_matrix_rejected(self):
+        # stochastic, but its rows and columns differ: not a level kernel of the uniform law
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            level_spectrum(DiscreteKernel(P=P, pi=np.full(3, 1.0 / 3.0), label="cycle"))
+
+    @pytest.mark.parametrize("kind", [KernelKind.SO_SH, KernelKind.UNIFORM, KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    def test_walk_matches_one_level_at_a_time(self, t1, t2, kind):
+        target, grid = (t1, Grid.for_target(t1, 200)) if kind is KernelKind.SO_SH else (t2, Grid.for_target(t2, (12, 12)))
+        # two levels on one node, and levels far apart
+        levels = [0.05, 0.2, 0.2 + 1e-9, 0.45, 0.6, 0.85]
+        seen = 0
+        for t, K in zip(levels, level_kernels(target, grid, kind, 3.0, levels)):
+            ref = build_level_matrix(target, grid, t, kind, 3.0)
+            assert K.label == ref.label
+            assert np.array_equal(K.support, ref.support) and np.array_equal(K.pi, ref.pi)
+            assert np.abs(K.P - ref.P).max() <= 1e-13
+            seen += 1
+        assert seen == len(levels)
+
+    def test_levels_out_of_order_rejected(self, t2):
+        grid = Grid.for_target(t2, (12, 12))
+        with pytest.raises(ValueError, match="ascending"):
+            next(level_kernels(t2, grid, KernelKind.COMBINED, 3.0, [0.4, 0.2]))
 
 
 class TestOpNorm:
