@@ -41,8 +41,15 @@ def _parse_positive(text: str) -> float:
     return value
 
 
+def _parse_shape(text: str) -> Shape:
+    """The smooth shapes only; flat components are test fixtures of the ``uniform_*`` factories."""
+    if text not in ("triangular", "gaussian"):
+        raise ValueError("options: ['triangular', 'gaussian']")
+    return Shape(text)
+
+
 # in the order of QuasiConcaveComponent's fields
-_COMPONENT = {"shape": Shape, "mode": _parse_floats, "height": float, "scale": float}
+_COMPONENT = {"shape": _parse_shape, "mode": _parse_floats, "height": float, "scale": float}
 
 # section -> key -> parser
 _SCHEMA = {

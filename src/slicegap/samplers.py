@@ -324,10 +324,11 @@ def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
     The pointwise maximum of the components is dominated by their sum, so
     proposing from the mass-weighted component mixture and accepting with
     probability max/sum is exact, with acceptance rate at least one half.
+    Flat components have no draw here, so a target holding one is refused.
     """
-    comps = getattr(target, "components", None)
-    if comps is None:
-        raise ValueError("exact stationary sampling needs component structure")
+    comps = target.components
+    if any(c.shape is Shape.FLAT for c in comps):
+        raise ValueError("exact stationary sampling has no draw for flat components")
     masses = []
     for c in comps:
         if c.shape is Shape.TRIANGULAR:

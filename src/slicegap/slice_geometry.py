@@ -121,22 +121,15 @@ def line_section(target, t: float, x, theta) -> LineSection:
     if rho_x < t - MEMBERSHIP_TOL:
         raise OffSliceError(f"density {rho_x} at the origin point is below the level {t}")
 
-    components = getattr(target, "components", None)
-    if components is not None:
-        regions = [c.level_region(t) for c in components]
-    else:
-        regions = list(target.level_regions(t))
-    sections = (_line_region_section(region, x, theta) for region in regions)
+    sections = (_line_region_section(region, x, theta) for region in target.level_regions(t))
     present = [iv for iv in sections if iv is not None]
     if not present:
         raise OffSliceError("line misses every level region")  # unreachable when rho(x) >= t
     return LineSection.from_intervals(present)
 
 
-def _line_region_section(region: Region | None, x: np.ndarray, theta: np.ndarray) -> Interval | None:
+def _line_region_section(region: Region, x: np.ndarray, theta: np.ndarray) -> Interval | None:
     """Solve for {s : x + s*theta in region}; at most one interval per convex region."""
-    if region is None:
-        return None
     if isinstance(region, Interval):
         # theta is +1 or -1 in one dimension
         a = (region.lo - x[0]) / theta[0]

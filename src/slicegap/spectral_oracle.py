@@ -534,8 +534,7 @@ def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
     offset = (np.arange(N_THETA) * (math.sqrt(5.0) - 1.0) / 2.0 + 0.5) % 1.0
     strips = int(np.floor(xi.max() + 1.0)) + 1
     sid = (np.floor(xi + offset[:, None]) + np.arange(N_THETA)[:, None] * strips).astype(np.int32)
-    comps = getattr(target, "components", None) if parts else None
-    values = np.stack([comp.density(pts) for comp in comps]) if comps else rho[None]
+    values = np.stack([comp.density(pts) for comp in target.components]) if parts else rho[None]
     side = np.argmax(values, axis=0).astype(np.int32)
     keys, sides = sid.ravel(), np.tile(side, N_THETA)
     both = np.zeros(N_THETA * strips)
@@ -837,6 +836,12 @@ def verify_theorem_bounds(
     the kernel being solved.  The margins are the module's ``TOL_*``
     constants, read at call time; the exact checks use ``TOL_EXACT``,
     capped at 1e-10 for the positivity of H and 1e-8 for reversibility.
+    H is the one-step kernel whatever k the caller adds to ``k_list``: with
+    ``k_inner > 1``, gap(H), ``psd_H``, ``reversibility_H``, the upper sandwich
+    and the ``tv_decay_n*`` rows describe the one-step H.  The benchmark pins
+    the row count (84 on ``configs/t1_so_sh.cfg``, 70 on ``bench/gap2d.cfg``),
+    so two identities stay: ``power_bound_k1`` (x <= x) and, on a shared grid,
+    ``corollary_kstep_gap_k1`` (``sandwich_lower_k1`` again).
     """
     k_list = sorted(set(k_list))
     kgrid, km = kstep_grid or grid, kstep_m or m

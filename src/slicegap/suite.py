@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics, kernels, samplers, slice_geometry, spectral_oracle as oracle
 from .spectral_oracle import Check, KernelKind
-from .targets import UniformInterval, gaussian_pair, twin_triangles
+from .targets import gaussian_pair, twin_triangles, uniform_interval
 
 
 def level_probes_1d(target, grid, w, levels) -> list[Check]:
@@ -142,7 +142,7 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     rows += strip_level_probes(t2, oracle.Grid.for_target(t2, (32, 32)), w, [(j + 0.5) / 6 for j in range(6)])
 
     # samplers against exact references
-    u01 = UniformInterval(0.0, 1.0)
+    u01 = uniform_interval(0.0, 1.0)
     simple = samplers.SamplerConfig(samplers.SamplerKind.SIMPLE)
     ys = np.array([samplers._step_with_level(u01, simple, np.array([0.3]), rng)[0][0] for _ in range(20_000)])
     rows.append(Check("uniform_slice_ks", 0.01, float(stats.kstest(ys, "uniform").pvalue), 0.0))

@@ -1,9 +1,11 @@
-"""Target density families with exact level-set oracles.
+"""Target densities with exact level-set oracles.
 
-Every target exposes its dimension, pointwise density, supremum norm and,
-crucially, an analytic description of each level set as a union of at most
-two elementary regions (intervals in 1D, Euclidean balls otherwise).  All
-geometry downstream is computed from these closed forms, so there is no
+A target is the pointwise maximum of one or two quasi-concave components:
+triangular (1D only), Gaussian, or flat on a ball (``uniform_interval`` and
+``uniform_ball``).  It exposes its dimension, pointwise density, supremum
+norm and, crucially, each level set as a union of at most two elementary
+regions (intervals in 1D, Euclidean balls otherwise).  All geometry
+downstream is computed from these closed forms, so there is no
 root-finding error anywhere in the verification chain.
 """
 
@@ -103,15 +105,17 @@ def _array_line_density(target, x, theta) -> LineDensity:
 class Shape(str, Enum):
     TRIANGULAR = "triangular"
     GAUSSIAN = "gaussian"
+    FLAT = "flat"
 
 
 @dataclass(frozen=True)
 class QuasiConcaveComponent:
     """One unimodal building block of a target density.
 
-    ``scale`` is the half-width of the base for the triangular shape and the
-    precision ``a`` in ``height * exp(-a |x - mode|^2)`` for the Gaussian
-    shape.  Every level set of a component is an interval (1D) or a ball.
+    ``scale`` is the half-width of the base for the triangular shape (1D
+    only), the precision ``a`` in ``height * exp(-a |x - mode|^2)`` for the
+    Gaussian shape and the radius of the flat shape's closed ball.  Every
+    level set of a component is an interval (1D) or a ball.
     """
 
     shape: Shape
@@ -144,6 +148,8 @@ class QuasiConcaveComponent:
             r = np.abs(xs - m[0])
         else:
             r = np.linalg.norm(x - m, axis=-1)
+        if self.shape is Shape.FLAT:
+            return np.where(r <= self.scale, self.height, 0.0)
         if self.shape is Shape.TRIANGULAR:
             return self.height * np.maximum(0.0, 1.0 - r / self.scale)
         return self.height * np.exp(-self.scale * r**2)
@@ -156,10 +162,14 @@ class QuasiConcaveComponent:
 
     def _line(self, xs: list[float], ts: list[float]) -> LineDensity:
         h, a = float(self.height), float(self.scale)
-        if self.dim > 1:  # Gaussian: triangles are one-dimensional
+        if self.dim > 1:  # Gaussian or flat: triangles are one-dimensional
             radius = _line_norm(xs, ts, self.mode)
+            if self.shape is Shape.FLAT:
+                return lambda s: h if radius(s) <= a else 0.0
             return lambda s: h * float(np.exp(-a * radius(s) ** 2))
         x0, t0, m0 = xs[0], ts[0], float(self.mode[0])
+        if self.shape is Shape.FLAT:
+            return lambda s: h if abs(x0 + s * t0 - m0) <= a else 0.0
         if self.shape is Shape.TRIANGULAR:
 
             def triangle(s: float) -> float:
@@ -174,6 +184,8 @@ class QuasiConcaveComponent:
         """Radius of the level region {component >= t}, defined for 0 < t <= height."""
         if not 0.0 < t <= self.height:
             raise ValueError(f"level {t} outside (0, {self.height}]")
+        if self.shape is Shape.FLAT:
+            return self.scale
         if self.shape is Shape.TRIANGULAR:
             return self.scale * (1.0 - t / self.height)
         return math.sqrt(math.log(self.height / t) / self.scale)
@@ -257,7 +269,7 @@ class TargetDensity:
         los = np.full(self.dim, np.inf)
         his = np.full(self.dim, -np.inf)
         for comp in self.components:
-            if comp.shape is Shape.TRIANGULAR:
+            if comp.shape is not Shape.GAUSSIAN:  # compact support of radius scale
                 r = comp.scale
             else:
                 r = comp.level_radius(min(eps_cut, comp.height))
@@ -265,81 +277,6 @@ class TargetDensity:
             los = np.minimum(los, m - r)
             his = np.maximum(his, m + r)
         return list(zip(los.tolist(), his.tolist()))
-
-
-@dataclass(frozen=True)
-class UniformInterval:
-    """Flat density ``height`` on [lo, hi]; every level set is the whole interval."""
-
-    lo: float
-    hi: float
-    height: float = 1.0
-    name: str = "uniform-interval"
-    dim: int = 1
-
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = x[..., 0] if x.ndim and x.shape[-1:] == (1,) else x
-        inside = (r >= self.lo) & (r <= self.hi)
-        return np.where(inside, self.height, 0.0)
-
-    def line_density(self, x, theta) -> LineDensity:
-        """Density at ``x + s * theta``; see ``TargetDensity.line_density``."""
-        (x0,), (t0,) = _line_floats(x, theta, 1)
-        lo, hi, h = self.lo, self.hi, float(self.height)
-        return lambda s: h if lo <= x0 + s * t0 <= hi else 0.0
-
-    @property
-    def sup_norm(self) -> float:
-        return self.height
-
-    def level_regions(self, t: float) -> list[Region]:
-        if t > self.height:
-            return []
-        return [Interval(self.lo, self.hi)]
-
-    def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
-        return [(self.lo, self.hi)]
-
-
-@dataclass(frozen=True)
-class UniformBall:
-    """Flat density ``height`` on a ball; test fixture for chord-kernel identities."""
-
-    center: tuple[float, ...]
-    radius: float
-    height: float = 1.0
-    name: str = "uniform-ball"
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(np.atleast_1d(x) - np.asarray(self.center), axis=-1)
-        return np.where(r <= self.radius, self.height, 0.0)
-
-    def line_density(self, x, theta) -> LineDensity:
-        """Density at ``x + s * theta``; see ``TargetDensity.line_density``."""
-        if self.dim > _SCALAR_NORM_MAX_DIM:
-            return _array_line_density(self, x, theta)
-        radius = _line_norm(*_line_floats(x, theta, self.dim), self.center)
-        r_max, h = self.radius, float(self.height)
-        return lambda s: h if radius(s) <= r_max else 0.0
-
-    @property
-    def sup_norm(self) -> float:
-        return self.height
-
-    def level_regions(self, t: float) -> list[Region]:
-        if t > self.height:
-            return []
-        return [Ball(self.center, self.radius)]
-
-    def support_bounds(self, eps_cut: float) -> list[tuple[float, float]]:
-        m = np.asarray(self.center)
-        return list(zip((m - self.radius).tolist(), (m + self.radius).tolist()))
 
 
 @dataclass(frozen=True)
@@ -359,9 +296,9 @@ def line_builder(target) -> Callable[[list[float], list[float]], LineDensity]:
     """``(xs, ts) -> line density`` through a point and along a direction given as Python floats.
 
     A target on the scalar path gets the builder behind its ``line_density``,
-    which skips the array conversion and shape check; any other target gets
-    ``line_density`` itself.  Either way the line density is the same, bit
-    for bit.
+    which skips the array conversion and shape check; anything else, such as a
+    wrapper that substitutes or records line densities (the tests' fakes),
+    gets ``line_density`` itself.  Either way it is the same, bit for bit.
     """
     if isinstance(target, TargetDensity) and target.dim <= _SCALAR_NORM_MAX_DIM:
         return target._line
@@ -371,8 +308,8 @@ def line_builder(target) -> Callable[[list[float], list[float]], LineDensity]:
 def axis_line(target) -> LineDensity:
     """Density along the axis of a 1D target, ``line_density(0.0, 1.0)``.
 
-    A ``TargetDensity`` builds it on first use and keeps it for its own
-    lifetime; any other target builds it on each call.
+    A ``TargetDensity`` builds it on first use and keeps it for its lifetime;
+    anything else, such as a wrapper of the tests, builds it on each call.
     """
     if isinstance(target, TargetDensity):
         return target._axis_line
@@ -467,6 +404,18 @@ def check_Rdw(target: TargetDensity, w: float) -> bool:
     m1 = np.asarray(target.components[0].mode)
     m2 = np.asarray(target.components[1].mode)
     return float(np.linalg.norm(m1 - m2)) <= w / 2.0
+
+
+def uniform_interval(lo: float, hi: float, height: float = 1.0) -> TargetDensity:
+    """Flat density ``height`` on [lo, hi]; its edges m -/+ r are exact when m and r are, as for [0, 1] and [-1, 2]."""
+    comp = QuasiConcaveComponent(Shape.FLAT, ((lo + hi) / 2,), height, (hi - lo) / 2)
+    return TargetDensity(1, (comp,), name="uniform-interval")
+
+
+def uniform_ball(center, radius: float, height: float = 1.0) -> TargetDensity:
+    """Flat density ``height`` on the closed ball; test fixture for chord-kernel identities."""
+    comp = QuasiConcaveComponent(Shape.FLAT, tuple(center), height, radius)
+    return TargetDensity(len(comp.mode), (comp,), name="uniform-ball")
 
 
 def twin_triangles() -> TargetDensity:

@@ -109,7 +109,7 @@ def level_integral_kernels(target, centers, rho, m, w=None, ks=(1,), grid=None):
     strips = grid is not None and grid.dim == 2
     nodes = [rho, np.linspace(0.0, rho.max(), m + 1)[1:]]
     if strips:
-        nodes += [np.asarray(comp.density(centers)) for comp in getattr(target, "components", ())]
+        nodes += [np.asarray(comp.density(centers)) for comp in target.components]
     below = 0.0
     for top in np.unique(np.concatenate(nodes)):
         if top <= 0.0:
@@ -162,7 +162,7 @@ def strip_level_matrix(target, grid, points, t, w=None, n_theta=128):
         np.linalg.norm(points - np.asarray(comp.mode), axis=1) <= comp.level_radius(t)
         if t <= comp.height
         else np.zeros(n, dtype=bool)
-        for comp in getattr(target, "components", ())
+        for comp in target.components
     ]
     A = np.zeros((n, n))
     for a in range(n_theta):

@@ -98,10 +98,12 @@ kind = simple
         with pytest.raises(ConfigError, match="mutually exclusive"):
             load_config_text(text)
 
-    def test_bad_shape(self):
-        text = """
+    @pytest.mark.parametrize("shape", ["square", "flat"])
+    def test_bad_shape(self, shape):
+        # flat components are fixtures of the uniform_* factories: the config accepts the smooth shapes only
+        text = f"""
 [target.component1]
-shape = square
+shape = {shape}
 mode = 0.0
 height = 1.0
 scale = 1.0
@@ -109,7 +111,7 @@ scale = 1.0
 [sampler]
 kind = simple
 """
-        with pytest.raises(ConfigError, match="shape"):
+        with pytest.raises(ConfigError, match=r"component1\.shape.*\(options: \['triangular', 'gaussian'\]\)$"):
             load_config_text(text)
 
     def test_zero_density_start(self):

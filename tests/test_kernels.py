@@ -22,7 +22,7 @@ from slicegap.spectral_oracle import (
     psd_check,
     reversibility_check,
 )
-from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, UniformBall
+from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, uniform_ball
 
 # mixture weight of the reference bimodal target at level one half, step width 3:
 # interval lengths 1 and 0.75, gap 1.125, so ((3 - 1.125)/3) * (1.75/2.875)
@@ -109,7 +109,7 @@ class TestBetaClosedForm:
 
 class TestHarNormBound:
     def test_disk_value(self):
-        disk = UniformBall((0.0, 0.0), 1.0)
+        disk = uniform_ball((0.0, 0.0), 1.0)
         assert har_level_norm_bound(disk, 0.5) == pytest.approx(0.75)
 
     def test_in_unit_interval(self, t2):
@@ -135,7 +135,7 @@ class TestCombinedDensity:
 
 class TestCombinedNormBound:
     def test_disk_value(self):
-        disk = UniformBall((0.0, 0.0), 1.0)
+        disk = uniform_ball((0.0, 0.0), 1.0)
         assert combined_norm_bound(disk, 0.5) == pytest.approx(0.875)
 
     def test_weaker_than_chord_bound(self, t2):

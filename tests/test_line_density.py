@@ -11,11 +11,11 @@ from slicegap.targets import (
     QuasiConcaveComponent,
     Shape,
     TargetDensity,
-    UniformBall,
-    UniformInterval,
     eval_density,
     gaussian_pair,
     twin_triangles,
+    uniform_ball,
+    uniform_interval,
 )
 
 #: extra offsets checked along each drawn line, from a seed hypothesis draws
@@ -26,8 +26,12 @@ offset = st.floats(-6.0, 6.0, allow_nan=False)
 seed = st.integers(0, 2**32 - 1)
 
 ONE_GAUSSIAN = TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.3,), 1.2, 2.0),))
-INTERVAL = UniformInterval(-1.0, 2.0, 0.5)
-BALL = UniformBall((0.2, -0.1), 1.3, 0.7)
+INTERVAL = uniform_interval(-1.0, 2.0, 0.5)
+BALL = uniform_ball((0.2, -0.1), 1.3, 0.7)
+#: points whose float distance to BALL's centre is exactly its radius
+BALL_EDGES = [[1.5, -0.1], [-1.1, -0.1]]
+#: BALL next to a smooth component: the pointwise maximum switches between the two shapes
+FLAT_AND_GAUSSIAN = TargetDensity(2, (*BALL.components, QuasiConcaveComponent(Shape.GAUSSIAN, (1.0, 0.5), 1.0, 2.0)))
 
 
 def _assert_bit_identical(target, x, theta, s, sweep_seed):
@@ -66,19 +70,31 @@ def test_one_component_gaussian(x, theta, s, sweep_seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=st.one_of(st.sampled_from([INTERVAL.lo, INTERVAL.hi]), coord), theta=coord, s=offset, sweep_seed=seed)
+@given(x=st.one_of(st.sampled_from([-1.0, 2.0]), coord), theta=coord, s=offset, sweep_seed=seed)
 def test_uniform_interval_edges_included(x, theta, s, sweep_seed):
     # offset 0 puts the point on an edge whenever x is one
     _assert_bit_identical(INTERVAL, [x], [theta], s, sweep_seed)
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=_vector(2), theta=_vector(2), s=offset, sweep_seed=seed)
+@given(x=st.one_of(st.sampled_from(BALL_EDGES), _vector(2)), theta=_vector(2), s=offset, sweep_seed=seed)
 def test_uniform_ball(x, theta, s, sweep_seed):
+    # offset 0 puts the point on the circle whenever x is one of BALL_EDGES
     _assert_bit_identical(BALL, x, theta, s, sweep_seed)
 
 
-COMPONENTS = [*twin_triangles().components, *gaussian_pair().components, *ONE_GAUSSIAN.components]
+@settings(max_examples=300, deadline=None)
+@given(x=_vector(2), theta=_vector(2), s=offset, sweep_seed=seed)
+def test_flat_ball_and_gaussian(x, theta, s, sweep_seed):
+    _assert_bit_identical(FLAT_AND_GAUSSIAN, x, theta, s, sweep_seed)
+
+
+COMPONENTS = [
+    *twin_triangles().components,
+    *gaussian_pair().components,
+    *ONE_GAUSSIAN.components,
+    *FLAT_AND_GAUSSIAN.components,
+]
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,9 +105,9 @@ def test_components(x, theta, s, sweep_seed, which):
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=_vector(2), which=st.integers(0, 4))
+@given(x=_vector(2), which=st.integers(0, 5))
 def test_eval_density_is_the_array_density(x, which):
-    target = [twin_triangles(), gaussian_pair(), ONE_GAUSSIAN, INTERVAL, BALL][which]
+    target = [twin_triangles(), gaussian_pair(), ONE_GAUSSIAN, INTERVAL, BALL, FLAT_AND_GAUSSIAN][which]
     point = np.asarray(x[: target.dim])
     assert eval_density(target, point).hex() == float(target.density(point)).hex()
 

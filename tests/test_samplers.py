@@ -35,10 +35,10 @@ from slicegap.targets import (
     QuasiConcaveComponent,
     Shape,
     TargetDensity,
-    UniformBall,
-    UniformInterval,
     eval_density,
     twin_triangles,
+    uniform_ball,
+    uniform_interval,
 )
 
 
@@ -234,7 +234,7 @@ class TestDensityEvaluations:
     def test_so_sh_step(self):
         # level 0.75 on the flat [0, 1]; bracket [0.35, 0.65] steps out to [-0.25, 1.25];
         # the proposal at 1.1 is rejected, the one at 0.425 accepted
-        target = CountingLines(UniformInterval(0.0, 1.0))
+        target = CountingLines(uniform_interval(0.0, 1.0))
         rng = FakeRng([0.25, 0.5, 0.9, 0.5])
         cfg = SamplerConfig(SamplerKind.SO_SH, w=0.3)
         y, t, rho = _step_with_level(target, cfg, np.array([0.5]), rng, rho=1.0)
@@ -247,7 +247,7 @@ class TestDensityEvaluations:
     def test_har_so_sh_step(self):
         # direction (0, 1) through (0.6, 0) on the unit disk: the chord is s in [-0.8, 0.8];
         # bracket [-0.25, 0.25] steps out to [-1.25, 1.25]; 1.0 is rejected, -0.125 accepted
-        target = CountingLines(UniformBall((0.0, 0.0), 1.0))
+        target = CountingLines(uniform_ball((0.0, 0.0), 1.0))
         rng = FakeRng([0.25, 0.5, 0.9, 0.5], normals=[[0.0, 2.0]])
         cfg = SamplerConfig(SamplerKind.HAR_SO_SH, w=0.5)
         y, t, rho = _step_with_level(target, cfg, np.array([0.6, 0.0]), rng, rho=1.0)
@@ -260,7 +260,7 @@ class TestDensityEvaluations:
 
 class TestSimpleSlice:
     def test_uniform_target_gives_iid_uniform(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         rng = np.random.default_rng(8)
         simple = SamplerConfig(SamplerKind.SIMPLE)
         ys = np.array([_step_with_level(u, simple, np.array([0.9]), rng)[0][0] for _ in range(100_000)])
@@ -702,3 +702,9 @@ def test_stationary_sampler_is_exact(t1):
     counts = np.histogram(xs, edges)[0]
     chi2 = float(((counts - xs.size * probs) ** 2 / (xs.size * probs)).sum())
     assert stats.chi2.sf(chi2, probs.size - 1) > 0.01
+
+
+@pytest.mark.parametrize("target", [uniform_ball((0.0, 0.0), 1.0), uniform_interval(0.0, 1.0)], ids=["ball", "interval"])
+def test_stationary_sampler_rejects_flat_targets(target):
+    with pytest.raises(ValueError, match="flat"):
+        sample_stationary(target, 10, np.random.default_rng(0))

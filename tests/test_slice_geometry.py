@@ -20,8 +20,8 @@ from slicegap.targets import (
     QuasiConcaveComponent,
     Shape,
     TargetDensity,
-    UniformBall,
-    UniformInterval,
+    uniform_ball,
+    uniform_interval,
 )
 
 
@@ -129,7 +129,7 @@ class TestLineSection:
 
 class TestVolume:
     def test_single_disk(self):
-        ball = UniformBall((0.0, 0.0), 0.7)
+        ball = uniform_ball((0.0, 0.0), 0.7)
         assert vol_level_set(ball, 0.5) == pytest.approx(math.pi * 0.49)
 
     def test_disjoint_disks(self, t2):
@@ -154,7 +154,7 @@ class TestVolume:
 
 class TestDiameter:
     def test_single_ball(self):
-        assert diam_level_set(UniformBall((1.0, 2.0), 0.5), 0.5) == pytest.approx(1.0)
+        assert diam_level_set(uniform_ball((1.0, 2.0), 0.5), 0.5) == pytest.approx(1.0)
 
     def test_separated_balls(self):
         target = TargetDensity(
@@ -183,7 +183,7 @@ def test_vol_diam_ratio_bounded(t2):
 
 class TestUniformSampling:
     def test_single_interval_ks(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         rng = np.random.default_rng(12)
         xs = np.array([uniform_sample_level_set(u, 0.5, rng)[0] for _ in range(100_000)])
         assert stats.kstest(xs, "uniform").pvalue > 0.01

@@ -36,10 +36,10 @@ from slicegap.targets import (
     QuasiConcaveComponent,
     Shape,
     TargetDensity,
-    UniformBall,
-    UniformInterval,
     gaussian_pair,
     twin_triangles,
+    uniform_ball,
+    uniform_interval,
 )
 
 
@@ -74,7 +74,7 @@ class TestGrid:
 
 class TestDiscretizeTarget:
     def test_uniform_four_cells(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(4,))
         assert np.allclose(discretize_target(u, grid), 0.25)
 
@@ -127,9 +127,7 @@ class TestBuildLevelMatrix:
             assert (K.P - (har_small_set_weight(t2, t) * K.pi)[None, :]).min() >= -5e-3
 
     def test_chord_rows_on_disk(self):
-        from slicegap.targets import UniformBall
-
-        disk = UniformBall((0.0, 0.0), 1.0)
+        disk = uniform_ball((0.0, 0.0), 1.0)
         grid = Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(24, 24))
         K = build_level_matrix(disk, grid, 0.5, KernelKind.HIT_AND_RUN, None)
         assert K.P.min() >= 0.0
@@ -156,7 +154,7 @@ class TestBuildLevelMatrix:
 
 class TestBuildFullMatrix:
     def test_uniform_target_is_rank_one(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(50,))
         U = build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=20)
         assert spectral_gap(U) == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +192,7 @@ class TestBuildFullMatrix:
     @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
     def test_disk_kernel_is_its_level_kernel(self, kind):
         # every level of a flat disk holds the same cells, so H is the level kernel of any level
-        disk = UniformBall((0.0, 0.0), 1.0)
+        disk = uniform_ball((0.0, 0.0), 1.0)
         grid = Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(24, 24))
         H = build_full_matrix(disk, grid, kind, 3.0)
         assert H.n < grid.n
@@ -257,7 +255,7 @@ class TestLevelPlan:
     TARGETS = {
         "twin_triangles": twin_triangles(),
         "one_component": TargetDensity(1, (QuasiConcaveComponent(Shape.GAUSSIAN, (0.3,), 1.2, 2.0),)),
-        "uniform_interval": UniformInterval(-1.0, 2.0, 0.5),
+        "uniform_interval": uniform_interval(-1.0, 2.0, 0.5),
         "gaussian_pair": gaussian_pair(),
         "separated_pair": separated_pair(),
     }
@@ -582,7 +580,7 @@ class TestVerifiers:
         assert high <= 1.1 * low
 
     def test_uniform_kind_sandwich_is_tight(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(40,))
         report = verify_theorem_bounds(u, grid, KernelKind.UNIFORM, None, [1, 3], m=20, norm_bins=64)
         assert report.all_passed
@@ -600,7 +598,7 @@ class TestVerifiers:
         assert all(c.passed for c in power)
 
     def test_monotonicity_constant_for_uniform(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
         ksteps = build_k_step_matrices(u, grid, KernelKind.UNIFORM, None, range(1, 5), m=10)
         mono = verify_monotonicity({k: op_norm_centered(K) for k, K in ksteps.items()}, 4)
@@ -614,7 +612,7 @@ class TestVerifiers:
         assert check.lhs == pytest.approx(0.45, abs=5e-3)
 
     def test_mt_bound_uniform_equality(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
         check = verify_mt_bound(u, grid, spectral_gap(build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=64)))
         assert check.lhs == pytest.approx(1.0)
@@ -648,7 +646,7 @@ class TestVerifiers:
         assert not any(c.passed for c in checks)
 
     def test_tv_rank_one_collapses_in_one_step(self):
-        u = UniformInterval(0.0, 1.0)
+        u = uniform_interval(0.0, 1.0)
         grid = Grid(bounds=((0.0, 1.0),), shape=(30,))
         checks = verify_tv_bound(build_full_matrix(u, grid, KernelKind.UNIFORM, None, m=10), n_max=3)
         assert checks[0].lhs < 1e-12
