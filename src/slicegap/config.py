@@ -97,6 +97,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         d = self.target.dim
+        if self.sampler.kind is SamplerKind.SO_SH and d != 1:
+            raise ConfigError(f"sampler.kind so_sh steps along the axis of a 1D target; use har_so_sh on a {d}D target")
         if self.cells is None:
             self.cells = (2000,) if d == 1 else (40,) * d
         if len(self.cells) != d:

@@ -13,10 +13,11 @@ for a chain (the line density builder, or the axis line of a 1D target;
 Python floats.  The move returns the point it accepts and the density
 there, from which the next level is drawn.  ``run_chain`` binds the
 transition once per chain and writes each state and level into
-preallocated arrays; ``_step_with_level`` and the public level moves bind
-it per call.  Stepping-out plus shrinkage checks its start against that
-carried density, bit for bit equal to ``eval_density`` there, so a step
-of those kinds evaluates the density only where the algorithm needs it.
+preallocated arrays; ``_step_with_level`` binds it per call, and
+``level_move``, the one public level move, binds the move of a kind per
+call.  Stepping-out plus shrinkage checks its start against that carried
+density, bit for bit equal to ``eval_density`` there, so a step of those
+kinds evaluates the density only where the algorithm needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -204,14 +205,6 @@ def _so_sh(
     return _shrinkage_loop(line, left, right, pos0, t, random, max_loop)
 
 
-def _line_move(
-    line: LineDensity, xs: list[float], ts: list[float], t: float, rho: float | None, w: float, random, max_loop: int
-) -> tuple[list[float], float]:
-    """Stepping-out plus shrinkage on ``line``, anchored at ``xs`` (coordinate 0) along ``ts``."""
-    s, rho = _so_sh(line, 0.0, t, line(0.0) if rho is None else rho, w, random, max_loop)
-    return [xi + s * ti for xi, ti in zip(xs, ts)], rho
-
-
 # -- level-conditional moves (fixed level t) --------------------------------
 #
 # Each kind binds what is fixed for a chain (target, rng, w, max_loop) once
@@ -260,7 +253,9 @@ def _har_so_sh_move(target, rng, w, max_loop):
 
     def move(t, xs, rho=None):
         ts = _unit_direction(normal, dim)
-        return _line_move(build(xs, ts), xs, ts, t, rho, w, random, max_loop)
+        line = build(xs, ts)  # the chord through xs along ts, with xs at coordinate 0
+        s, rho = _so_sh(line, 0.0, t, line(0.0) if rho is None else rho, w, random, max_loop)
+        return [xi + s * ti for xi, ti in zip(xs, ts)], rho
 
     return move
 
@@ -273,49 +268,22 @@ _MOVES = {
 }
 
 
-def _floats(x) -> list[float]:
-    """A point (array, sequence or scalar) as a list of Python floats."""
-    xs = np.asarray(x, dtype=float).tolist()
-    return xs if isinstance(xs, list) else [xs]
+def _floats(x, dim: int) -> list[float]:
+    """A point (array, sequence or scalar) of dimension ``dim`` as a list of Python floats."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+    if len(xs) != dim:
+        raise ValueError(f"state {x} does not have the target dimension {dim}")
+    return xs
 
 
-def _move_once(move, t: float, x) -> tuple[np.ndarray, float]:
-    ys, rho = move(t, _floats(x))
+def level_move(target, config: SamplerConfig, t: float, x, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One level move of ``config.kind`` from ``x`` at level ``t``: the point it accepts and the density there.
+
+    Bound per call with ``config.w`` and ``config.max_loop``; ``config.k_inner``
+    belongs to the transition and is not read.
+    """
+    ys, rho = _MOVES[config.kind](target, rng, config.w, config.max_loop)(t, _floats(x, target.dim))
     return np.array(ys), rho
-
-
-def uniform_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Exact uniform refresh on the level set; ignores the current point."""
-    return _move_once(_uniform_move(target, rng, None, DEFAULT_MAX_LOOP), t, x)
-
-
-def so_sh_level_move(
-    target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
-) -> tuple[np.ndarray, float]:
-    """One stepping-out plus shrinkage move on the axis of a 1D target."""
-    return _move_once(_so_sh_move(target, rng, w, max_loop), t, x)
-
-
-def hit_and_run_level_move(target, t: float, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Uniform draw on the chord through ``x`` in a uniform random direction."""
-    return _move_once(_har_move(target, rng, None, DEFAULT_MAX_LOOP), t, x)
-
-
-def so_sh_line_move(
-    target, t: float, x: np.ndarray, theta: np.ndarray, rng: np.random.Generator, w: float,
-    max_loop: int = DEFAULT_MAX_LOOP,
-) -> tuple[np.ndarray, float]:
-    """Stepping-out plus shrinkage along a fixed direction, anchored at coordinate 0."""
-    xs, ts = _floats(x), _floats(theta)
-    ys, rho = _line_move(target.line_density(xs, ts), xs, ts, t, None, w, rng.random, max_loop)
-    return np.array(ys), rho
-
-
-def har_so_sh_level_move(
-    target, t: float, x: np.ndarray, rng: np.random.Generator, w: float, max_loop: int = DEFAULT_MAX_LOOP
-) -> tuple[np.ndarray, float]:
-    """Random direction, then stepping-out plus shrinkage along it."""
-    return _move_once(_har_so_sh_move(target, rng, w, max_loop), t, x)
 
 
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -395,9 +363,7 @@ def _step_with_level(
     ``rho`` is the density at ``x`` when the caller already has it.  Returns
     the new state, the level and the density at the new state.
     """
-    xs = _floats(x)
-    if len(xs) != target.dim:
-        raise ValueError(f"state {x} does not have the target dimension {target.dim}")
+    xs = _floats(x, target.dim)
     if rho is None:
         rho = eval_density(target, x)
     xs, t, rho = _bind_step(target, config, rng)(xs, rho)

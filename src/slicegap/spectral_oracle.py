@@ -517,10 +517,12 @@ def _strip_pairs(strip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
-    """Strip plan of a 2D grid; without ``parts`` the target is one region and every strip refreshes whole."""
+def _strip_plan(target, grid: Grid, kind: KernelKind) -> _StripPlan:
+    """Strip plan of a 2D grid; hit-and-run takes the target as one region, so every strip refreshes whole."""
     if grid.dim != 2:
         raise UnsupportedShapeError(f"strip level kernels are planar; a {grid.dim}D grid supports only the uniform kind")
+    if kind is KernelKind.SO_SH:
+        raise UnsupportedShapeError("so_sh steps along the axis of a 1D target; a 2D grid takes the combined kind")
     vals = density_on_grid(target, grid)
     act = _active_cells(vals)
     rho, pts = vals[act], grid.centers[act]
@@ -534,7 +536,7 @@ def _strip_plan(target, grid: Grid, parts: bool) -> _StripPlan:
     offset = (np.arange(N_THETA) * (math.sqrt(5.0) - 1.0) / 2.0 + 0.5) % 1.0
     strips = int(np.floor(xi.max() + 1.0)) + 1
     sid = (np.floor(xi + offset[:, None]) + np.arange(N_THETA)[:, None] * strips).astype(np.int32)
-    values = np.stack([comp.density(pts) for comp in target.components]) if parts else rho[None]
+    values = np.stack([comp.density(pts) for comp in target.components]) if kind is KernelKind.COMBINED else rho[None]
     side = np.argmax(values, axis=0).astype(np.int32)
     keys, sides = sid.ravel(), np.tile(side, N_THETA)
     both = np.zeros(N_THETA * strips)
@@ -574,7 +576,7 @@ def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
     if any(b < a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be ascending")
     strips = grid.dim >= 2 and kind is not KernelKind.UNIFORM
-    plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN) if strips else None
+    plan = _strip_plan(target, grid, kind) if strips else None
     vals = plan.rho if strips else density_on_grid(target, grid)
     if levels and levels[-1] > vals.max() + LEVEL_TOL:
         raise EmptyLevelSetError(f"no grid cell clears level {levels[-1]}")
@@ -632,7 +634,7 @@ def _power_kernels(target, grid, kind, w, k_list, m):
         plan = _level_plan(target, grid, m)
         mats = (plan.kernel(kind, w, k) for k in k_list)
     else:
-        plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
+        plan = _strip_plan(target, grid, kind)
         mats = plan.power_kernels(w, k_list)
     pi = plan.rho / plan.rho.sum()
     # next() rather than a loop variable: while suspended, this frame holds no matrix it has handed out
@@ -656,6 +658,12 @@ def _centered_similarity(K: DiscreteKernel) -> np.ndarray:
     return C
 
 
+def _asymmetry(A: np.ndarray) -> float:
+    """max |A - A^T|, a block of rows against its mirrored columns at a time: no second n x n array is made."""
+    blocks = (A[s : s + ROW_BLOCK, s:] - A[s:, s : s + ROW_BLOCK].T for s in range(0, A.shape[0], ROW_BLOCK))
+    return max((float(np.abs(b).max()) for b in blocks), default=0.0)
+
+
 def op_norm_centered(K: DiscreteKernel) -> float:
     """Operator norm of the kernel minus its stationary projection on L2(pi).
 
@@ -666,13 +674,9 @@ def op_norm_centered(K: DiscreteKernel) -> float:
     """
     if K._norm is None:
         C = _centered_similarity(K)
-        # row blocks keep the check from allocating a second n x n array; each block reads its
-        # columns from its own first row on, so every pair is compared once
-        for start in range(0, K.n, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            asym = float(np.abs(C[rows, start:] - C[start:, rows].T).max())
-            if asym > 1e-8:
-                raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
+        asym = _asymmetry(C)
+        if asym > 1e-8:
+            raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
         K._norm = _largest_eigenvalue(C)
     return K._norm
 
@@ -733,7 +737,7 @@ def level_spectrum(K: DiscreteKernel) -> tuple[float, float]:
 
     With the uniform law stationary, the norm is max(second-largest, -smallest eigenvalue), 0 on one cell.
     """
-    asym = float(np.abs(K.P - K.P.T).max())
+    asym = _asymmetry(K.P)
     if asym >= 1e-12:
         raise ValueError(f"{K.label} is not symmetric: {asym:.3e}")
     eig = np.linalg.eigvalsh(K.P)
@@ -786,7 +790,7 @@ def beta_profile(
     width = top / norm_bins
     levels = [(b + 0.5) * width for b in range(norm_bins)]
     if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
-        plan = _strip_plan(target, grid, kind is not KernelKind.HIT_AND_RUN)
+        plan = _strip_plan(target, grid, kind)
         nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
         _, first, bins = np.unique(nodes, return_index=True, return_inverse=True)
         norms = [level_spectrum(K)[0] for K in level_kernels(target, grid, kind, w, [levels[b] for b in first])]

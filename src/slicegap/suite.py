@@ -48,10 +48,11 @@ def beta_closed_vs_numeric(target, grid, w, k_list, m: int, norm_bins: int) -> l
 
 
 def level_move_law(target, t: float, x0: float, w, bins: int, n: int, rng) -> list[Check]:
-    """Chi-square p > 0.01 for n stepping-out level moves from ``x0`` against the mixture, ``bins`` bins per part."""
+    """Chi-square p > 0.01 for n so_sh ``samplers.level_move`` calls from ``x0``, ``bins`` bins per part of the mixture."""
     ls = slice_geometry.level_set_1d(target, t)
     gamma = kernels.gamma_t(ls, w)
-    ys = np.array([samplers.so_sh_level_move(target, t, np.array([x0]), rng, w)[0][0] for _ in range(n)])
+    config = samplers.SamplerConfig(samplers.SamplerKind.SO_SH, w)
+    ys = np.array([samplers.level_move(target, config, t, np.array([x0]), rng)[0][0] for _ in range(n)])
     edges = [np.linspace(part.lo, part.hi, bins + 1) for part in ls.parts.intervals]
     counts = np.concatenate([np.histogram(ys, e)[0] for e in edges])
     widths = np.concatenate([np.diff(e) for e in edges])

@@ -407,8 +407,15 @@ def check_Rdw(target: TargetDensity, w: float) -> bool:
 
 
 def uniform_interval(lo: float, hi: float, height: float = 1.0) -> TargetDensity:
-    """Flat density ``height`` on [lo, hi]; its edges m -/+ r are exact when m and r are, as for [0, 1] and [-1, 2]."""
-    comp = QuasiConcaveComponent(Shape.FLAT, ((lo + hi) / 2,), height, (hi - lo) / 2)
+    """Flat density ``height`` on [lo, hi]: a flat component of midpoint m and half-width r.
+
+    Edges that m -/+ r does not give back exactly raise ValueError: [0, 1] and [-1, 2] load, [0.1, 0.7]
+    does not.  A point whose |x - m| rounds to r counts as inside, so [0, 1] holds -1e-17.
+    """
+    m, r = (lo + hi) / 2, (hi - lo) / 2
+    if (m - r, m + r) != (lo, hi):
+        raise ValueError(f"edges {lo!r} and {hi!r} do not come back from m -/+ r: got {m - r!r} and {m + r!r}")
+    comp = QuasiConcaveComponent(Shape.FLAT, (m,), height, r)
     return TargetDensity(1, (comp,), name="uniform-interval")
 
 

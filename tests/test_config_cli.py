@@ -33,6 +33,9 @@ tv_n_max = 10
 norm_bins = 128
 """
 
+#: MINIMAL on the 2D reference target, valid but for the axis kind
+SO_SH_2D = MINIMAL.replace("twin_triangles", "gaussian_pair").replace("cells = 200", "cells = 12,12")
+
 
 def diagnostics_exit_code(out) -> int:
     """Exit code that ``sample`` and ``diag`` owe the pass column of ``out/diagnostics.csv``."""
@@ -92,6 +95,18 @@ kind = simple
         bad = MINIMAL.replace("w = 3.0", "")
         with pytest.raises(ConfigError):
             load_config_text(bad)
+
+    def test_so_sh_needs_a_one_dimensional_target(self):
+        with pytest.raises(ConfigError, match="use har_so_sh on a 2D target"):
+            load_config_text(SO_SH_2D)
+
+    @pytest.mark.parametrize("command", ["sample", "gap"])
+    def test_so_sh_on_a_2d_target_exits_2(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SO_SH_2D)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "use har_so_sh" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_preset_and_components_exclusive(self):
         text = MINIMAL + "\n[target.component1]\nshape = gaussian\nmode = 0\nheight = 1\nscale = 1\n"
@@ -534,7 +549,7 @@ class TestCliVerify:
         (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
         assert check.passed
         left = level_set_1d(t1, 0.5).parts.intervals[0]
-        monkeypatch.setattr(samplers, "so_sh_level_move", lambda target, t, x, rng, w: (rng.uniform(left.lo, left.hi, 1), 1.0))
+        monkeypatch.setattr(samplers, "level_move", lambda target, config, t, x, rng: (rng.uniform(left.lo, left.hi, 1), 1.0))
         (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
         assert not check.passed
 

@@ -18,16 +18,12 @@ from slicegap.samplers import (
     SamplerKind,
     Trace,
     _step_with_level,
-    har_so_sh_level_move,
-    hit_and_run_level_move,
+    level_move,
     read_trace_csv,
     run_chain,
     sample_stationary,
     shrinkage,
-    so_sh_level_move,
-    so_sh_line_move,
     stepping_out,
-    uniform_level_move,
 )
 from slicegap.slice_geometry import level_set_1d, line_section
 from slicegap.spectral_oracle import Grid, KernelKind, build_full_matrix
@@ -169,7 +165,8 @@ class TestSoShStep:
         rng = np.random.default_rng(4)
         t = 0.4
         iv = level_set_1d(tri, t).parts.intervals[0]
-        ys = np.array([so_sh_level_move(tri, t, np.array([0.1]), rng, 3.0)[0][0] for _ in range(30_000)])
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=3.0)
+        ys = np.array([level_move(tri, cfg, t, np.array([0.1]), rng)[0][0] for _ in range(30_000)])
         assert stats.kstest((ys - iv.lo) / iv.length, "uniform").pvalue > 0.01
 
     def test_level_kernel_matches_mixture(self, t1):
@@ -179,7 +176,8 @@ class TestSoShStep:
         ls = level_set_1d(t1, t)
         gamma = gamma_t(ls, w)
         left, right = ls.parts.intervals
-        ys = np.array([so_sh_level_move(t1, t, np.array([-1.0]), rng, w)[0][0] for _ in range(n)])
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=w)
+        ys = np.array([level_move(t1, cfg, t, np.array([-1.0]), rng)[0][0] for _ in range(n)])
         edges_l = np.linspace(left.lo, left.hi, 13)
         edges_r = np.linspace(right.lo, right.hi, 13)
         counts = np.concatenate([np.histogram(ys, edges_l)[0], np.histogram(ys, edges_r)[0]])
@@ -289,7 +287,8 @@ class TestHitAndRun:
         rng = np.random.default_rng(10)
         t = 0.5
         ls = level_set_1d(t1, t)
-        ys = np.array([hit_and_run_level_move(t1, t, np.array([-1.0]), rng)[0][0] for _ in range(30_000)])
+        cfg = SamplerConfig(SamplerKind.HAR)
+        ys = np.array([level_move(t1, cfg, t, np.array([-1.0]), rng)[0][0] for _ in range(30_000)])
         p_left = float((ys < 0.0).mean())
         expect = ls.parts.intervals[0].length / ls.length
         assert abs(p_left - expect) <= 3.0 * math.sqrt(expect * (1 - expect) / ys.size)
@@ -393,6 +392,13 @@ class TestHitAndRun:
 
 
 class TestHarSoSh:
+    @staticmethod
+    def _line_move(target, t, x, theta, rng, w):
+        """Neal's stepping-out and shrinkage along the fixed direction ``theta``, with ``x`` at coordinate 0."""
+        line = target.line_density(x, theta)
+        s, _ = shrinkage(stepping_out(line, 0.0, t, w, rng), 0.0, t, line, rng)
+        return x + s * theta
+
     def test_single_interval_section_uniform(self, t2):
         # a chord that meets only the first ball: output uniform on it
         rng = np.random.default_rng(13)
@@ -401,7 +407,7 @@ class TestHarSoSh:
         theta = np.array([0.0, 1.0])
         sec = line_section(t2, t, x, theta)
         iv = sec.parts.intervals[0]
-        ys = np.array([so_sh_line_move(t2, t, x, theta, rng, 3.0)[0] for _ in range(20_000)])
+        ys = np.array([self._line_move(t2, t, x, theta, rng, 3.0) for _ in range(20_000)])
         ss = ys[:, 1]
         assert stats.kstest((ss - iv.lo) / iv.length, "uniform").pvalue > 0.01
 
@@ -415,7 +421,7 @@ class TestHarSoSh:
         sec = line_section(t2, t, x, theta)
         gamma = mixture_weight(sec.length, sec.delta, w)
         first, second = sec.parts.intervals
-        ys = np.array([so_sh_line_move(t2, t, x, theta, rng, w)[0] for _ in range(n)])
+        ys = np.array([self._line_move(t2, t, x, theta, rng, w) for _ in range(n)])
         ss = ys[:, 0]
         edges_l = np.linspace(first.lo, first.hi, 13)
         edges_r = np.linspace(second.lo, second.hi, 13)
@@ -477,7 +483,7 @@ class TestKStep:
         for i in range(1, 51):
             t = float(t1.density(x)) * (1.0 - rng.random())
             for _ in range(3):
-                x, _ = so_sh_level_move(t1, t, x, rng, 3.0)
+                x, _ = level_move(t1, cfg, t, x, rng)
             assert trace.levels[i] == t and np.array_equal(trace.states[i], x)
         first = _step_with_level(t1, cfg, trace.states[0], np.random.default_rng(4))[0]
         assert np.array_equal(first, trace.states[1])
@@ -526,17 +532,17 @@ class TestRunChain:
 
     def test_step_error_carries_index(self, t1):
         # the public-move reference loop at the same seed finds the failing transition
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=0.05, max_loop=3)
         rng, x = np.random.default_rng(1), np.array([-1.0])
         for failing in range(1, 51):
             t = eval_density(t1, x) * (1.0 - rng.random())
             try:
-                x = so_sh_level_move(t1, t, x, rng, 0.05, max_loop=3)[0]
+                x = level_move(t1, cfg, t, x, rng)[0]
             except RunawayExpansionError as exc:
                 expected = exc
                 break
         else:
             pytest.fail("the reference loop never failed")
-        cfg = SamplerConfig(SamplerKind.SO_SH, w=0.05, max_loop=3)
         with pytest.raises(ChainError) as excinfo:
             run_chain(t1, cfg, np.array([-1.0]), 50, seed=1)
         assert excinfo.value.step == failing
@@ -544,15 +550,16 @@ class TestRunChain:
         assert type(cause) is RunawayExpansionError and str(cause) == str(expected)
         assert excinfo.value.cause is cause
 
-    @pytest.mark.parametrize("call", ["run_chain", "so_sh_level_move"])
+    @pytest.mark.parametrize("call", ["run_chain", "level_move"])
     def test_target_is_released(self, call):
         # a name no other target has, so no equal target met earlier can stand in for this one
         target = dataclasses.replace(twin_triangles(), name=f"released-by-{call}")
         ref = weakref.ref(target)
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=3.0)
         if call == "run_chain":
-            run_chain(target, SamplerConfig(SamplerKind.SO_SH, w=3.0), np.array([-1.0]), 20, seed=1)
+            run_chain(target, cfg, np.array([-1.0]), 20, seed=1)
         else:
-            so_sh_level_move(target, 0.5, np.array([-1.0]), np.random.default_rng(1), 3.0)
+            level_move(target, cfg, 0.5, np.array([-1.0]), np.random.default_rng(1))
         del target
         gc.collect()
         assert ref() is None
@@ -601,23 +608,43 @@ TRACE_SHA256 = {
 
 
 def _reference_chain(target, config, x0, n, seed):
-    """The transition as the paper states it: a level uniform on (0, density(x)], then ``k_inner`` public level moves."""
+    """The transition as the paper states it: a level uniform on (0, density(x)], then ``k_inner`` calls of ``level_move``."""
     rng = np.random.default_rng(seed)
-    moves = {
-        SamplerKind.SIMPLE: lambda t, x: uniform_level_move(target, t, x, rng),
-        SamplerKind.SO_SH: lambda t, x: so_sh_level_move(target, t, x, rng, config.w),
-        SamplerKind.HAR: lambda t, x: hit_and_run_level_move(target, t, x, rng),
-        SamplerKind.HAR_SO_SH: lambda t, x: har_so_sh_level_move(target, t, x, rng, config.w),
-    }
-    move = moves[config.kind]
     x, states, levels = np.atleast_1d(np.asarray(x0, dtype=float)), [], []
     for _ in range(n):
         t = eval_density(target, x) * (1.0 - rng.random())
         for _ in range(config.k_inner):
-            x = move(t, x)[0]
+            x = level_move(target, config, t, x, rng)[0]
         states.append(x)
         levels.append(t)
     return np.array(states), np.array(levels)
+
+
+class TestLevelMove:
+    @pytest.mark.parametrize("case", ["simple", "so_sh", "har", "har_so_sh"])
+    def test_k_inner_is_not_read(self, case, request):
+        # k_inner repeats the move inside a transition; one call of level_move is one move
+        name, config = CHAIN_CASES[case]
+        target = request.getfixturevalue(name)
+        x = np.asarray(target.components[0].mode) + 0.1
+        rngs = np.random.default_rng(6), np.random.default_rng(6)
+        one = level_move(target, config, 0.5, x, rngs[0])
+        three = level_move(target, dataclasses.replace(config, k_inner=3), 0.5, x, rngs[1])
+        assert one[0].tobytes() == three[0].tobytes() and one[1] == three[1]
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_axis_kind_rejects_two_dimensions(self, t2):
+        with pytest.raises(ValueError, match="one-dimensional target"):
+            level_move(t2, SamplerConfig(SamplerKind.SO_SH, w=3.0), 0.5, np.zeros(2), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", ["simple", "simple_2d", "so_sh", "har", "har_so_sh"])
+    def test_state_of_another_dimension_rejected(self, case, request):
+        # the axis and line moves read the coordinates they zip with, so a short or long state must fail here
+        name, config = CHAIN_CASES[case]
+        target = request.getfixturevalue(name)
+        x = np.zeros(3 - target.dim)
+        with pytest.raises(ValueError, match="does not have the target dimension"):
+            level_move(target, config, 0.5, x, np.random.default_rng(0))
 
 
 class TestChainPins:

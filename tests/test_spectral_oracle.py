@@ -151,6 +151,17 @@ class TestBuildLevelMatrix:
             with pytest.raises(UnsupportedShapeError, match="3D grid supports only the uniform kind"):
                 build_level_matrix(target, grid, 0.1, kind, 3.0)
 
+    def test_axis_kind_rejects_two_dimensions(self, t2):
+        grid = Grid.for_target(t2, (8, 8))
+        calls = [
+            lambda: build_level_matrix(t2, grid, 0.5, KernelKind.SO_SH, 3.0),
+            lambda: build_full_matrix(t2, grid, KernelKind.SO_SH, 3.0, m=4),
+            lambda: beta_k_numeric_many(t2, grid, KernelKind.SO_SH, 3.0, [1], m=4, norm_bins=16),
+        ]
+        for call in calls:
+            with pytest.raises(UnsupportedShapeError, match="a 2D grid takes the combined kind"):
+                call()
+
 
 class TestBuildFullMatrix:
     def test_uniform_target_is_rank_one(self):
@@ -318,7 +329,7 @@ class TestStripWalk:
         # a step width of 4 keeps separated_pair's widest strip gap, 3.1 on this grid, inside the class
         grid = Grid.for_target(target, (10, 10))
         combined = kind is KernelKind.COMBINED
-        plan = _strip_plan(target, grid, combined)
+        plan = _strip_plan(target, grid, kind)
         nodes = np.arange(plan.levels.size)
         mids, centers = plan.levels - plan.width / 2.0, grid.centers[plan.support[plan.falling]]
         w = 4.0 if combined else None
@@ -501,6 +512,24 @@ class TestRowBlocks:
         P = K.P.copy()
         P[515, [512, 515]] += [5e-3, -5e-3]
         return DiscreteKernel(P=P, pi=K.pi, label="broken")
+
+    def test_op_norm_centered_rejects_broken(self, K):
+        with pytest.raises(ValueError, match="broken is not reversible"):
+            op_norm_centered(self._broken(K))
+
+    def test_level_spectrum_guard_reaches_the_partial_block(self):
+        # a symmetric stochastic matrix: off-diagonal weights scaled below 1, the rest on the diagonal
+        rng = np.random.default_rng(517)
+        S = rng.random((517, 517))
+        S += S.T
+        np.fill_diagonal(S, 0.0)
+        S /= 1.01 * S.sum(axis=1).max()
+        S[np.diag_indices_from(S)] = 1.0 - S.sum(axis=1)
+        uniform = np.full(517, 1.0 / 517)
+        assert level_spectrum(DiscreteKernel(P=S, pi=uniform, label="symmetric"))[1] > -1.0
+        S[515, 512] += 1e-11
+        with pytest.raises(ValueError, match="off is not symmetric"):
+            level_spectrum(DiscreteKernel(P=S, pi=uniform, label="off"))
 
     def test_psd_check(self, K):
         for kernel in (K, self._broken(K)):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from slicegap.targets import (
     check_Rw,
     eval_density,
     merge_level,
+    uniform_interval,
 )
 
 
@@ -161,6 +164,20 @@ class TestCheckRdw:
 def test_triangular_only_one_dimensional():
     with pytest.raises(UnsupportedShapeError):
         QuasiConcaveComponent(Shape.TRIANGULAR, (0.0, 0.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1, 0.7), (0.2, 0.9), (-0.7, 0.9), (1.1, 4.2), (-3.3, 10.01)])
+def test_uniform_interval_refuses_edges_it_cannot_reproduce(lo, hi):
+    with pytest.raises(ValueError, match=re.escape(f"edges {lo!r} and {hi!r}")):
+        uniform_interval(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0), (-0.7, 1.7)])
+def test_uniform_interval_level_region_is_its_edges(lo, hi):
+    u = uniform_interval(lo, hi)
+    (part,) = level_set_1d(u, 0.5).parts.intervals
+    assert (part.lo, part.hi) == (lo, hi)
+    assert eval_density(u, lo) == eval_density(u, hi) == 1.0
 
 
 def test_support_bounds_cover_density(t2):
