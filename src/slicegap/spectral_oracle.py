@@ -14,13 +14,14 @@ and reversible by construction, with the discretized target as its
 stationary weights.  The 2D level matrices come from one walk over the
 nodes in a single buffer, each node adding only the weight changes of its
 strips; each matrix handed out is a view that later nodes overwrite.
-Operator norms are the largest absolute eigenvalues of the symmetric
-stationary-similarity transform, solved once per kernel, a level kernel's
-from P itself (``level_spectrum``); ``scipy.sparse``
-is imported only when a kernel above 800 cells needs ARPACK.  The norm
-and the positivity check keep one n x n working array besides
-the kernel, the detailed-balance check none: each reads a matrix against
-its transpose in blocks of 256 rows.
+Norms and positivity are read off one self-adjoint operator per kernel,
+the similarity D^(1/2) P D^(-1/2), which ``_similarity`` builds with one
+symmetry guard: P itself when pi is uniform, as on level kernels, else
+one scaled copy.  ``spectrum`` solves it once with ``eigvalsh`` for the
+centered norm and the smallest eigenvalue; above 800 cells a norm alone
+comes from ARPACK, and ``scipy.sparse`` is imported only then.  The
+symmetry and detailed-balance checks read a matrix against its transpose
+in blocks of 256 rows, so they make no n x n array.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
@@ -135,9 +136,12 @@ class DiscreteKernel:
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1] or self.pi.shape != self.P.shape[:1]:
             shapes = f"got P {self.P.shape} and pi {self.pi.shape}"
             raise ValueError(f"{self.label or 'kernel'} needs a square P and pi of shape (n,); {shapes}")
+        row_sums = self.P.sum(axis=1)  # not finite where P is not
+        if not (np.isfinite(row_sums).all() and np.isfinite(self.pi).all()):
+            raise ValueError(f"{self.label or 'kernel'} has a non-finite entry in P or pi")
         if self.P.min() < 0.0:
             raise ValueError(f"{self.label or 'kernel'} has a negative entry {self.P.min():.3e}")
-        drift = np.abs(self.P.sum(axis=1) - 1.0).max()
+        drift = np.abs(row_sums - 1.0).max()
         if drift > 1e-9:
             raise ValueError(f"rows of {self.label or 'kernel'} sum to 1 only within {drift:.3e}")
         if np.any(self.pi <= 0.0):
@@ -649,36 +653,58 @@ def _power_kernels(target, grid, kind, w, k_list, m):
 ROW_BLOCK = 256
 
 
-def _centered_similarity(K: DiscreteKernel) -> np.ndarray:
-    """D^(1/2) (P - 1 pi^T) D^(-1/2), built in place in one n x n array."""
+def _similarity(K: DiscreteKernel) -> np.ndarray:
+    """D^(1/2) P D^(-1/2), symmetric within 1e-12 or ValueError.
+
+    With pi uniform it is P itself, a level kernel's view included; else one scaled copy.
+    """
     root = np.sqrt(K.pi)
-    C = K.P - K.pi[None, :]
-    C *= root[:, None]
-    C /= root[None, :]
-    return C
+    S = K.P
+    if root.min() != root.max():
+        S = S * root[:, None]
+        S /= root[None, :]
+    asym = _asymmetry(S)
+    if not asym <= 1e-12:  # a NaN fails too
+        raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
+    return S
 
 
 def _asymmetry(A: np.ndarray) -> float:
     """max |A - A^T|, a block of rows against its mirrored columns at a time: no second n x n array is made."""
     blocks = (A[s : s + ROW_BLOCK, s:] - A[s:, s : s + ROW_BLOCK].T for s in range(0, A.shape[0], ROW_BLOCK))
-    return max((float(np.abs(b).max()) for b in blocks), default=0.0)
+    return float(np.max([np.abs(b).max() for b in blocks], initial=0.0))
+
+
+def spectrum(K: DiscreteKernel) -> tuple[float, float]:
+    """Centered norm and smallest eigenvalue of a reversible kernel on L2(pi), from one ``eigvalsh``.
+
+    The similarity's top eigenvalue is the 1 of sqrt(pi); the norm is the largest absolute
+    eigenvalue of the rest, 0 on one cell.  The norm is cached on the kernel.
+    """
+    eig = np.linalg.eigvalsh(_similarity(K))
+    K._norm = float(np.abs(eig[:-1]).max(initial=0.0))
+    return K._norm, float(eig[0])
 
 
 def op_norm_centered(K: DiscreteKernel) -> float:
-    """Operator norm of the kernel minus its stationary projection on L2(pi).
+    """Operator norm of the kernel minus its stationary projection on L2(pi), cached on the kernel.
 
-    For a reversible kernel the similarity transform D^(1/2) (P - 1 pi^T)
-    D^(-1/2) is symmetric and its norm is its largest eigenvalue in
-    absolute value.  Solved once per kernel and cached on it; a transform
-    that is not symmetric within 1e-8 raises ValueError.
+    Up to 800 cells it is ``spectrum``'s.  Above, ARPACK finds the largest absolute eigenvalue of the
+    similarity minus sqrt(pi) sqrt(pi)^T, applied as a product and a rank-one correction, so neither
+    a second n x n array is made nor P written; ``spectrum`` is the fallback if ARPACK fails.
     """
-    if K._norm is None:
-        C = _centered_similarity(K)
-        asym = _asymmetry(C)
-        if asym > 1e-8:
-            raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
-        K._norm = _largest_eigenvalue(C)
-    return K._norm
+    if K._norm is None and K.n > 800:
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+
+        S, root = _similarity(K), np.sqrt(K.pi)
+        C = LinearOperator(S.shape, matvec=lambda v: S @ v - root * (root @ v), dtype=float)
+        v0 = np.sin(np.arange(1, K.n + 1, dtype=float))  # a deterministic, structure-free start vector
+        try:
+            eigs = eigsh(C, k=1, v0=v0 / np.linalg.norm(v0), maxiter=5000, tol=0, return_eigenvectors=False)
+            K._norm = abs(float(eigs[0]))
+        except ArpackNoConvergence:
+            pass
+    return spectrum(K)[0] if K._norm is None else K._norm
 
 
 def eigsh(A, **kwargs):
@@ -693,67 +719,26 @@ def eigsh(A, **kwargs):
     return arpack(A, **kwargs)
 
 
-def _largest_eigenvalue(C: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Dense up to 800 rows, ARPACK above (dense again if it fails).
-    """
-    n = C.shape[0]
-    if n > 800:
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        try:
-            # a deterministic, structure-free start vector
-            v0 = np.sin(np.arange(1, n + 1, dtype=float))
-            eigs = eigsh(C, k=1, v0=v0 / np.linalg.norm(v0), maxiter=5000, tol=0, return_eigenvectors=False)
-            return float(np.abs(eigs).max())
-        except ArpackNoConvergence:
-            pass
-    return float(np.abs(np.linalg.eigvalsh(C)).max())
-
-
 def spectral_gap(K: DiscreteKernel) -> float:
     return 1.0 - op_norm_centered(K)
 
 
 def psd_check(K: DiscreteKernel) -> float:
-    """Minimum eigenvalue of the symmetrized similarity transform."""
-    root = np.sqrt(K.pi)
-    A = root[:, None] * K.P
-    A /= root[None, :]
-    # A + A^T in place, a block of rows and its mirrored columns at a time: each block reads
-    # only entries that no earlier block wrote, so no n x n copy of A^T is made
-    for start in range(0, K.n, ROW_BLOCK):
-        rows, rest = slice(start, start + ROW_BLOCK), slice(start, None)
-        both = A[rows, rest] + A[rest, rows].T
-        A[rows, rest] = both
-        A[rest, rows] = both.T
-    A *= 0.5
-    return float(np.linalg.eigvalsh(A).min())
-
-
-def level_spectrum(K: DiscreteKernel) -> tuple[float, float]:
-    """Centered norm and smallest eigenvalue of a level kernel, from one eigen-solve of its symmetric P.
-
-    With the uniform law stationary, the norm is max(second-largest, -smallest eigenvalue), 0 on one cell.
-    """
-    asym = _asymmetry(K.P)
-    if asym >= 1e-12:
-        raise ValueError(f"{K.label} is not symmetric: {asym:.3e}")
-    eig = np.linalg.eigvalsh(K.P)
-    return float(np.abs(eig[:-1]).max(initial=0.0)), float(eig[0])
+    """Smallest eigenvalue of the similarity transform D^(1/2) P D^(-1/2), from ``spectrum``."""
+    return spectrum(K)[1]
 
 
 def reversibility_check(K: DiscreteKernel) -> float:
     """Largest detailed-balance residual max_ij |pi_i P_ij - pi_j P_ji|."""
-    worst = 0.0
+    worst = []
     # a block of rows of the flow against the same columns, so no n x n flow or transpose is made
     for start in range(0, K.n, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         residual = K.pi[rows, None] * K.P[rows]
         residual -= (K.pi[:, None] * K.P[:, rows]).T
-        worst = max(worst, float(np.abs(residual, out=residual).max()))
-    return worst
+        worst.append(np.abs(residual, out=residual).max())
+    # np.max, unlike max, keeps a NaN
+    return float(np.max(worst, initial=0.0))
 
 
 # -- numeric beta profile ------------------------------------------------------
@@ -783,7 +768,7 @@ def beta_profile(
     """Per-level kernel distances on a uniform bin grid over (0, max density].
 
     A 2D strip kernel takes the centered norm of each distinct level
-    matrix the bins fall on, from ``level_spectrum``.
+    matrix the bins fall on, from ``spectrum``.
     """
     vals = density_on_grid(target, grid)
     top = float(vals.max())
@@ -793,7 +778,7 @@ def beta_profile(
         plan = _strip_plan(target, grid, kind)
         nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
         _, first, bins = np.unique(nodes, return_index=True, return_inverse=True)
-        norms = [level_spectrum(K)[0] for K in level_kernels(target, grid, kind, w, [levels[b] for b in first])]
+        norms = [spectrum(K)[0] for K in level_kernels(target, grid, kind, w, [levels[b] for b in first])]
         return np.array(norms)[bins], width
     return np.array([_level_norm(target, grid, vals, t, kind, w) for t in levels]), width
 
@@ -835,9 +820,10 @@ def verify_theorem_bounds(
     covers ``k_list`` and 1..``k_max`` on ``kstep_grid`` with ``kstep_m``
     levels (by default the main grid and ``m``) and is walked one kernel at
     a time, each kept only as its norm; when those are the main ones, its
-    k=1 kernel is H and the corollary reuses gap(U) and beta.  H alone is
-    held in full, so at most H and one working n x n array coexist with
-    the kernel being solved.  The margins are the module's ``TOL_*``
+    k=1 kernel is H and the corollary reuses gap(U) and beta.  ``psd_H``
+    and gap(H) come from one ``spectrum`` of H.  H alone is held in full,
+    so at most H and one working n x n array coexist with the kernel being
+    solved.  The margins are the module's ``TOL_*``
     constants, read at call time; the exact checks use ``TOL_EXACT``,
     capped at 1e-10 for the positivity of H and 1e-8 for reversibility.
     H is the one-step kernel whatever k the caller adds to ``k_list``: with
@@ -862,15 +848,16 @@ def verify_theorem_bounds(
 
     norms = {}
     for k, K in _power_kernels(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km):
-        norms[k] = op_norm_centered(K)
         if shared and k == 1:
-            H = K
+            H, psd_h = K, spectrum(K)[1]  # one solve of H gives its norm too
+        norms[k] = op_norm_centered(K)
         del K  # released before the next kernel is built
     if not shared:
         H = build_full_matrix(target, grid, kind, w, m)
+        psd_h = spectrum(H)[1]
     gap_h = spectral_gap(H)
 
-    checks = [Check("psd_H", lhs=-psd_check(H), rhs=0.0, tol=min(1e-10, TOL_EXACT))]
+    checks = [Check("psd_H", lhs=-psd_h, rhs=0.0, tol=min(1e-10, TOL_EXACT))]
     checks += verify_sandwich(gap_u, gap_h, beta, TOL_THEOREM)
     checks += verify_corollary(gap_uk, beta_k, norms, TOL_THEOREM)
     for name, residual in (("reversibility_U", reversibility_u), ("reversibility_H", reversibility_check(H))):

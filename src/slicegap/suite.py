@@ -29,7 +29,7 @@ def level_probes_1d(target, grid, w, levels) -> list[Check]:
     """Stepping-out level kernels at the ascending ``levels``: norm 1 - gamma_t within 1e-6, PSD within 1e-10."""
     worst, min_eig = 0.0, np.inf
     for t, K in zip(levels, oracle.level_kernels(target, grid, KernelKind.SO_SH, w, levels)):
-        norm, low = oracle.level_spectrum(K)
+        norm, low = oracle.spectrum(K)
         gamma = kernels.gamma_t(slice_geometry.level_set_1d(target, t), w)
         worst = max(worst, abs(norm - (1.0 - gamma)))
         min_eig = min(min_eig, low)
@@ -78,7 +78,7 @@ def strip_level_probes(target, grid, w, levels) -> list[Check]:
     bounds = {KernelKind.HIT_AND_RUN: kernels.har_level_norm_bound, KernelKind.COMBINED: kernels.combined_norm_bound}
     for kind, bound in bounds.items():
         for t, K in zip(levels, oracle.level_kernels(target, grid, kind, w, levels)):
-            norm, low = oracle.level_spectrum(K)
+            norm, low = oracle.spectrum(K)
             min_eig = min(min_eig, low)
             excess[kind] = max(excess[kind], norm - bound(target, t))
             if kind is KernelKind.HIT_AND_RUN:

@@ -378,7 +378,7 @@ class TestGapReportSharing:
         from slicegap import spectral_oracle as oracle
         from slicegap.cli import _KIND_MAP, _gap_report
 
-        power_kernels, similarity = oracle._power_kernels, oracle._centered_similarity
+        power_kernels, similarity = oracle._power_kernels, oracle._similarity
         for text in (self.TEXT, self.TEXT_2D):
             cfg = load_config_text(text)
             reference = self._reference_checks(cfg)
@@ -397,7 +397,7 @@ class TestGapReportSharing:
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 monkeypatch.setattr(oracle, "_power_kernels", counting_kernels)
-                monkeypatch.setattr(oracle, "_centered_similarity", counting_similarity)
+                monkeypatch.setattr(oracle, "_similarity", counting_similarity)
                 report = _gap_report(cfg)
             # U, then the k-step set 1..5 in one pass, k=1 being H
             assert calls == [oracle.KernelKind.UNIFORM, _KIND_MAP[cfg.sampler.kind]]
@@ -408,6 +408,34 @@ class TestGapReportSharing:
             for got, ref in zip(report.checks, reference):
                 assert got.lhs == pytest.approx(ref.lhs, abs=1e-12)
                 assert got.rhs == pytest.approx(ref.rhs, abs=1e-12)
+
+    def test_h_is_solved_once_and_never_by_arpack(self):
+        from collections import Counter
+
+        from slicegap import spectral_oracle as oracle
+        from slicegap.cli import _gap_report
+
+        # above 800 cells every norm but H's comes from ARPACK: one dense solve of H gives psd_H and gap(H)
+        cfg = load_config_text(self.TEXT.replace("cells = 200", "cells = 900").replace("levels_m = 40", "levels_m = 20"))
+        arpack, similarity, spectrum = oracle.eigsh, oracle._similarity, oracle.spectrum
+        arpack_calls, built, dense, kernels = [], Counter(), [], []
+
+        def counting_similarity(K):
+            kernels.append(K)  # keeps every kernel alive, so ids stay unique
+            built[id(K)] += 1
+            return similarity(K)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(oracle, "eigsh", lambda *a, **kw: arpack_calls.append(a[0].shape) or arpack(*a, **kw))
+            monkeypatch.setattr(oracle, "_similarity", counting_similarity)
+            monkeypatch.setattr(oracle, "spectrum", lambda K: dense.append(K.label) or spectrum(K))
+            report = _gap_report(cfg)
+        assert report.all_passed
+        # U and the k-step set 1..5, k=1 being H: each built once, all but H solved by ARPACK
+        assert len(built) == 6 and set(built.values()) == {1}
+        assert min(K.n for K in kernels) > 800
+        assert dense == ["so_sh-k1-m20"]
+        assert len(arpack_calls) == 5
 
 
 class TestCliVerify:

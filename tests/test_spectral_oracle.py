@@ -19,11 +19,11 @@ from slicegap.spectral_oracle import (
     density_on_grid,
     discretize_target,
     level_kernels,
-    level_spectrum,
     op_norm_centered,
     psd_check,
     reversibility_check,
     spectral_gap,
+    spectrum,
     verify_monotonicity,
     verify_mt_bound,
     verify_power_bound,
@@ -376,7 +376,7 @@ class TestStripWalk:
 
 
 class TestLevelKernels:
-    """``level_kernels`` against one level at a time, and ``level_spectrum`` against the full-kernel references."""
+    """``level_kernels`` against one level at a time, and ``spectrum`` against dense references."""
 
     @pytest.mark.parametrize(
         "case",
@@ -394,17 +394,19 @@ class TestLevelKernels:
             top = case == "2d-one-cell-top"
             K = build_level_matrix(t2, grid, float(density_on_grid(t2, grid).max()) if top else 0.3, kind, 3.0)
             assert (K.n == 1) == top
-        norm, min_eig = level_spectrum(K)
-        assert norm == pytest.approx(op_norm_centered(K), abs=1e-12)
-        assert min_eig == pytest.approx(psd_check(K), abs=1e-12)
+        norm, min_eig = spectrum(K)
+        # the uniform law is stationary, so the centered operator is P - 1/n
+        eig = np.linalg.eigvalsh(K.P - 1.0 / K.n)
+        assert norm == pytest.approx(np.abs(eig).max(), abs=1e-12)
+        assert min_eig == pytest.approx(np.linalg.eigvalsh(K.P).min(), abs=1e-12)
         if K.n == 1:
             assert (norm, min_eig) == (0.0, 1.0)
 
     def test_non_symmetric_level_matrix_rejected(self):
         # stochastic, but its rows and columns differ: not a level kernel of the uniform law
         P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            level_spectrum(DiscreteKernel(P=P, pi=np.full(3, 1.0 / 3.0), label="cycle"))
+        with pytest.raises(ValueError, match="cycle is not reversible"):
+            spectrum(DiscreteKernel(P=P, pi=np.full(3, 1.0 / 3.0), label="cycle"))
 
     @pytest.mark.parametrize("kind", [KernelKind.SO_SH, KernelKind.UNIFORM, KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
     def test_walk_matches_one_level_at_a_time(self, t1, t2, kind):
@@ -437,6 +439,17 @@ class TestOpNorm:
     def test_two_state_norm(self, p):
         assert op_norm_centered(two_state(p)) == pytest.approx(abs(2 * p - 1), abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(0.85, 0.85), (0.5, 0.5), (0.1, 0.1), (0.1, 0.3), (0.7, 0.9), (0.5, 0.25)])
+    def test_spectrum_closed_form(self, a, b):
+        import slicegap.spectral_oracle as oracle
+
+        # pi = (b, a) / (a + b) and eigenvalues 1 and 1 - a - b; a == b is a two-state chain with uniform pi
+        K = DiscreteKernel(P=np.array([[1 - a, a], [b, 1 - b]]), pi=np.array([b, a]) / (a + b))
+        assert (oracle._similarity(K) is K.P) == (a == b)  # uniform pi: the similarity is P itself
+        norm, low = spectrum(K)
+        assert norm == pytest.approx(abs(1 - a - b), abs=1e-12)
+        assert low == pytest.approx(1 - a - b, abs=1e-12)
+
     def test_svd_and_eig_routes_agree_for_reversible(self, t1):
         # 1000 cells take the ARPACK route
         grid = Grid.for_target(t1, 1000)
@@ -455,12 +468,25 @@ class TestOpNorm:
         import slicegap.spectral_oracle as oracle
 
         calls = []
-        solve = oracle._centered_similarity
-        monkeypatch.setattr(oracle, "_centered_similarity", lambda K: calls.append(K) or solve(K))
+        solve = oracle._similarity
+        monkeypatch.setattr(oracle, "_similarity", lambda K: calls.append(K) or solve(K))
         K = two_state(0.9)
         assert spectral_gap(K) == pytest.approx(0.2, abs=1e-12)
         assert op_norm_centered(K) == pytest.approx(0.8, abs=1e-12)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "P, pi",
+        [
+            (np.array([[np.nan, 0.5], [0.5, 0.5]]), np.full(2, 0.5)),
+            (np.full((2, 2), 0.5), np.array([0.5, np.nan])),
+            (np.full((2, 2), 0.5), np.array([0.5, np.inf])),
+        ],
+        ids=["nan-in-P", "nan-in-pi", "inf-in-pi"],
+    )
+    def test_non_finite_entry_rejected(self, P, pi):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteKernel(P=P, pi=pi)
 
     def test_row_sum_validation(self):
         P = np.array([[0.7, 0.2], [0.5, 0.5]])
@@ -526,16 +552,39 @@ class TestRowBlocks:
         S /= 1.01 * S.sum(axis=1).max()
         S[np.diag_indices_from(S)] = 1.0 - S.sum(axis=1)
         uniform = np.full(517, 1.0 / 517)
-        assert level_spectrum(DiscreteKernel(P=S, pi=uniform, label="symmetric"))[1] > -1.0
+        assert spectrum(DiscreteKernel(P=S, pi=uniform, label="symmetric"))[1] > -1.0
         S[515, 512] += 1e-11
-        with pytest.raises(ValueError, match="off is not symmetric"):
-            level_spectrum(DiscreteKernel(P=S, pi=uniform, label="off"))
+        with pytest.raises(ValueError, match="off is not reversible"):
+            spectrum(DiscreteKernel(P=S, pi=uniform, label="off"))
+
+    def test_similarity_guard_holds_for_a_non_uniform_pi(self, K):
+        # moves 1e-11 of similarity weight off the diagonal in one row of the partial block; rows still sum to 1
+        P = K.P.copy()
+        shift = 1e-11 * np.sqrt(K.pi[512] / K.pi[515])
+        P[515, [512, 515]] += [shift, -shift]
+        off = DiscreteKernel(P=P, pi=K.pi, label="off")
+        assert reversibility_check(off) < 1e-8  # too small for a detailed-balance row to see
+        for solve in (op_norm_centered, psd_check, spectrum):
+            with pytest.raises(ValueError, match="off is not reversible"):
+                solve(off)
+
+    def test_nan_is_not_dropped_by_the_blocked_maxima(self, K):
+        import slicegap.spectral_oracle as oracle
+
+        bad = DiscreteKernel(P=K.P.copy(), pi=K.pi, label="nan")
+        bad.P[515, 512] = np.nan  # after validation, in the partial block only
+        assert np.isnan(reversibility_check(bad))
+        assert not Check("reversibility_nan", reversibility_check(bad), 0.0, 1e-8).passed
+        assert np.isnan(oracle._asymmetry(bad.P))
+        with pytest.raises(ValueError, match="nan is not reversible"):
+            spectrum(bad)
 
     def test_psd_check(self, K):
-        for kernel in (K, self._broken(K)):
-            root = np.sqrt(kernel.pi)
-            A = (root[:, None] * kernel.P) / root[None, :]
-            assert psd_check(kernel) == float(np.linalg.eigvalsh((A + A.T) * 0.5).min())
+        root = np.sqrt(K.pi)
+        assert psd_check(K) == float(np.linalg.eigvalsh((K.P * root[:, None]) / root[None, :]).min())
+        # positivity of a kernel that is not reversible is not what the theorem is about
+        with pytest.raises(ValueError, match="broken is not reversible"):
+            psd_check(self._broken(K))
 
     def test_reversibility_check(self, K):
         broken = self._broken(K)
