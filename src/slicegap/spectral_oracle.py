@@ -11,23 +11,26 @@ over 128 directions and change only at its nodes.  A flow is one prefix
 sum over nodes gathered at the smaller rank of each pair (2D k-step
 kernels sum powers of the level matrices), so every kernel is stochastic
 and reversible by construction, with the discretized target as its
-stationary weights.  The 2D level matrices come from one walk over the
-nodes in a single buffer, each node adding only the weight changes of its
-strips; each matrix handed out is a view that later nodes overwrite.
-Norms and positivity are read off one self-adjoint operator per kernel,
-the similarity D^(1/2) P D^(-1/2), which ``_similarity`` builds with one
-symmetry guard: P itself when pi is uniform, as on level kernels, else
-one scaled copy.  ``spectrum`` solves it once with ``eigvalsh`` for the
-centered norm and the smallest eigenvalue; above 800 cells a norm alone
-comes from ARPACK, and ``scipy.sparse`` is imported only then.  The
-symmetry and detailed-balance checks read a matrix against its transpose
-in blocks of 256 rows, so they make no n x n array.
+stationary weights.  A level-plan kernel applies P v from its prefix
+table by cumulative sums over nodes, in O(n + nodes), and assembles P
+only when a check first reads it.  The 2D level matrices come from one
+walk over the nodes in a single buffer, each node adding only the weight
+changes of its strips; each matrix handed out is a view that later nodes
+overwrite.  Norms and positivity are read off one self-adjoint operator
+per kernel, the similarity D^(1/2) P D^(-1/2), which ``_similarity``
+builds with one symmetry guard: P itself when pi is uniform, as on level
+kernels, else one scaled copy.  ``spectrum`` solves it once with
+``eigvalsh`` for the centered norm and the smallest eigenvalue; above 800
+cells a norm alone comes from ARPACK, on the level plan's product for a
+plan kernel, and ``scipy.sparse`` is imported only then.  The symmetry
+and detailed-balance checks read a matrix against its transpose in
+blocks of 256 rows, so they make no n x n array.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
 iterates a kernel).  ``verify_theorem_bounds`` is the one place that
-assembles the kernels of a gap report, each once, and runs every check:
-it reduces U to numbers and releases it, then walks the k-step set one
+makes the kernels of a gap report, each once, and runs every check: it
+reduces U to numbers and releases it, then walks the k-step set one
 kernel at a time, so at most H and one working n x n array coexist with
 the kernel being solved.
 """
@@ -57,6 +60,9 @@ TOL_EXACT = 1e-6  # identities of exact kernels: monotone norms, power bound
 TOL_MT = 1e-3  # Doeblin bound on gap(U)
 TOL_TV = 1e-8  # geometric TV decay
 TV_N_MAX = 50
+
+#: rows per block where a check or a gather reads a matrix a block of rows at a time
+ROW_BLOCK = 256
 
 
 class KernelKind(str, Enum):
@@ -123,10 +129,12 @@ class DiscreteKernel:
     """Row-stochastic matrix with its stationary weights.
 
     ``support`` holds the parent-grid indices when the kernel lives on a
-    sub-grid (level kernels); None means the full active grid.
+    sub-grid (level kernels); None means the full active grid.  The kernels
+    of a 1D or uniform level plan are ``_PlanKernel``s, which apply P v
+    without P and assemble P on its first read.
     """
 
-    P: np.ndarray
+    P: np.ndarray = field(repr=False)
     pi: np.ndarray
     label: str = ""
     support: np.ndarray | None = None
@@ -136,11 +144,14 @@ class DiscreteKernel:
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1] or self.pi.shape != self.P.shape[:1]:
             shapes = f"got P {self.P.shape} and pi {self.pi.shape}"
             raise ValueError(f"{self.label or 'kernel'} needs a square P and pi of shape (n,); {shapes}")
-        row_sums = self.P.sum(axis=1)  # not finite where P is not
-        if not (np.isfinite(row_sums).all() and np.isfinite(self.pi).all()):
+        self._validate(self.P.sum(axis=1), self.P.min(), "entry")
+
+    def _validate(self, row_sums: np.ndarray, low: float, what: str) -> None:
+        """Finite rows and pi, no negative ``what`` (``low`` is the least), rows summing to 1; pi is normalised."""
+        if not (np.isfinite(row_sums).all() and np.isfinite(low) and np.isfinite(self.pi).all()):
             raise ValueError(f"{self.label or 'kernel'} has a non-finite entry in P or pi")
-        if self.P.min() < 0.0:
-            raise ValueError(f"{self.label or 'kernel'} has a negative entry {self.P.min():.3e}")
+        if low < 0.0:
+            raise ValueError(f"{self.label or 'kernel'} has a negative {what} {low:.3e}")
         drift = np.abs(row_sums - 1.0).max()
         if drift > 1e-9:
             raise ValueError(f"rows of {self.label or 'kernel'} sum to 1 only within {drift:.3e}")
@@ -150,7 +161,36 @@ class DiscreteKernel:
 
     @property
     def n(self) -> int:
-        return self.P.shape[0]
+        return self.pi.size
+
+    def _similarity_product(self):
+        """v -> D^(1/2) P D^(-1/2) v, the similarity built once by ``_similarity`` behind its guard."""
+        return _similarity(self).__matmul__
+
+
+class _PlanKernel(DiscreteKernel):
+    """Kernel of a level plan's prefix ``table``: ``apply`` gives P v in O(n + nodes), and P is gathered on first read.
+
+    Every entry of P is a table value over rho(x), so a finite table whose increments over nodes are
+    nonnegative gives a finite, nonnegative P; its rows sum to 1 when the product of ones is 1.  The flow
+    is symmetric by construction, so the similarity product needs no guard.
+    """
+
+    def __init__(self, plan: "_LevelPlan", table: np.ndarray, label: str):
+        self.plan, self.table, self.label, self.support, self._norm = plan, table, label, plan.support, None
+        self.pi = plan.rho / plan.rho.sum()
+        self._validate(self.apply(np.ones(plan.rho.size)), np.diff(table, prepend=0.0).min(), "level increment")
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        return self.plan.kernel(self.table)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.plan.product(self.table, v)
+
+    def _similarity_product(self):
+        root = np.sqrt(self.pi)
+        return lambda v: root * self.apply(v / root)
 
 
 @dataclass(frozen=True)
@@ -247,35 +287,70 @@ class _LevelPlan:
         rho(x) H(x, y) = sum over nodes j <= min(rank x, rank y) of width_j A_j(x, y)
 
     is symmetric and its rows sum to rho(x), so each kernel is one prefix
-    sum over nodes gathered through ``index``, the min-rank matrix.
+    table over nodes (``table``) read at the smaller ``rank`` of each pair.
 
     In 1D, ``length`` and ``gap`` are the level-set geometry at each
     interval's midpoint, and a two-part node adds a refresh within the part
     of the current cell.  The gaps are nested, so a cell keeps one side of
-    every gap below its density; ``side_count`` holds the cells per side
-    and node, and ``index`` points same-side pairs at their side's row.
+    every gap below its density, its ``side`` (-1 below every gap);
+    ``side_count`` holds the cells per side and node, and same-side pairs
+    read their side's table row.  No n x n array is kept: ``kernel``
+    gathers P a block of rows at a time, and ``product`` applies it.
     """
 
     rho: np.ndarray
     support: np.ndarray
     width: np.ndarray
     count: np.ndarray
-    index: np.ndarray
+    rank: np.ndarray
+    side: np.ndarray
     length: np.ndarray | None = None
     gap: np.ndarray | None = None
     side_count: np.ndarray | None = None
 
-    def kernel(self, kind: KernelKind, w, k: int) -> np.ndarray:
-        """Transition matrix of ``kind`` taking ``k`` inner steps per level."""
+    def table(self, kind: KernelKind, w, k: int) -> np.ndarray:
+        """Prefix table of ``kind`` taking ``k`` inner steps per level, from ``_prefix_table``."""
         if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
-            table = _prefix_table(self.width, self.count)
-        else:
-            gamma_k = 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
-            table = _prefix_table(self.width, self.count, gamma_k, self.side_count)
-        # indexing, unlike take, does not copy the 2-byte index to a full-size intp array
-        P = table.ravel()[self.index]
-        P /= self.rho[:, None]
+            return _prefix_table(self.width, self.count)
+        gamma_k = 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
+        return _prefix_table(self.width, self.count, gamma_k, self.side_count)
+
+    def kernel(self, table: np.ndarray) -> np.ndarray:
+        """Transition matrix of ``table``, gathered at each pair's smaller rank ``ROW_BLOCK`` rows at a time."""
+        n, flat = self.rho.size, table.ravel()
+        own = self.width.size * (self.side + 1)  # each cell's side row; row 0 below every gap
+        P = np.empty((n, n))
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            index = np.minimum(self.rank[rows, None], self.rank)
+            index += np.where(self.side[rows, None] == self.side, own, 0)
+            np.take(flat, index, out=P[rows])
+            P[rows] /= self.rho[rows, None]
         return P
+
+    def product(self, table: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """P v of ``table`` from one bincount of v per node and side, and cumulative sums over nodes.
+
+        A cell pairs through row 0 with every cell off its side, and through its side's row with the
+        cells on it; each row is summed over its own cells, so no row is read as row 0 plus a difference.
+        """
+        nodes = self.width.size
+        group = self.side + 1
+        per_node = np.bincount(group * nodes + self.rank, weights=v, minlength=3 * nodes).reshape(3, nodes)
+        off_side = np.stack([per_node.sum(axis=0), per_node[0] + per_node[2], per_node[0] + per_node[1]])
+        sums = _min_rank_sums(table[0], off_side)
+        sums[1:] += _min_rank_sums(table[1:], per_node[1:])
+        return sums[group, self.rank] / self.rho
+
+
+def _min_rank_sums(table: np.ndarray, per_node: np.ndarray) -> np.ndarray:
+    """sum over nodes i of table[min(i, j)] per_node[i] at every node j, along the last axis.
+
+    That is table[j] times the sum over i >= j, plus the sum over i < j of table[i] per_node[i].
+    """
+    sums = table * np.cumsum(per_node[..., ::-1], axis=-1)[..., ::-1]
+    sums[..., 1:] += np.cumsum(table * per_node, axis=-1)[..., :-1]
+    return sums
 
 
 def _prefix_table(width, count, gamma=None, side_count=None) -> np.ndarray:
@@ -299,13 +374,11 @@ def _level_plan(target, grid: Grid, m: int) -> _LevelPlan:
     act = _active_cells(vals)
     rho = vals[act]
     levels, rank = np.unique(np.concatenate([rho, np.linspace(0.0, rho.max(), m + 1)[1:]]), return_inverse=True)
-    nodes = levels.size
-    # indices into a (3, nodes) table take 2 bytes each up to 21845 nodes
-    rank = rank[: rho.size].astype(np.min_scalar_type(3 * nodes))
+    rank = rank[: rho.size]
     width = np.diff(levels, prepend=0.0)
-    plan = _LevelPlan(rho, act, width, _count_from(rank, (nodes,)), np.minimum.outer(rank, rank))
+    plan = _LevelPlan(rho, act, width, _count_from(rank, (levels.size,)), rank, np.full(rho.size, -1))
     if grid.dim == 1:
-        _add_sides(plan, target, grid.centers[act, 0], rank, levels - width / 2)
+        _add_sides(plan, target, grid.centers[act, 0], levels - width / 2)
     return plan
 
 
@@ -318,8 +391,9 @@ def _count_from(index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.cumsum(per_node[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, mids: np.ndarray) -> None:
+def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, mids: np.ndarray) -> None:
     """Level-set geometry per node and the side of the gap each cell keeps."""
+    rank, side = plan.rank, plan.side
     sets = [level_set_1d(target, float(t)) for t in mids]
     plan.length = np.array([ls.length for ls in sets])
     plan.gap = np.array([ls.delta for ls in sets])
@@ -329,7 +403,6 @@ def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, 
     if two.size == 0:
         return
     # every cell in a two-part node's set also takes part in the lowest one
-    side = np.full(centers.size, -1)
     taking_part = rank >= two[0]
     side[taking_part] = centers[taking_part] > sets[two[0]].parts.intervals[0].hi
     edges = (
@@ -345,7 +418,6 @@ def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, rank: np.ndarray, 
         if np.any(reach[two] > edge + LEVEL_TOL):
             raise OutOfClassError("a grid cell changes side of the level-set gap; the gaps are not nested")
         plan.side_count[s] = _count_from(rank[mine], (nodes,))
-    plan.index += np.equal.outer(side, side) * (nodes * (side + 1)).astype(plan.index.dtype)
 
 
 # -- strip plan: every 2D level kernel ----------------------------------------
@@ -628,18 +700,20 @@ def build_k_step_matrices(
 def _power_kernels(target, grid, kind, w, k_list, m):
     """Kernels taking ``k`` inner steps per level, for every ``k`` of ``k_list``, one at a time by increasing ``k``.
 
-    1D and uniform kernels refine their level nodes by ``m`` levels and are built per ``k``; 2D strip kernels
-    are exact, ignore it, and come from one joint pass.  Nothing here keeps a kernel it has handed out.
+    1D and uniform kernels refine their level nodes by ``m`` levels and are plan kernels, one prefix table
+    per ``k``, whose P is assembled only when read; 2D strip kernels are exact, ignore ``m``, and come dense
+    from one joint pass.  Nothing here keeps a kernel it has handed out.
     """
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
     k_list = tuple(sorted(set(k_list)))
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
-        mats = (plan.kernel(kind, w, k) for k in k_list)
-    else:
-        plan = _strip_plan(target, grid, kind)
-        mats = plan.power_kernels(w, k_list)
+        for k in k_list:
+            yield k, _PlanKernel(plan, plan.table(kind, w, k), f"{kind.value}-k{k}-m{m}")
+        return
+    plan = _strip_plan(target, grid, kind)
+    mats = plan.power_kernels(w, k_list)
     pi = plan.rho / plan.rho.sum()
     # next() rather than a loop variable: while suspended, this frame holds no matrix it has handed out
     for k in k_list:
@@ -647,10 +721,6 @@ def _power_kernels(target, grid, kind, w, k_list, m):
 
 
 # -- norms and spectra ---------------------------------------------------------
-
-
-#: rows per block where a check reads a matrix and its transpose together
-ROW_BLOCK = 256
 
 
 def _similarity(K: DiscreteKernel) -> np.ndarray:
@@ -690,14 +760,16 @@ def op_norm_centered(K: DiscreteKernel) -> float:
     """Operator norm of the kernel minus its stationary projection on L2(pi), cached on the kernel.
 
     Up to 800 cells it is ``spectrum``'s.  Above, ARPACK finds the largest absolute eigenvalue of the
-    similarity minus sqrt(pi) sqrt(pi)^T, applied as a product and a rank-one correction, so neither
-    a second n x n array is made nor P written; ``spectrum`` is the fallback if ARPACK fails.
+    similarity minus sqrt(pi) sqrt(pi)^T, applied as the kernel's similarity product and a rank-one
+    correction: a plan kernel's comes from its prefix table, so its P is never assembled, and a dense
+    kernel's is its similarity from ``_similarity``.  No second n x n array is made and P is never
+    written; ``spectrum`` is the fallback if ARPACK fails.
     """
     if K._norm is None and K.n > 800:
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
-        S, root = _similarity(K), np.sqrt(K.pi)
-        C = LinearOperator(S.shape, matvec=lambda v: S @ v - root * (root @ v), dtype=float)
+        S, root = K._similarity_product(), np.sqrt(K.pi)
+        C = LinearOperator((K.n, K.n), matvec=lambda v: S(v) - root * (root @ v), dtype=float)
         v0 = np.sin(np.arange(1, K.n + 1, dtype=float))  # a deterministic, structure-free start vector
         try:
             eigs = eigsh(C, k=1, v0=v0 / np.linalg.norm(v0), maxiter=5000, tol=0, return_eigenvectors=False)
@@ -712,7 +784,9 @@ def eigsh(A, **kwargs):
 
     Only kernels above 800 cells need ARPACK, so a ``gap`` report on smaller
     grids never loads ``scipy.sparse``; ``verify`` loads it anyway, through
-    ``scipy.stats``.  Tools that count ARPACK calls rebind this name.
+    ``scipy.stats``.  ``op_norm_centered`` hands it a ``LinearOperator``
+    over the kernel's similarity product, which for a plan kernel makes no
+    n x n array.  Tools that count ARPACK calls rebind this name.
     """
     from scipy.sparse.linalg import eigsh as arpack
 

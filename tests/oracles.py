@@ -6,7 +6,9 @@ and volumes by hit-or-miss Monte Carlo.  The one exception is the level
 integral kernel, which takes its 1D level sets from ``level_set_1d`` and
 checks how ``spectral_oracle`` assembles kernels from them, one node at a
 time; in 2D it builds each level matrix strip by strip, with component
-regions from their level radii.  ``ArrayLineTarget`` runs the samplers'
+regions from their level radii.  ``min_rank_kernel`` gathers a level
+plan's matrix through one n x n min-rank index, the reference for the
+plan's blocked gather.  ``ArrayLineTarget`` runs the samplers'
 single-point evaluations through the array ``density`` instead of the
 scalar line densities.
 """
@@ -128,6 +130,20 @@ def level_integral_kernels(target, centers, rho, m, w=None, ks=(1,), grid=None):
                 flows[k] += (top - below) * np.outer(rows, rows) / rows.sum()
         below = top
     return {k: flow / rho[:, None] for k, flow in flows.items()}
+
+
+def min_rank_kernel(plan, table):
+    """A level plan's transition matrix from its full n x n min-rank index into the prefix ``table``.
+
+    Pair (x, y) reads the table at min(rank x, rank y), in the row of their
+    shared side when both keep the same side of a gap (row 1 + side), else
+    in row 0; the flow is divided by rho(x).
+    """
+    nodes, side = plan.width.size, plan.side
+    index = np.minimum.outer(plan.rank, plan.rank) + np.equal.outer(side, side) * (nodes * (side + 1))
+    P = table.ravel()[index]
+    P /= plan.rho[:, None]
+    return P
 
 
 def _two_part_refresh(target, x, rows, t, w, k):

@@ -415,25 +415,29 @@ class TestGapReportSharing:
         from slicegap import spectral_oracle as oracle
         from slicegap.cli import _gap_report
 
-        # above 800 cells every norm but H's comes from ARPACK: one dense solve of H gives psd_H and gap(H)
+        # above 800 cells every norm but H's comes from ARPACK on a level plan's product: one dense solve of
+        # H gives psd_H and gap(H), and only U (read by reversibility_U) and H have their P assembled
         cfg = load_config_text(self.TEXT.replace("cells = 200", "cells = 900").replace("levels_m = 40", "levels_m = 20"))
         arpack, similarity, spectrum = oracle.eigsh, oracle._similarity, oracle.spectrum
-        arpack_calls, built, dense, kernels = [], Counter(), [], []
+        arpack_calls, built, dense, made = [], Counter(), [], []
 
-        def counting_similarity(K):
-            kernels.append(K)  # keeps every kernel alive, so ids stay unique
-            built[id(K)] += 1
-            return similarity(K)
+        class RecordedKernel(oracle._PlanKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)  # keeps every kernel alive, so ids stay unique
 
         with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(oracle, "_PlanKernel", RecordedKernel)
             monkeypatch.setattr(oracle, "eigsh", lambda *a, **kw: arpack_calls.append(a[0].shape) or arpack(*a, **kw))
-            monkeypatch.setattr(oracle, "_similarity", counting_similarity)
+            monkeypatch.setattr(oracle, "_similarity", lambda K: built.update([K.label]) or similarity(K))
             monkeypatch.setattr(oracle, "spectrum", lambda K: dense.append(K.label) or spectrum(K))
             report = _gap_report(cfg)
         assert report.all_passed
-        # U and the k-step set 1..5, k=1 being H: each built once, all but H solved by ARPACK
-        assert len(built) == 6 and set(built.values()) == {1}
-        assert min(K.n for K in kernels) > 800
+        # U and the k-step set 1..5, k=1 being H, each made once; ARPACK solves U and k = 2..5
+        assert sorted(K.label for K in made) == ["so_sh-k1-m20", *(f"so_sh-k{k}-m20" for k in range(2, 6)), "uniform-k1-m20"]
+        assert min(K.n for K in made) > 800
+        assert [K.label for K in made if "P" in vars(K)] == ["uniform-k1-m20", "so_sh-k1-m20"]
+        assert built == Counter(["so_sh-k1-m20"])
         assert dense == ["so_sh-k1-m20"]
         assert len(arpack_calls) == 5
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import bin_masses_1d, level_integral_kernels, strip_level_matrix
+from oracles import bin_masses_1d, level_integral_kernels, min_rank_kernel, strip_level_matrix
 from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.slice_geometry import level_set_1d
@@ -315,6 +315,100 @@ class TestLevelPlan:
         grid = Grid(bounds=((-2.0, 2.0),), shape=(200,))
         with pytest.raises(OutOfClassError, match="not nested"):
             build_full_matrix(_DriftingGap(), grid, KernelKind.SO_SH, 3.0, m=20)
+
+
+def gaussian_twins_1d() -> TargetDensity:
+    """Two 1D Gaussian components of unequal height: level sets of two parts below the lower mode."""
+    return TargetDensity(
+        1,
+        (
+            QuasiConcaveComponent(Shape.GAUSSIAN, (0.0,), 1.0, 1.0),
+            QuasiConcaveComponent(Shape.GAUSSIAN, (3.0,), 0.6, 1.5),
+        ),
+    )
+
+
+class TestPlanProduct:
+    """Plan kernels apply P v from their prefix table and gather P only when read."""
+
+    TARGETS = {"twin_triangles": twin_triangles(), "gaussian_twins": gaussian_twins_1d(), "gaussian_pair": gaussian_pair()}
+    KINDS_1D = (KernelKind.UNIFORM, KernelKind.SO_SH, KernelKind.HIT_AND_RUN)
+    CASES = [(name, kind) for kind in KINDS_1D for name in ("twin_triangles", "gaussian_twins")]
+    CASES += [("gaussian_pair", KernelKind.UNIFORM)]
+
+    @classmethod
+    def _kernels(cls, name, kind, cells=300):
+        target = cls.TARGETS[name]
+        grid = Grid.for_target(target, cells if target.dim == 1 else (24, 24))
+        return build_k_step_matrices(target, grid, kind, 3.0, [1, 2, 5, 20], m=60)
+
+    @pytest.mark.parametrize("name, kind", CASES)
+    def test_product_matches_the_dense_matrix(self, name, kind):
+        rng = np.random.default_rng(7)
+        for K in self._kernels(name, kind).values():
+            assert "P" not in vars(K)
+            for _ in range(3):
+                u, v = rng.standard_normal((2, K.n))
+                assert np.abs(K.apply(v) - K.P @ v).max() <= 1e-14 * np.abs(v).max()
+                # detailed balance as products: <u, pi P v> = <pi P u, v>
+                scale = np.abs(u) @ (K.pi * (K.P @ np.abs(v)))
+                assert abs(u @ (K.pi * K.apply(v)) - (K.pi * K.apply(u)) @ v) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name, kind", CASES)
+    def test_blocked_gather_is_the_min_rank_index(self, name, kind):
+        # 600 1D cells: two full 256-row blocks and a partial one
+        for K in self._kernels(name, kind, cells=600).values():
+            assert np.array_equal(K.P, min_rank_kernel(K.plan, K.table))
+
+    @pytest.mark.parametrize("name, sides", [("twin_triangles", [0, 1]), ("gaussian_twins", [-1, 0, 1])])
+    def test_so_sh_cases_read_the_side_rows(self, name, sides):
+        # the agreement above covers pairs on one side, on opposite sides and below every gap
+        K = self._kernels(name, KernelKind.SO_SH)[1]
+        assert np.unique(K.plan.side).tolist() == sides
+        assert np.abs(K.table[1:] - K.table[0]).max() > 1e-3
+
+    def test_norm_alone_assembles_nothing(self, t1):
+        # 1000 cells take the ARPACK route, which reads the plan product only
+        grid = Grid.for_target(t1, 1000)
+        H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=60)
+        norm = op_norm_centered(H)
+        assert "P" not in vars(H)
+        assert norm == pytest.approx(spectrum(DiscreteKernel(P=H.P, pi=H.pi))[0], abs=1e-12)
+
+    @staticmethod
+    def _corrupted(monkeypatch, change):
+        import slicegap.spectral_oracle as oracle
+
+        table = oracle._prefix_table
+
+        def corrupt(*args):
+            out = table(*args)
+            change(out)
+            return out
+
+        monkeypatch.setattr(oracle, "_prefix_table", corrupt)
+
+    @pytest.mark.parametrize("name, row", [("twin_triangles", 0), ("gaussian_pair", 2)], ids=["read-row", "unread-row"])
+    def test_nan_in_the_table_rejected(self, monkeypatch, name, row):
+        # a uniform plan on a 2D grid has no sides, so no cell reads row 2
+        self._corrupted(monkeypatch, lambda table: table.__setitem__((row, 3), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            self._kernels(name, KernelKind.UNIFORM)
+
+    def test_negative_increment_rejected(self, monkeypatch):
+        # every entry stays positive, but one node would subtract a level kernel's weight
+        def reverse_node_10(table):
+            table[0, 10:] -= 2.0 * (table[0, 10] - table[0, 9])
+            assert table.min() > 0.0
+
+        self._corrupted(monkeypatch, reverse_node_10)
+        with pytest.raises(ValueError, match="negative level increment"):
+            self._kernels("twin_triangles", KernelKind.SO_SH)
+
+    def test_rows_not_summing_to_one_rejected(self, monkeypatch):
+        self._corrupted(monkeypatch, lambda table: table.__imul__(1.0 + 1e-6))
+        with pytest.raises(ValueError, match="sum to 1 only within"):
+            self._kernels("twin_triangles", KernelKind.SO_SH)
 
 
 class TestStripWalk:

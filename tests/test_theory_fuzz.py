@@ -5,7 +5,9 @@ admits at the step width; 2D targets are Gaussian pairs that ``check_Rdw``
 admits.  On every drawn target each row of the gap report passes, and H is
 stochastic, reversible and PSD with the discretized target as its
 stationary law.  A 1D target whose level-set gap reaches the step width
-raises ``OutOfClassError`` from the report.
+raises ``OutOfClassError`` from the report.  On every drawn 1D target the
+level plan's product P v agrees with the assembled P and satisfies
+detailed balance as products.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from slicegap.spectral_oracle import (
     Grid,
     KernelKind,
     build_full_matrix,
+    build_k_step_matrices,
     discretize_target,
     psd_check,
     reversibility_check,
@@ -88,6 +91,23 @@ def test_1d_reports_pass(target, cells):
 def test_2d_reports_pass(target):
     assert check_Rdw(target, W)
     assert_report_and_kernel(target, Grid.for_target(target, (12, 12)), KernelKind.COMBINED, m=8)
+
+
+@FUZZ
+@given(
+    target=targets_1d,
+    cells=st.integers(20, 400),
+    kind=st.sampled_from([KernelKind.UNIFORM, KernelKind.SO_SH, KernelKind.HIT_AND_RUN]),
+    k=st.sampled_from([1, 2, 5, 20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_1d_product_matches_the_matrix(target, cells, kind, k, seed):
+    assume(admitted_1d(target, W))
+    K = build_k_step_matrices(target, Grid.for_target(target, cells), kind, W, [k], m=40)[k]
+    u, v = np.random.default_rng(seed).standard_normal((2, K.n))
+    assert np.abs(K.apply(v) - K.P @ v).max() <= 1e-14 * np.abs(v).max()
+    scale = np.abs(u) @ (K.pi * (K.P @ np.abs(v)))
+    assert abs(u @ (K.pi * K.apply(v)) - (K.pi * K.apply(u)) @ v) <= 1e-14 * scale
 
 
 @FUZZ
