@@ -16,23 +16,26 @@ table by cumulative sums over nodes, in O(n + nodes), and assembles P
 only when a check first reads it.  The 2D level matrices come from one
 walk over the nodes in a single buffer, each node adding only the weight
 changes of its strips; each matrix handed out is a view that later nodes
-overwrite.  Norms and positivity are read off one self-adjoint operator
-per kernel, the similarity D^(1/2) P D^(-1/2), which ``_similarity``
-builds with one symmetry guard: P itself when pi is uniform, as on level
-kernels, else one scaled copy.  ``spectrum`` solves it once with
-``eigvalsh`` for the centered norm and the smallest eigenvalue; above 800
-cells a norm alone comes from ARPACK, on the level plan's product for a
-plan kernel, and ``scipy.sparse`` is imported only then.  The symmetry
-and detailed-balance checks read a matrix against its transpose in
-blocks of 256 rows, so they make no n x n array.
+overwrite.  Norms are read off one self-adjoint operator per kernel, the
+similarity D^(1/2) P D^(-1/2), which ``_similarity`` builds with one
+symmetry guard: P itself when pi is uniform, as on level kernels, else
+one scaled copy.  ``spectrum`` solves it once with ``eigvalsh`` for the
+centered norm and the smallest eigenvalue; above 800 cells a norm alone
+comes from ARPACK, on the level plan's product for a plan kernel, and
+``scipy.sparse`` is imported only then.  Every kernel has ``apply``
+(P v) and ``positivity``: a dense kernel's smallest eigenvalue, or a plan
+kernel's certificate, the least of the weights its table is built from.
+``reversibility_residual`` tests detailed balance through products; the
+dense ``psd_check`` and ``reversibility_check`` remain as oracles, the
+latter reading P against its transpose in blocks of 256 rows.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
 iterates a kernel).  ``verify_theorem_bounds`` is the one place that
 makes the kernels of a gap report, each once, and runs every check: it
 reduces U to numbers and releases it, then walks the k-step set one
-kernel at a time, so at most H and one working n x n array coexist with
-the kernel being solved.
+kernel at a time, and reads U and H only through ``apply`` and
+``positivity``, so a 1D report above 800 cells makes no n x n array.
 """
 
 from __future__ import annotations
@@ -163,23 +166,32 @@ class DiscreteKernel:
     def n(self) -> int:
         return self.pi.size
 
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.P @ v
+
+    def positivity(self) -> float:
+        """Nonnegative when P is shown PSD on L2(pi): here its smallest eigenvalue, from ``spectrum``."""
+        return spectrum(self)[1]
+
     def _similarity_product(self):
         """v -> D^(1/2) P D^(-1/2) v, the similarity built once by ``_similarity`` behind its guard."""
         return _similarity(self).__matmul__
 
 
 class _PlanKernel(DiscreteKernel):
-    """Kernel of a level plan's prefix ``table``: ``apply`` gives P v in O(n + nodes), and P is gathered on first read.
+    """Kernel of a level plan with whole-set refresh weights ``gamma`` per node (None: always whole).
 
+    ``apply`` gives P v from the prefix ``table`` in O(n + nodes), and P is gathered on first read.
     Every entry of P is a table value over rho(x), so a finite table whose increments over nodes are
     nonnegative gives a finite, nonnegative P; its rows sum to 1 when the product of ones is 1.  The flow
     is symmetric by construction, so the similarity product needs no guard.
     """
 
-    def __init__(self, plan: "_LevelPlan", table: np.ndarray, label: str):
-        self.plan, self.table, self.label, self.support, self._norm = plan, table, label, plan.support, None
+    def __init__(self, plan: "_LevelPlan", gamma: np.ndarray | None, label: str):
+        self.plan, self.gamma, self.label, self.support, self._norm = plan, gamma, label, plan.support, None
+        self.table = _prefix_table(plan.width, plan.count, gamma, plan.side_count)
         self.pi = plan.rho / plan.rho.sum()
-        self._validate(self.apply(np.ones(plan.rho.size)), np.diff(table, prepend=0.0).min(), "level increment")
+        self._validate(self.apply(np.ones(plan.rho.size)), np.diff(self.table, prepend=0.0).min(), "level increment")
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -187,6 +199,16 @@ class _PlanKernel(DiscreteKernel):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.plan.product(self.table, v)
+
+    def positivity(self) -> float:
+        """The least of every node's width, gamma and 1 - gamma: a certificate, no spectrum.
+
+        When it is nonnegative each level kernel, gamma times the refresh on its set plus 1 - gamma
+        times the refresh within each side, is a nonnegative sum of Gram terms 1_S 1_S^T, so PSD and
+        reversible for the uniform law on its set, and so is P (Rudolf and Ullrich 2013).
+        """
+        weights = (self.plan.width,) if self.gamma is None else (self.plan.width, self.gamma, 1.0 - self.gamma)
+        return float(min(a.min() for a in weights))
 
     def _similarity_product(self):
         root = np.sqrt(self.pi)
@@ -308,12 +330,11 @@ class _LevelPlan:
     gap: np.ndarray | None = None
     side_count: np.ndarray | None = None
 
-    def table(self, kind: KernelKind, w, k: int) -> np.ndarray:
-        """Prefix table of ``kind`` taking ``k`` inner steps per level, from ``_prefix_table``."""
+    def gamma(self, kind: KernelKind, w, k: int) -> np.ndarray | None:
+        """Whole-set refresh weight per node of ``kind`` taking ``k`` inner steps per level; None if always whole."""
         if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
-            return _prefix_table(self.width, self.count)
-        gamma_k = 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
-        return _prefix_table(self.width, self.count, gamma_k, self.side_count)
+            return None
+        return 1.0 - (1.0 - mixture_weight(self.length, self.gap, w)) ** k
 
     def kernel(self, table: np.ndarray) -> np.ndarray:
         """Transition matrix of ``table``, gathered at each pair's smaller rank ``ROW_BLOCK`` rows at a time."""
@@ -710,7 +731,7 @@ def _power_kernels(target, grid, kind, w, k_list, m):
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
         for k in k_list:
-            yield k, _PlanKernel(plan, plan.table(kind, w, k), f"{kind.value}-k{k}-m{m}")
+            yield k, _PlanKernel(plan, plan.gamma(kind, w, k), f"{kind.value}-k{k}-m{m}")
         return
     plan = _strip_plan(target, grid, kind)
     mats = plan.power_kernels(w, k_list)
@@ -815,6 +836,24 @@ def reversibility_check(K: DiscreteKernel) -> float:
     return float(np.max(worst, initial=0.0))
 
 
+def reversibility_residual(K: DiscreteKernel) -> float:
+    """Detailed balance read through products, after Freivalds (1977): 0 when P is pi-reversible.
+
+    The largest, over 4 fixed pairs (u, v) of sine vectors u_i = sin(i j), v_i = sin(i (j + 4)) for
+    j = 1..4, of the relative residual |<u, pi P v> - <pi P u, v>| / <|u|, pi P |v|>.  The numerator
+    is u^T (F - F^T) v for the flow F = diag(pi) P, which vanishes for every pair exactly when P is
+    pi-reversible; a nonzero F - F^T is missed only if it vanishes on all four pairs.  The denominator
+    scales it by the flow it reads.  It takes 3 products per pair (``apply``), so a plan kernel makes
+    no n x n array.
+    """
+    cells, worst = np.arange(1, K.n + 1, dtype=float), []
+    for j in range(1, 5):
+        u, v = np.sin(cells * j), np.sin(cells * (j + 4))
+        residual = abs(u @ (K.pi * K.apply(v)) - (K.pi * K.apply(u)) @ v)
+        worst.append(residual / (np.abs(u) @ (K.pi * K.apply(np.abs(v)))))
+    return float(np.max(worst))
+
+
 # -- numeric beta profile ------------------------------------------------------
 
 
@@ -886,25 +925,27 @@ def verify_theorem_bounds(
     kstep_grid: Grid | None = None,
     kstep_m: int | None = None,
 ) -> GapReport:
-    """Assemble the kernels of a gap report once and run every check on them.
+    """Make the kernels of a gap report once and run every check on them.
 
     The order of work bounds memory.  The beta profile comes first, so its
     level matrices never coexist with the kernels.  U is reduced to gap(U)
-    and its detailed-balance residual, then released.  The k-step set
-    covers ``k_list`` and 1..``k_max`` on ``kstep_grid`` with ``kstep_m``
-    levels (by default the main grid and ``m``) and is walked one kernel at
-    a time, each kept only as its norm; when those are the main ones, its
-    k=1 kernel is H and the corollary reuses gap(U) and beta.  ``psd_H``
-    and gap(H) come from one ``spectrum`` of H.  H alone is held in full,
-    so at most H and one working n x n array coexist with the kernel being
-    solved.  The margins are the module's ``TOL_*``
-    constants, read at call time; the exact checks use ``TOL_EXACT``,
-    capped at 1e-10 for the positivity of H and 1e-8 for reversibility.
-    H is the one-step kernel whatever k the caller adds to ``k_list``: with
-    ``k_inner > 1``, gap(H), ``psd_H``, ``reversibility_H``, the upper sandwich
-    and the ``tv_decay_n*`` rows describe the one-step H.  The benchmark pins
-    the row count (84 on ``configs/t1_so_sh.cfg``, 70 on ``bench/gap2d.cfg``),
-    so two identities stay: ``power_bound_k1`` (x <= x) and, on a shared grid,
+    and its reversibility residual, then released.  The k-step set covers
+    ``k_list`` and 1..``k_max`` on ``kstep_grid`` with ``kstep_m`` levels (by
+    default the main grid and ``m``) and is walked one kernel at a time,
+    each kept only as its norm; when those are the main ones, its k=1 kernel
+    is H and the corollary reuses gap(U) and beta.  U and H are read only
+    through ``apply`` and ``positivity`` (a dense H's one ``spectrum`` gives
+    its norm too), so a 1D report above 800 cells, where every norm is
+    ARPACK on a plan product, makes no n x n array, and a 2D report holds
+    at most H and one working n x n array besides the kernel being solved.
+    The margins are the module's ``TOL_*`` constants, read at call time; the
+    exact checks use ``TOL_EXACT``, capped at 1e-10 for the positivity of H
+    and 1e-8 for reversibility.  H is the one-step kernel whatever k the
+    caller adds to ``k_list``: with ``k_inner > 1``, gap(H), ``psd_H``,
+    ``reversibility_H``, the upper sandwich and the ``tv_decay_n*`` rows
+    describe the one-step H.  The benchmark pins the row count (84 on
+    ``configs/t1_so_sh.cfg``, 70 on ``bench/gap2d.cfg``), so two identities
+    stay: ``power_bound_k1`` (x <= x) and, on a shared grid,
     ``corollary_kstep_gap_k1`` (``sandwich_lower_k1`` again).
     """
     k_list = sorted(set(k_list))
@@ -912,7 +953,7 @@ def verify_theorem_bounds(
     shared = kgrid is grid and km == m
     beta = beta_k_numeric_many(target, grid, kind, w, k_list, m, norm_bins)
     U = build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
-    gap_u, reversibility_u = spectral_gap(U), reversibility_check(U)
+    gap_u, reversibility_u = spectral_gap(U), reversibility_residual(U)
     del U
     if shared:
         gap_uk, beta_k = gap_u, beta
@@ -923,18 +964,18 @@ def verify_theorem_bounds(
     norms = {}
     for k, K in _power_kernels(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km):
         if shared and k == 1:
-            H, psd_h = K, spectrum(K)[1]  # one solve of H gives its norm too
+            H, psd_h = K, K.positivity()  # before the norm, which a dense kernel's solve then caches
         norms[k] = op_norm_centered(K)
         del K  # released before the next kernel is built
     if not shared:
         H = build_full_matrix(target, grid, kind, w, m)
-        psd_h = spectrum(H)[1]
+        psd_h = H.positivity()
     gap_h = spectral_gap(H)
 
     checks = [Check("psd_H", lhs=-psd_h, rhs=0.0, tol=min(1e-10, TOL_EXACT))]
     checks += verify_sandwich(gap_u, gap_h, beta, TOL_THEOREM)
     checks += verify_corollary(gap_uk, beta_k, norms, TOL_THEOREM)
-    for name, residual in (("reversibility_U", reversibility_u), ("reversibility_H", reversibility_check(H))):
+    for name, residual in (("reversibility_U", reversibility_u), ("reversibility_H", reversibility_residual(H))):
         checks.append(Check(name, lhs=residual, rhs=0.0, tol=min(1e-8, TOL_EXACT)))
     checks += verify_monotonicity(norms, k_max, TOL_EXACT)
     checks += verify_power_bound(norms, k_max, TOL_EXACT)
@@ -980,10 +1021,11 @@ def verify_mt_bound(target, grid: Grid, gap_u: float, tol: float = TOL_MT) -> Ch
 def verify_tv_bound(
     H: DiscreteKernel, nu: np.ndarray | None = None, n_max: int = TV_N_MAX, tol: float = TOL_TV
 ) -> list[Check]:
-    """Iterated total-variation distance against the geometric gap bound.
+    """Iterated total-variation distance against the geometric gap bound, for a pi-reversible H.
 
     TV(nu H^n, pi) <= 1/2 ||nu/pi - 1||_{L2(pi)} (1 - gap)^n, with the
-    factor 1/2 of the total-variation norm.
+    factor 1/2 of the total-variation norm.  Each step reads one product:
+    detailed balance pi_x H(x, y) = pi_y H(y, x) makes mu H = pi H(mu/pi).
     """
     gap = spectral_gap(H)
     pi = H.pi
@@ -997,7 +1039,7 @@ def verify_tv_bound(
     checks = []
     mu = nu.copy()
     for n in range(1, n_max + 1):
-        mu = mu @ H.P
+        mu = pi * H.apply(mu / pi)
         tv = 0.5 * float(np.abs(mu - pi).sum())
         checks.append(Check(f"tv_decay_n{n}", lhs=tv, rhs=0.5 * (1.0 - gap) ** n * l2, tol=tol))
     return checks

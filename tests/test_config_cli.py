@@ -343,7 +343,7 @@ class TestGapReportSharing:
             return oracle.build_k_step_matrices(target, grid, kind, w, ks, m)
 
         beta = oracle.beta_k_numeric_many(target, grid, kind, w, k_list, m, cfg.norm_bins)
-        checks = [Check("psd_H", lhs=-oracle.psd_check(full(kind)), rhs=0.0, tol=min(1e-10, oracle.TOL_EXACT))]
+        checks = [Check("psd_H", lhs=-full(kind).positivity(), rhs=0.0, tol=min(1e-10, oracle.TOL_EXACT))]
         gap_u, kmats = oracle.spectral_gap(full(KernelKind.UNIFORM)), ksteps(k_list)
         checks += oracle.verify_sandwich(gap_u, oracle.spectral_gap(full(kind)), beta, tol=oracle.TOL_THEOREM)
         for k in k_list:
@@ -351,7 +351,7 @@ class TestGapReportSharing:
             checks.append(Check(f"corollary_kstep_gap_k{k}", lhs=gap_u - beta[k], rhs=gap_k, tol=oracle.TOL_THEOREM))
         rev_tol = min(1e-8, oracle.TOL_EXACT)
         for name, kk in (("reversibility_U", KernelKind.UNIFORM), ("reversibility_H", kind)):
-            checks.append(Check(name, lhs=oracle.reversibility_check(full(kk)), rhs=0.0, tol=rev_tol))
+            checks.append(Check(name, lhs=oracle.reversibility_residual(full(kk)), rhs=0.0, tol=rev_tol))
         norms = {k: oracle.op_norm_centered(K) for k, K in ksteps(range(1, cfg.k_max + 1)).items()}
         checks += oracle.verify_monotonicity(norms, cfg.k_max, tol=oracle.TOL_EXACT)
         checks += oracle.verify_power_bound(norms, cfg.k_max, tol=oracle.TOL_EXACT)
@@ -409,14 +409,14 @@ class TestGapReportSharing:
                 assert got.lhs == pytest.approx(ref.lhs, abs=1e-12)
                 assert got.rhs == pytest.approx(ref.rhs, abs=1e-12)
 
-    def test_h_is_solved_once_and_never_by_arpack(self):
+    def test_above_800_cells_every_norm_is_arpack_on_a_product(self):
         from collections import Counter
 
         from slicegap import spectral_oracle as oracle
         from slicegap.cli import _gap_report
 
-        # above 800 cells every norm but H's comes from ARPACK on a level plan's product: one dense solve of
-        # H gives psd_H and gap(H), and only U (read by reversibility_U) and H have their P assembled
+        # above 800 cells every norm, H's included, comes from ARPACK on a level plan's product, psd_H from
+        # H's weight certificate and the reversibility and TV rows from products: no kernel has its P assembled
         cfg = load_config_text(self.TEXT.replace("cells = 200", "cells = 900").replace("levels_m = 40", "levels_m = 20"))
         arpack, similarity, spectrum = oracle.eigsh, oracle._similarity, oracle.spectrum
         arpack_calls, built, dense, made = [], Counter(), [], []
@@ -433,13 +433,36 @@ class TestGapReportSharing:
             monkeypatch.setattr(oracle, "spectrum", lambda K: dense.append(K.label) or spectrum(K))
             report = _gap_report(cfg)
         assert report.all_passed
-        # U and the k-step set 1..5, k=1 being H, each made once; ARPACK solves U and k = 2..5
+        # U and the k-step set 1..5, k=1 being H, each made once and each solved once by ARPACK
         assert sorted(K.label for K in made) == ["so_sh-k1-m20", *(f"so_sh-k{k}-m20" for k in range(2, 6)), "uniform-k1-m20"]
         assert min(K.n for K in made) > 800
-        assert [K.label for K in made if "P" in vars(K)] == ["uniform-k1-m20", "so_sh-k1-m20"]
-        assert built == Counter(["so_sh-k1-m20"])
-        assert dense == ["so_sh-k1-m20"]
-        assert len(arpack_calls) == 5
+        assert [K.label for K in made if "P" in vars(K)] == []
+        assert built == Counter()
+        assert dense == []
+        assert len(arpack_calls) == 6
+
+    def test_t1_report_makes_no_square_array(self, tmp_path):
+        # the gap-1d benchmark workload, with the dense gather of a plan kernel and the similarity that
+        # a dense solve builds both made to raise; numpy's buffers stay below one 2000 x 2000 array
+        import tracemalloc
+
+        from slicegap import spectral_oracle as oracle
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an n x n array was made")
+
+        out = tmp_path / "gap"
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(oracle._LevelPlan, "kernel", forbidden)
+            monkeypatch.setattr(oracle, "_similarity", forbidden)
+            tracemalloc.start()
+            try:
+                assert main(["gap", "--config", str(ROOT / "configs/t1_so_sh.cfg"), "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len((out / "gap_report.csv").read_text().splitlines()) == 2 + 84
+        assert peak < 2000**2 * 8
 
 
 class TestCliVerify:

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from slicegap.spectral_oracle import (
     op_norm_centered,
     psd_check,
     reversibility_check,
+    reversibility_residual,
     spectral_gap,
     spectrum,
     verify_monotonicity,
@@ -411,6 +413,124 @@ class TestPlanProduct:
             self._kernels("twin_triangles", KernelKind.SO_SH)
 
 
+class TestPositivityCertificate:
+    """psd_H reads a plan kernel's weights: min over nodes of width, gamma and 1 - gamma.
+
+    The controls set the whole-set weight gamma at t1's two-part nodes (m = 400 as in
+    ``configs/t1_so_sh.cfg``).  A single non-PSD level kernel leaves H's smallest eigenvalue at
+    rounding, so only the certificate sees it.
+    """
+
+    @staticmethod
+    def _set_gamma(monkeypatch, value, nodes):
+        import slicegap.spectral_oracle as oracle
+
+        weight = oracle.mixture_weight
+
+        def mutated(length, gap, w):
+            gamma = np.array(weight(length, gap, w))
+            two = np.flatnonzero(gap > 0.0)
+            gamma[two if nodes == "all" else two[two.size // 2]] = value
+            return gamma
+
+        monkeypatch.setattr(oracle, "mixture_weight", mutated)
+
+    @staticmethod
+    def _psd_row(t1, cells):
+        grid = Grid.for_target(t1, cells)
+        report = verify_theorem_bounds(t1, grid, KernelKind.SO_SH, 3.0, [1], m=400, k_max=1, tv_n_max=1, norm_bins=64)
+        assert report.checks[0].name == "psd_H"
+        return report.checks[0]
+
+    def test_weights_in_range_pass(self, t1):
+        grid = Grid.for_target(t1, 300)
+        H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=400)
+        assert H.positivity() == 0.0  # gamma is 1 at every one-part node
+        assert build_full_matrix(t1, grid, KernelKind.UNIFORM, None, m=400).positivity() > 0.0
+        assert self._psd_row(t1, 300).passed
+
+    @pytest.mark.parametrize("cells", [300, 2000])
+    def test_one_level_kernel_not_psd_fails(self, monkeypatch, t1, cells):
+        self._set_gamma(monkeypatch, 1.5, "one")
+        row = self._psd_row(t1, cells)
+        assert row.lhs == pytest.approx(0.5) and not row.passed
+        if cells == 300:  # the dense smallest eigenvalue cannot see it
+            assert psd_check(build_full_matrix(t1, Grid.for_target(t1, cells), KernelKind.SO_SH, 3.0, m=400)) > -1e-10
+
+    def test_every_two_part_node_over_one(self, monkeypatch, t1):
+        self._set_gamma(monkeypatch, 1.02, "all")
+        row = self._psd_row(t1, 300)
+        assert row.lhs == pytest.approx(0.02) and not row.passed
+        # on 2000 cells a side increment outweighs the whole-set one, and the kernel is never made
+        with pytest.raises(ValueError, match="negative level increment"):
+            build_full_matrix(t1, Grid.for_target(t1, 2000), KernelKind.SO_SH, 3.0, m=400)
+
+    def test_dense_kernels_keep_the_smallest_eigenvalue(self, t2):
+        H = build_full_matrix(t2, Grid.for_target(t2, (10, 10)), KernelKind.COMBINED, 3.0, m=8)
+        assert H.positivity() == psd_check(H)
+
+
+class TestReversibilityResidual:
+    """The product test of ``reversibility_U`` and ``reversibility_H``, on every kernel a report makes."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @classmethod
+    def _report_kernels(cls, source):
+        """U and H on the main grid, and U and the k-step set on the k-step grid, of a config or of ``verify``."""
+        from slicegap.cli import _KIND_MAP
+        from slicegap.config import load_config
+        from slicegap.targets import twin_triangles
+
+        if source == "verify":  # suite.run_verification_suite's report
+            target, kind, w, m, ks = twin_triangles(), KernelKind.SO_SH, 3.0, 150, {1, 2, 3, 4, 5}
+            grid = kgrid = Grid.for_target(target, 600)
+            km = m
+        else:
+            cfg = load_config(cls.ROOT / source)
+            target, kind, w, m = cfg.target, _KIND_MAP[cfg.sampler.kind], cfg.sampler.w, cfg.levels_m
+            grid = Grid.for_target(target, cfg.cells, cfg.eps_cut)
+            kgrid, km = Grid.for_target(target, cfg.kstep_cells, cfg.eps_cut), cfg.kstep_m or m
+            ks = {*cfg.k_list, *range(1, cfg.k_max + 1)}
+        for g, mm in ((grid, m), (kgrid, km)):
+            yield build_full_matrix(target, g, KernelKind.UNIFORM, w, mm)
+        yield build_full_matrix(target, grid, kind, w, m)
+        yield from build_k_step_matrices(target, kgrid, kind, w, ks, km).values()
+
+    @pytest.mark.parametrize("source", ["configs/t1_so_sh.cfg", "bench/gap2d.cfg", "verify"])
+    def test_every_report_kernel_passes(self, source):
+        for K in self._report_kernels(source):
+            assert reversibility_residual(K) < 1e-14, K.label
+
+    def test_a_gather_from_the_other_side_fails(self, monkeypatch):
+        # each cell on a side gathers the other side's row, so its same-side term goes to the cells across the
+        # gap: on two Gaussians of unequal height the rows still sum to 1 and the kernel is made
+        import slicegap.spectral_oracle as oracle
+
+        def other_side(self, table, v):
+            nodes, group = self.width.size, self.side + 1
+            per_node = np.bincount(group * nodes + self.rank, weights=v, minlength=3 * nodes).reshape(3, nodes)
+            off_side = np.stack([per_node.sum(axis=0), per_node[0] + per_node[2], per_node[0] + per_node[1]])
+            sums = oracle._min_rank_sums(table[0], off_side)
+            sums[1:] += oracle._min_rank_sums(table[1:], per_node[1:])
+            return sums[np.where(group > 0, 3 - group, 0), self.rank] / self.rho
+
+        assert reversibility_residual(TestPlanProduct._kernels("gaussian_twins", KernelKind.SO_SH)[1]) < 1e-15
+        monkeypatch.setattr(oracle._LevelPlan, "product", other_side)
+        K = TestPlanProduct._kernels("gaussian_twins", KernelKind.SO_SH)[1]
+        assert not Check("reversibility_H", reversibility_residual(K), 0.0, 1e-8).passed
+
+    def test_a_symmetric_error_is_left_to_construction(self, monkeypatch):
+        # same-side pairs reading the other side's row keep the flow symmetric, so no product test can see
+        # them; the rows no longer sum to 1, and the kernel is rejected where it is made
+        import slicegap.spectral_oracle as oracle
+
+        product = oracle._LevelPlan.product
+        monkeypatch.setattr(oracle._LevelPlan, "product", lambda self, table, v: product(self, table[[0, 2, 1]], v))
+        with pytest.raises(ValueError, match="sum to 1 only within"):
+            TestPlanProduct._kernels("gaussian_twins", KernelKind.SO_SH)
+
+
 class TestStripWalk:
     """Level matrices walked by weight updates against ``strip_level_matrix``, built one strip at a time."""
 
@@ -686,6 +806,14 @@ class TestRowBlocks:
             flow = kernel.pi[:, None] * kernel.P
             assert reversibility_check(kernel) == float(np.abs(flow - flow.T).max())
         assert reversibility_check(broken) > 1e-6 > reversibility_check(K)
+
+    def test_reversibility_residual(self, K):
+        # through products: the broken pair moves 9e-6 of the flow the sine pairs read
+        assert reversibility_residual(K) < 1e-15
+        assert not Check("reversibility_broken", reversibility_residual(self._broken(K)), 0.0, 1e-8).passed
+        bad = DiscreteKernel(P=K.P.copy(), pi=K.pi, label="nan")
+        bad.P[515, 512] = np.nan
+        assert not Check("reversibility_nan", reversibility_residual(bad), 0.0, 1e-8).passed
 
 
 class TestBetaNumeric:
