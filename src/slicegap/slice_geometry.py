@@ -20,6 +20,13 @@ from .targets import Ball, Interval, Region
 MEMBERSHIP_TOL = 1e-12
 
 
+def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i with probability proportional to weights[i], drawn as ``rng.choice`` draws it with p = weights / sum."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Sorted union of pairwise disjoint closed intervals."""
@@ -65,8 +72,7 @@ class IntervalUnion:
 
     def sample_uniform(self, rng: np.random.Generator) -> float:
         lengths = np.array([iv.length for iv in self.intervals])
-        idx = int(rng.choice(len(lengths), p=lengths / lengths.sum()))
-        iv = self.intervals[idx]
+        iv = self.intervals[_draw_index(lengths, rng)]
         return iv.lo + rng.random() * iv.length
 
 
@@ -235,10 +241,8 @@ def uniform_sample_level_set(target, t: float, rng: np.random.Generator) -> np.n
     if not regions:
         raise EmptyLevelSetError(f"no level region at {t}")
     vols = np.array([_region_volume(r) for r in regions])
-    probs = vols / vols.sum()
     while True:
-        idx = int(rng.choice(len(regions), p=probs))
-        point = _sample_region(regions[idx], rng)
+        point = _sample_region(regions[_draw_index(vols, rng)], rng)
         cover = sum(
             1
             for r in regions

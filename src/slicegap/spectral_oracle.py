@@ -20,9 +20,10 @@ overwrite.  Norms are read off one self-adjoint operator per kernel, the
 similarity D^(1/2) P D^(-1/2), which ``_similarity`` builds with one
 symmetry guard: P itself when pi is uniform, as on level kernels, else
 one scaled copy.  ``spectrum`` solves it once with ``eigvalsh`` for the
-centered norm and the smallest eigenvalue; above 800 cells a norm alone
-comes from ARPACK, on the level plan's product for a plan kernel, and
-``scipy.sparse`` is imported only then.  Every kernel has ``apply``
+centered norm and the smallest eigenvalue, where the whole spectrum is
+needed; a norm alone comes from Lanczos with full reorthogonalisation,
+on the level plan's product for a plan kernel, at every size.  No scipy
+module is imported.  Every kernel has ``apply``
 (P v) and ``positivity``: a dense kernel's smallest eigenvalue, or a plan
 kernel's certificate, the least of the weights its table is built from.
 ``reversibility_residual`` tests detailed balance through products; the
@@ -35,7 +36,7 @@ iterates a kernel).  ``verify_theorem_bounds`` is the one place that
 makes the kernels of a gap report, each once, and runs every check: it
 reduces U to numbers and releases it, then walks the k-step set one
 kernel at a time, and reads U and H only through ``apply`` and
-``positivity``, so a 1D report above 800 cells makes no n x n array.
+``positivity``, so a 1D report makes no n x n array.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ TV_N_MAX = 50
 
 #: rows per block where a check or a gather reads a matrix a block of rows at a time
 ROW_BLOCK = 256
+
+#: Lanczos steps after which a norm falls back to the dense ``spectrum``
+LANCZOS_STEPS = 300
 
 
 class KernelKind(str, Enum):
@@ -142,6 +146,8 @@ class DiscreteKernel:
     label: str = ""
     support: np.ndarray | None = None
     _norm: float | None = field(default=None, init=False, repr=False)
+    #: ||C v - theta v|| of the Ritz pair that gave the norm, when Lanczos gave it (None: ``spectrum`` did)
+    residual: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1] or self.pi.shape != self.P.shape[:1]:
@@ -780,38 +786,42 @@ def spectrum(K: DiscreteKernel) -> tuple[float, float]:
 def op_norm_centered(K: DiscreteKernel) -> float:
     """Operator norm of the kernel minus its stationary projection on L2(pi), cached on the kernel.
 
-    Up to 800 cells it is ``spectrum``'s.  Above, ARPACK finds the largest absolute eigenvalue of the
-    similarity minus sqrt(pi) sqrt(pi)^T, applied as the kernel's similarity product and a rank-one
-    correction: a plan kernel's comes from its prefix table, so its P is never assembled, and a dense
-    kernel's is its similarity from ``_similarity``.  No second n x n array is made and P is never
-    written; ``spectrum`` is the fallback if ARPACK fails.
+    ``_lanczos`` solves the similarity product minus sqrt(pi) sqrt(pi)^T at every size: a plan
+    kernel's product comes from its prefix table, so its P is never assembled, and a dense kernel's
+    from ``_similarity``.  ``K.residual`` keeps the Ritz residual; ``spectrum`` is the fallback.
     """
-    if K._norm is None and K.n > 800:
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
-
+    if K._norm is None:
         S, root = K._similarity_product(), np.sqrt(K.pi)
-        C = LinearOperator((K.n, K.n), matvec=lambda v: S(v) - root * (root @ v), dtype=float)
-        v0 = np.sin(np.arange(1, K.n + 1, dtype=float))  # a deterministic, structure-free start vector
-        try:
-            eigs = eigsh(C, k=1, v0=v0 / np.linalg.norm(v0), maxiter=5000, tol=0, return_eigenvectors=False)
-            K._norm = abs(float(eigs[0]))
-        except ArpackNoConvergence:
-            pass
-    return spectrum(K)[0] if K._norm is None else K._norm
+        K._norm, K.residual = _lanczos(lambda v: S(v) - root * (root @ v), K.n) or (spectrum(K)[0], None)
+    return K._norm
 
 
-def eigsh(A, **kwargs):
-    """ARPACK's ``scipy.sparse.linalg.eigsh``, loaded on the first call.
+def _lanczos(op, n: int) -> tuple[float, float] | None:
+    """Largest |eigenvalue| theta of a symmetric C on R^n, and the residual ||C v - theta v|| of its Ritz vector v.
 
-    Only kernels above 800 cells need ARPACK, so a ``gap`` report on smaller
-    grids never loads ``scipy.sparse``; ``verify`` loads it anyway, through
-    ``scipy.stats``.  ``op_norm_centered`` hands it a ``LinearOperator``
-    over the kernel's similarity product, which for a plan kernel makes no
-    n x n array.  Tools that count ARPACK calls rebind this name.
+    Lanczos (1950) from sin(1..n), with full reorthogonalisation (Gram-Schmidt twice); the Ritz values
+    are the eigenvalues of the tridiagonal.  It stops once that residual is at most
+    eps * max(eps^(2/3), |theta|), ARPACK's rule at tol = 0, or the Krylov space is all of R^n: some
+    eigenvalue then lies within the residual of theta (Parlett).  None after ``LANCZOS_STEPS`` steps.
     """
-    from scipy.sparse.linalg import eigsh as arpack
-
-    return arpack(A, **kwargs)
+    eps = np.finfo(float).eps
+    q = np.sin(np.arange(1, n + 1, dtype=float))  # a deterministic, structure-free start vector
+    Q, alpha, beta = np.empty((8, n)), [], []  # the basis, its rows doubled as the run needs them
+    for j in range(min(n, LANCZOS_STEPS)):
+        if j == len(Q):
+            Q = np.concatenate([Q, np.empty_like(Q)])
+        Q[j] = q / np.linalg.norm(q)
+        basis, q = Q[: j + 1], op(Q[j])
+        alpha.append(Q[j] @ q)
+        for _ in range(2):
+            q -= (basis @ q) @ basis
+        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        top = np.abs(theta).argmax()
+        beta.append(np.linalg.norm(q))
+        if beta[j] * abs(y[j, top]) <= eps * max(eps ** (2 / 3), abs(theta[top])) or j + 1 == n:
+            v = y[:, top] @ basis
+            return abs(float(theta[top])), float(np.linalg.norm(op(v) - theta[top] * v) / np.linalg.norm(v))
+    return None
 
 
 def spectral_gap(K: DiscreteKernel) -> float:
@@ -933,10 +943,11 @@ def verify_theorem_bounds(
     ``k_list`` and 1..``k_max`` on ``kstep_grid`` with ``kstep_m`` levels (by
     default the main grid and ``m``) and is walked one kernel at a time,
     each kept only as its norm; when those are the main ones, its k=1 kernel
-    is H and the corollary reuses gap(U) and beta.  U and H are read only
-    through ``apply`` and ``positivity`` (a dense H's one ``spectrum`` gives
-    its norm too), so a 1D report above 800 cells, where every norm is
-    ARPACK on a plan product, makes no n x n array, and a 2D report holds
+    is H and the corollary reuses gap(U) and beta, else H and its dense
+    positivity solve, the largest working set, come before that set.  U and
+    H are read only through ``apply`` and ``positivity`` (a dense H's one
+    ``spectrum`` gives its norm too), so a 1D report, where every norm is
+    Lanczos on a plan product, makes no n x n array, and a 2D report holds
     at most H and one working n x n array besides the kernel being solved.
     The margins are the module's ``TOL_*`` constants, read at call time; the
     exact checks use ``TOL_EXACT``, capped at 1e-10 for the positivity of H
@@ -958,6 +969,8 @@ def verify_theorem_bounds(
     if shared:
         gap_uk, beta_k = gap_u, beta
     else:
+        H = build_full_matrix(target, grid, kind, w, m)
+        psd_h = H.positivity()
         gap_uk = spectral_gap(build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km))
         beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)
 
@@ -967,9 +980,6 @@ def verify_theorem_bounds(
             H, psd_h = K, K.positivity()  # before the norm, which a dense kernel's solve then caches
         norms[k] = op_norm_centered(K)
         del K  # released before the next kernel is built
-    if not shared:
-        H = build_full_matrix(target, grid, kind, w, m)
-        psd_h = H.positivity()
     gap_h = spectral_gap(H)
 
     checks = [Check("psd_H", lhs=-psd_h, rhs=0.0, tol=min(1e-10, TOL_EXACT))]

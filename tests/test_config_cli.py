@@ -378,7 +378,7 @@ class TestGapReportSharing:
         from slicegap import spectral_oracle as oracle
         from slicegap.cli import _KIND_MAP, _gap_report
 
-        power_kernels, similarity = oracle._power_kernels, oracle._similarity
+        power_kernels = oracle._power_kernels
         for text in (self.TEXT, self.TEXT_2D):
             cfg = load_config_text(text)
             reference = self._reference_checks(cfg)
@@ -390,36 +390,44 @@ class TestGapReportSharing:
                     assembled[(grid.bounds, grid.shape, kind, m, k)] += 1
                 return power_kernels(target, grid, kind, w, k_list, m)
 
-            def counting_similarity(K):
-                kernels.append(K)  # keeps every kernel alive, so ids stay unique
-                solved[id(K)] += 1
-                return similarity(K)
+            def counting(solve):
+                # a solve is a dense ``spectrum`` or a Lanczos run, which reads the similarity product once
+                def counted(K):
+                    kernels.append(K)  # keeps every kernel alive, so ids stay unique
+                    solved[id(K)] += 1
+                    return solve(K)
+
+                return counted
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 monkeypatch.setattr(oracle, "_power_kernels", counting_kernels)
-                monkeypatch.setattr(oracle, "_similarity", counting_similarity)
+                monkeypatch.setattr(oracle, "spectrum", counting(oracle.spectrum))
+                for cls in (oracle.DiscreteKernel, oracle._PlanKernel):
+                    monkeypatch.setattr(cls, "_similarity_product", counting(cls._similarity_product))
                 report = _gap_report(cfg)
             # U, then the k-step set 1..5 in one pass, k=1 being H
             assert calls == [oracle.KernelKind.UNIFORM, _KIND_MAP[cfg.sampler.kind]]
             assert len(assembled) == 1 + 5
             assert set(assembled.values()) == {1}
+            assert len(solved) >= 1 + 5
             assert set(solved.values()) == {1}
             assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in reference]
             for got, ref in zip(report.checks, reference):
                 assert got.lhs == pytest.approx(ref.lhs, abs=1e-12)
                 assert got.rhs == pytest.approx(ref.rhs, abs=1e-12)
 
-    def test_above_800_cells_every_norm_is_arpack_on_a_product(self):
+    @pytest.mark.parametrize("cells, m", [(200, 40), (900, 20)])
+    def test_every_norm_is_lanczos_on_a_product_at_every_size(self, cells, m):
         from collections import Counter
 
         from slicegap import spectral_oracle as oracle
         from slicegap.cli import _gap_report
 
-        # above 800 cells every norm, H's included, comes from ARPACK on a level plan's product, psd_H from
-        # H's weight certificate and the reversibility and TV rows from products: no kernel has its P assembled
-        cfg = load_config_text(self.TEXT.replace("cells = 200", "cells = 900").replace("levels_m = 40", "levels_m = 20"))
-        arpack, similarity, spectrum = oracle.eigsh, oracle._similarity, oracle.spectrum
-        arpack_calls, built, dense, made = [], Counter(), [], []
+        # every norm, H's included, comes from Lanczos on a level plan's product, psd_H from H's weight
+        # certificate and the reversibility and TV rows from products: no kernel has its P assembled
+        cfg = load_config_text(self.TEXT.replace("cells = 200", f"cells = {cells}").replace("levels_m = 40", f"levels_m = {m}"))
+        lanczos, similarity, spectrum = oracle._lanczos, oracle._similarity, oracle.spectrum
+        lanczos_sizes, built, dense, made = [], Counter(), [], []
 
         class RecordedKernel(oracle._PlanKernel):
             def __init__(self, *args):
@@ -428,18 +436,19 @@ class TestGapReportSharing:
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(oracle, "_PlanKernel", RecordedKernel)
-            monkeypatch.setattr(oracle, "eigsh", lambda *a, **kw: arpack_calls.append(a[0].shape) or arpack(*a, **kw))
+            monkeypatch.setattr(oracle, "_lanczos", lambda op, n: lanczos_sizes.append(n) or lanczos(op, n))
             monkeypatch.setattr(oracle, "_similarity", lambda K: built.update([K.label]) or similarity(K))
             monkeypatch.setattr(oracle, "spectrum", lambda K: dense.append(K.label) or spectrum(K))
             report = _gap_report(cfg)
         assert report.all_passed
-        # U and the k-step set 1..5, k=1 being H, each made once and each solved once by ARPACK
-        assert sorted(K.label for K in made) == ["so_sh-k1-m20", *(f"so_sh-k{k}-m20" for k in range(2, 6)), "uniform-k1-m20"]
-        assert min(K.n for K in made) > 800
+        # U and the k-step set 1..5, k=1 being H, each made once and each solved once by Lanczos
+        labels = [*(f"so_sh-k{k}" for k in range(1, 6)), "uniform-k1"]
+        assert sorted(K.label for K in made) == [f"{label}-m{m}" for label in labels]
+        assert sorted(lanczos_sizes) == sorted(K.n for K in made)
+        assert all(0.0 <= K.residual < 1e-14 for K in made)
         assert [K.label for K in made if "P" in vars(K)] == []
         assert built == Counter()
         assert dense == []
-        assert len(arpack_calls) == 6
 
     def test_t1_report_makes_no_square_array(self, tmp_path):
         # the gap-1d benchmark workload, with the dense gather of a plan kernel and the similarity that

@@ -4,7 +4,8 @@
 export is a visible diff to this file.  ``bench/`` imports a few names by
 module path, including one private function; each must keep resolving.
 Importing the command line and the suite loads no scipy module that a
-command may not call, and ``scipy.sparse`` loads only for ARPACK.
+command may not call, and a ``gap`` report loads no scipy module at all:
+its norms come from the oracle's own Lanczos solver.
 """
 
 import importlib
@@ -80,8 +81,6 @@ BENCH_NAMES = [
     ("targets", "gaussian_pair"),
     ("targets", "twin_triangles"),
     ("samplers", "_step_with_level"),
-    # the tracer counts ARPACK calls by rebinding this attribute, so eigsh stays a module-level name
-    ("spectral_oracle", "eigsh"),
 ]
 
 
@@ -104,9 +103,9 @@ def test_import_leaves_out_scipy_stats_and_integrate():
     assert out.stdout.strip() == "[]"
 
 
-def _modules_after(code: str, cwd) -> str:
-    """The sorted list of ``scipy.sparse`` modules loaded once ``code`` has run in a fresh interpreter, as printed."""
-    code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+def _modules_after(code: str, cwd, prefix: str = "scipy.sparse") -> str:
+    """The sorted list of modules under ``prefix`` loaded once ``code`` has run in a fresh interpreter, as printed."""
+    code += f"; import sys; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = str(Path(slicegap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True)
@@ -135,28 +134,50 @@ tv_n_max = 5
 norm_bins = 64
 """
 
+#: a 1D report on more cells than the dense norm path once took
+LARGE_1D = SMALL_2D.replace("gaussian_pair", "twin_triangles").replace("har_so_sh", "so_sh")
+LARGE_1D = LARGE_1D.replace("cells = 12,12", "cells = 900").replace("levels_m = 4", "levels_m = 20")
+
 
 def test_import_sample_and_small_2d_gap_leave_out_scipy_sparse(tmp_path):
     assert _modules_after("import slicegap.cli, slicegap.suite", tmp_path) == "[]"
     (tmp_path / "t2.cfg").write_text(SMALL_2D)
-    for command in ("sample", "gap"):
-        run = f"import slicegap.cli as c; assert c.main(['{command}', '--config', 't2.cfg', '--out', '{command}']) == 0"
-        assert _modules_after(run, tmp_path) == "[]"
+    (tmp_path / "t1.cfg").write_text(LARGE_1D)
+    for command, config, prefix in (("sample", "t2", "scipy.sparse"), ("gap", "t2", "scipy"), ("gap", "t1", "scipy")):
+        out = f"{command}-{config}"
+        run = f"import slicegap.cli as c; assert c.main(['{command}', '--config', '{config}.cfg', '--out', '{out}']) == 0"
+        assert _modules_after(run, tmp_path, prefix) == "[]", (command, config)
 
 
-def test_arpack_runs_through_the_module_name(monkeypatch):
-    # above 800 cells the norm comes from ARPACK, looked up as ``spectral_oracle.eigsh`` at call time
+def test_lanczos_runs_through_the_module_name(monkeypatch):
+    # every norm without a cached value comes from Lanczos, looked up as ``spectral_oracle._lanczos`` at call
+    # time, so a tool can count solves by rebinding it; the Ritz residual stays on the kernel
     from slicegap import spectral_oracle as oracle
 
     calls = []
-    arpack = oracle.eigsh
-    monkeypatch.setattr(oracle, "eigsh", lambda *args, **kwargs: calls.append(args[0].shape) or arpack(*args, **kwargs))
+    lanczos = oracle._lanczos
+    monkeypatch.setattr(oracle, "_lanczos", lambda op, n: calls.append(n) or lanczos(op, n))
     t1 = slicegap.twin_triangles()
-    grid = oracle.Grid.for_target(t1, 900)
-    H = oracle.build_full_matrix(t1, grid, oracle.KernelKind.SO_SH, 3.0, m=20)
-    assert H.n > 800
-    norm = oracle.op_norm_centered(H)
-    assert calls == [(H.n, H.n)]
-    root = np.sqrt(H.pi)
-    C = (root[:, None] * (H.P - H.pi)) / root[None, :]
-    assert norm == pytest.approx(np.abs(np.linalg.eigvalsh(C)).max(), abs=1e-10)
+    for cells in (300, 900):
+        H = oracle.build_full_matrix(t1, oracle.Grid.for_target(t1, cells), oracle.KernelKind.SO_SH, 3.0, m=20)
+        norm = oracle.op_norm_centered(H)
+        assert calls[-1] == H.n
+        root = np.sqrt(H.pi)
+        C = (root[:, None] * (H.P - H.pi)) / root[None, :]
+        assert abs(norm - np.abs(np.linalg.eigvalsh(C)).max()) <= H.residual + 1e-13
+    assert len(calls) == 2
+
+
+def test_bench_tracer_installs(tmp_path):
+    # ``bench/tracer.py`` wraps the oracle's solver names only where they exist, so it still installs
+    # and times a norm
+    bench = Path(slicegap.__file__).resolve().parents[2] / "bench"
+    code = (
+        f"import sys; sys.path.insert(0, {str(bench)!r}); from tracer import Tracer; t = Tracer(); t.install(); "
+        "import numpy as np, slicegap.spectral_oracle as o; "
+        "o.op_norm_centered(o.DiscreteKernel(P=np.full((2, 2), 0.5), pi=np.full(2, 0.5))); "
+        "print(t.functions['spectral_oracle.op_norm_centered'][0])"
+    )
+    src = str(Path(slicegap.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"

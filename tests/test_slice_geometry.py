@@ -8,6 +8,7 @@ from oracles import mc_volume, scan_intervals_1d, scan_line_section
 from slicegap.errors import EmptyLevelSetError, OffSliceError
 from slicegap.slice_geometry import (
     IntervalUnion,
+    _draw_index,
     diam_level_set,
     level_set_1d,
     line_section,
@@ -239,6 +240,23 @@ class TestUniformSampling:
         cells = (ix * 20 + iy).astype(int)
         res = chi_square_invariance(cells, probs)
         assert res.p_value > 0.01
+
+    @pytest.mark.parametrize("regions", [1, 2, 3, 5])
+    def test_region_draw_is_generator_choice(self, regions):
+        # the same index as ``Generator.choice`` for every draw, and the same stream after it
+        gen = np.random.default_rng(regions)
+        for seed in range(500):
+            weights = gen.random(regions) ** 3
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = [int(a.choice(regions, p=weights / weights.sum())) for _ in range(20)]
+            assert draws == [_draw_index(weights, b) for _ in range(20)]
+            assert a.random() == b.random()
+        union = IntervalUnion(tuple(Interval(3.0 * i, 3.0 * i + 1.0 + i) for i in range(regions)))
+        lengths = np.array([iv.length for iv in union.intervals])
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            iv = union.intervals[int(a.choice(regions, p=lengths / lengths.sum()))]
+            assert union.sample_uniform(b) == iv.lo + a.random() * iv.length
 
     def test_empty_level(self, t1):
         with pytest.raises(EmptyLevelSetError):

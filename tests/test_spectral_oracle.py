@@ -370,7 +370,7 @@ class TestPlanProduct:
         assert np.abs(K.table[1:] - K.table[0]).max() > 1e-3
 
     def test_norm_alone_assembles_nothing(self, t1):
-        # 1000 cells take the ARPACK route, which reads the plan product only
+        # Lanczos reads the plan product only
         grid = Grid.for_target(t1, 1000)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=60)
         norm = op_norm_centered(H)
@@ -665,7 +665,7 @@ class TestOpNorm:
         assert low == pytest.approx(1 - a - b, abs=1e-12)
 
     def test_svd_and_eig_routes_agree_for_reversible(self, t1):
-        # 1000 cells take the ARPACK route
+        # Lanczos on the plan product against the dense singular values
         grid = Grid.for_target(t1, 1000)
         H = build_full_matrix(t1, grid, KernelKind.SO_SH, 3.0, m=60)
         root = np.sqrt(H.pi)
@@ -727,6 +727,81 @@ class TestOpNorm:
             DiscreteKernel(P=P, pi=pi)
 
 
+class TestLanczos:
+    """Norms from ``_lanczos`` against dense ``eigvalsh``."""
+
+    @staticmethod
+    def _symmetric(eigenvalues, seed=0):
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues), len(eigenvalues))))[0]
+        return (Q * eigenvalues) @ Q.T
+
+    @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    def test_2d_dense_kernels_match_eigvalsh(self, t2, kind):
+        kernels = build_k_step_matrices(t2, Grid.for_target(t2, (12, 12)), kind, 3.0, [1, 2, 5], m=8)
+        for K in kernels.values():
+            dense = spectrum(DiscreteKernel(P=K.P, pi=K.pi))[0]
+            assert abs(op_norm_centered(K) - dense) <= 1e-12
+            assert abs(K._norm - dense) <= K.residual + 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 400])
+    def test_residual_bounds_the_distance_to_an_eigenvalue(self, n):
+        # Parlett: for a symmetric C some eigenvalue lies within ||C v - theta v|| of the Ritz value theta
+        import slicegap.spectral_oracle as oracle
+
+        eig = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        norm, residual = oracle._lanczos(self._symmetric(eig, n).__matmul__, n)
+        assert np.abs(np.abs(eig) - norm).min() <= residual + 1e-13
+        assert norm == pytest.approx(np.abs(eig).max(), abs=1e-12)
+
+    def test_a_dominant_negative_end_gives_its_magnitude(self):
+        import slicegap.spectral_oracle as oracle
+
+        norm, residual = oracle._lanczos(self._symmetric(np.linspace(-0.9, 0.5, 300)).__matmul__, 300)
+        assert norm == pytest.approx(0.9, abs=1e-12)
+        assert residual < 1e-14
+
+    @pytest.mark.parametrize("n", [20, 30, 35])
+    def test_a_close_top_pair_is_resolved_to_rounding(self, n):
+        # two top eigenvalues 1e-6 apart: the run ends with the Krylov space, whose basis only
+        # reorthogonalisation keeps orthonormal, so the Ritz pair is an eigenpair to rounding
+        import slicegap.spectral_oracle as oracle
+
+        rng = np.random.default_rng(n)
+        eig = np.sort(rng.uniform(0.0, 1.0, n))
+        eig[-1] = eig[-2] + 1e-6
+        norm, residual = oracle._lanczos(self._symmetric(eig, n).__matmul__, n)
+        assert norm == pytest.approx(eig[-1], abs=1e-12)
+        assert residual < 1e-14
+
+    def test_zero_operator_and_one_cell_divide_by_nothing(self):
+        import slicegap.spectral_oracle as oracle
+
+        with np.errstate(all="raise"):
+            assert oracle._lanczos(lambda v: 0.0 * v, 5) == (0.0, 0.0)
+            assert oracle._lanczos(lambda v: -0.5 * v, 1) == (0.5, 0.0)
+            one = DiscreteKernel(P=np.ones((1, 1)), pi=np.ones(1), label="one-cell")
+            assert op_norm_centered(one) == 0.0
+            assert one.residual == 0.0
+            # the uniform refresh of a uniform target is its own stationary projection
+            u = uniform_interval(0.0, 1.0)
+            U = build_full_matrix(u, Grid.for_target(u, 400), KernelKind.UNIFORM, 3.0, m=10)
+            assert op_norm_centered(U) < 1e-15
+
+    def test_step_cap_falls_back_to_spectrum(self, monkeypatch, t1):
+        import slicegap.spectral_oracle as oracle
+
+        H = build_full_matrix(t1, Grid.for_target(t1, 300), KernelKind.SO_SH, 3.0, m=60)
+        dense = spectrum(DiscreteKernel(P=H.P, pi=H.pi))[0]
+        calls = []
+        monkeypatch.setattr(oracle, "LANCZOS_STEPS", 3)
+        monkeypatch.setattr(oracle, "spectrum", lambda K: calls.append(K) or spectrum(K))
+        assert op_norm_centered(H) == pytest.approx(dense, abs=1e-14)
+        assert calls == [H]
+        assert H.residual is None
+        assert op_norm_centered(H) == H._norm  # cached by spectrum
+        assert calls == [H]
+
+
 class TestRowBlocks:
     """The row-blocked checks against their full-matrix formulas, bit for bit."""
 
@@ -742,9 +817,13 @@ class TestRowBlocks:
         return DiscreteKernel(P=S / S.sum(axis=1, keepdims=True), pi=S.sum(axis=1), label="random-reversible")
 
     def test_op_norm_centered(self, K):
+        # spectrum is the dense eigvalsh, bit for bit; Lanczos is within its Ritz residual of it
         root = np.sqrt(K.pi)
         C = (root[:, None] * (K.P - K.pi[None, :])) / root[None, :]
-        assert op_norm_centered(K) == float(np.abs(np.linalg.eigvalsh(C)).max())
+        dense = float(np.abs(np.linalg.eigvalsh(C)).max())
+        assert spectrum(K)[0] == dense
+        fresh = DiscreteKernel(P=K.P, pi=K.pi)
+        assert abs(op_norm_centered(fresh) - dense) <= fresh.residual + 1e-13
 
     @staticmethod
     def _broken(K):

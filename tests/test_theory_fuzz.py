@@ -7,7 +7,9 @@ stochastic, reversible and PSD with the discretized target as its
 stationary law.  A 1D target whose level-set gap reaches the step width
 raises ``OutOfClassError`` from the report.  On every drawn 1D target the
 level plan's product P v agrees with the assembled P and satisfies
-detailed balance as products.
+detailed balance as products, and the Lanczos norm of every drawn kernel,
+1D or 2D, agrees with the dense spectrum within 1e-12 and within its own
+Ritz residual.
 """
 
 import numpy as np
@@ -20,13 +22,16 @@ from hypothesis import strategies as st
 from slicegap.errors import OutOfClassError
 from slicegap.slice_geometry import level_set_1d
 from slicegap.spectral_oracle import (
+    DiscreteKernel,
     Grid,
     KernelKind,
     build_full_matrix,
     build_k_step_matrices,
     discretize_target,
+    op_norm_centered,
     psd_check,
     reversibility_check,
+    spectrum,
     verify_theorem_bounds,
 )
 from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, check_Rdw, check_Rw
@@ -67,10 +72,18 @@ def admitted_1d(target, w) -> bool:
     return True
 
 
+def assert_lanczos_norm(K):
+    """K's Lanczos norm agrees with the dense spectrum within 1e-12, and within its Ritz residual (Parlett)."""
+    norm, dense = op_norm_centered(K), spectrum(DiscreteKernel(P=K.P, pi=K.pi))[0]
+    assert abs(norm - dense) <= 1e-12
+    assert abs(norm - dense) <= K.residual + 1e-13
+
+
 def assert_report_and_kernel(target, grid, kind, m):
     report = verify_theorem_bounds(target, grid, kind, W, [1, 2], m, k_max=3, norm_bins=128)
     assert [c.name for c in report.checks if not c.passed] == []
     H = build_full_matrix(target, grid, kind, W, m)
+    assert_lanczos_norm(H)  # before psd_check, whose dense solve would cache the norm
     assert np.abs(H.P.sum(axis=1) - 1.0).max() < 1e-12
     assert reversibility_check(H) < 1e-15
     assert psd_check(H) >= -1e-10
@@ -108,6 +121,7 @@ def test_1d_product_matches_the_matrix(target, cells, kind, k, seed):
     assert np.abs(K.apply(v) - K.P @ v).max() <= 1e-14 * np.abs(v).max()
     scale = np.abs(u) @ (K.pi * (K.P @ np.abs(v)))
     assert abs(u @ (K.pi * K.apply(v)) - (K.pi * K.apply(u)) @ v) <= 1e-14 * scale
+    assert_lanczos_norm(K)
 
 
 @FUZZ
