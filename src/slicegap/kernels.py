@@ -51,25 +51,42 @@ def gamma_t(section: LineSection, w: float) -> float:
 def beta_k_so_sh_closed_form(target: TargetDensity, w: float, k: int) -> float:
     """Root-mean-square level profile ((1/t2) int_0^t2 (1 - gamma_t)^{2k} dt)^(1/2).
 
-    Adaptive quadrature with the integration domain split at the level where
-    the set splits into two parts; the integrand vanishes below the split.
+    The integrand vanishes below the split level t1, where the set has one part, so the integral runs
+    over [t1, t2] by ``_tanh_sinh``, which tolerates the square-root endpoint that a Gaussian component
+    puts at t2; it stops once halving the step changes the estimate by at most 1e-13 relative.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cert = check_Rw(target, w)
     if cert.t2 <= 0.0 or cert.t1 >= cert.t2:
         return 0.0
+    val = _tanh_sinh(lambda t: (1.0 - gamma_t(level_set_1d(target, t), w)) ** (2 * k), cert.t1, cert.t2)
+    return math.sqrt(val / cert.t2)
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return (1.0 - gamma_t(level_set_1d(target, t), w)) ** (2 * k)
 
-    from scipy import integrate  # imported on use, to keep package start-up cheap
+def _tanh_sinh(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] by tanh-sinh quadrature (Takahasi and Mori 1974).
 
-    points = [cert.t1] if 0.0 < cert.t1 < cert.t2 else None
-    val, _ = integrate.quad(integrand, 0.0, cert.t2, points=points, epsrel=1e-8, epsabs=0.0, limit=400)
-    return math.sqrt(max(val, 0.0) / cert.t2)
+    Nodes t = a + (b - a) / (1 + e^(-2s)) with s = (pi/2) sinh(u), on u = j h for |u| <= 3.2, where the
+    distance to an end is below 2e-17 (b - a); the step h halves from 1, each level adding only the new
+    odd nodes, until the estimate moves by at most 1e-13 relative.  Values that never settle, such as
+    NaN, raise after 10 halvings.
+    """
+
+    def pair(u: float) -> float:
+        s = 0.5 * math.pi * math.sinh(u)
+        off = (b - a) / (1.0 + math.exp(2.0 * s))
+        return 0.5 * math.pi * math.cosh(u) / math.cosh(s) ** 2 * (f(a + off) + f(b - off))
+
+    h, total = 1.0, 0.5 * math.pi * f(0.5 * (a + b)) + sum(pair(float(j)) for j in range(1, 4))
+    est = total
+    for _ in range(10):
+        h *= 0.5
+        total += sum(pair(j * h) for j in range(1, int(3.2 / h) + 1, 2))
+        prev, est = est, h * total
+        if abs(est - prev) <= 1e-13 * abs(est):
+            return 0.5 * (b - a) * est
+    raise ArithmeticError(f"tanh-sinh quadrature over [{a}, {b}] did not settle in 10 halvings")
 
 
 def har_small_set_weight(target, t: float) -> float:

@@ -12,8 +12,8 @@ targets, with the assembled-kernel rows folded from one
 full scale.  The functions reach the oracle, ``kernels``, ``samplers`` and
 ``diagnostics`` through their modules at call time, so a negative control
 can corrupt one of them.
-``scipy.stats`` is imported inside the functions that use it, so that
-importing the package, which every command does, stays cheap.
+The chi-square and Kolmogorov-Smirnov p-values come from ``diagnostics``
+(``chi2_sf``, ``kstest_uniform``), so the suite loads no scipy module.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ def level_move_law(target, t: float, x0: float, w, bins: int, n: int, rng) -> li
     probs[mine] += (1.0 - gamma) * widths[mine] / ls.parts.intervals[local].length
     probs /= probs.sum()
     chi2 = float(((counts - n * probs) ** 2 / (n * probs)).sum())
-    from scipy import stats
-
-    return [Check("level_kernel_match", 0.01, float(stats.chi2.sf(chi2, counts.size - 1)), 0.0)]
+    return [Check("level_kernel_match", 0.01, diagnostics.chi2_sf(chi2, counts.size - 1), 0.0)]
 
 
 def strip_level_probes(target, grid, w, levels) -> list[Check]:
@@ -92,12 +90,15 @@ def strip_level_probes(target, grid, w, levels) -> list[Check]:
 
 
 def chi2_null_calibration(cells: int, n: int, replicates: int, rng) -> list[Check]:
-    """Chi-square p-values of ``replicates`` uniform samples of size n over ``cells`` are uniform: KS p > 0.01."""
-    from scipy import stats
-
+    """Chi-square p-values of ``replicates`` (> 140) uniform samples of size n over ``cells`` are uniform: KS p > 0.01."""
     pi = np.full(cells, 1.0 / cells)
     pvals = [diagnostics.chi_square_invariance(rng.choice(cells, size=n, p=pi), pi).p_value for _ in range(replicates)]
-    return [Check("chi2_null_calibration", 0.01, float(stats.kstest(pvals, "uniform").pvalue), 0.0)]
+    return [Check("chi2_null_calibration", 0.01, diagnostics.kstest_uniform(pvals), 0.0)]
+
+
+def uniform_slice_ks(ys: np.ndarray) -> list[Check]:
+    """Points drawn uniformly on [0, 1] (more than 140 of them) pass a KS test: p > 0.01."""
+    return [Check("uniform_slice_ks", 0.01, diagnostics.kstest_uniform(ys), 0.0)]
 
 
 def ess_iid(series: np.ndarray) -> list[Check]:
@@ -117,8 +118,6 @@ VERIFY_SEED = 20_240_817
 
 def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     """The criteria at desk scale on the built-in reference targets, one row each."""
-    from scipy import stats
-
     rng = np.random.default_rng(seed)
     t1, t2, w = twin_triangles(), gaussian_pair(), 3.0
     levels_1d = [(j + 0.5) * 0.8 / 12 for j in range(12)]
@@ -146,7 +145,7 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     u01 = uniform_interval(0.0, 1.0)
     simple = samplers.SamplerConfig(samplers.SamplerKind.SIMPLE)
     ys = np.array([samplers._step_with_level(u01, simple, np.array([0.3]), rng)[0][0] for _ in range(20_000)])
-    rows.append(Check("uniform_slice_ks", 0.01, float(stats.kstest(ys, "uniform").pvalue), 0.0))
+    rows += uniform_slice_ks(ys)
     rows += level_move_law(t1, 0.5, -1.0, w, bins=12, n=20_000, rng=rng)
     so_sh = samplers.SamplerConfig(samplers.SamplerKind.SO_SH, w)
     starts = samplers.sample_stationary(t1, 20_000, rng)

@@ -632,6 +632,29 @@ class TestCliVerify:
         monkeypatch.setattr(diagnostics, "chi_square_invariance", squared)
         assert not suite.chi2_null_calibration(30, n=5000, replicates=200, rng=np.random.default_rng(4))[0].passed
 
+    def test_biased_sample_fails_uniform_slice_ks(self):
+        from slicegap import samplers, suite
+        from slicegap.targets import uniform_interval
+
+        rng = np.random.default_rng(6)
+        config, u01 = samplers.SamplerConfig(samplers.SamplerKind.SIMPLE), uniform_interval(0.0, 1.0)
+        ys = np.array([samplers._step_with_level(u01, config, np.array([0.3]), rng)[0][0] for _ in range(20_000)])
+        assert suite.uniform_slice_ks(ys)[0].passed
+        assert not suite.uniform_slice_ks(ys**1.05)[0].passed
+
+    def test_nan_fails_p_value_rows(self, monkeypatch):
+        # a NaN sample point or statistic gives a NaN p-value, which no row passes
+        from slicegap import diagnostics, suite
+
+        ys = np.random.default_rng(7).random(20_000)
+        ys[123] = np.nan
+        (check,) = suite.uniform_slice_ks(ys)
+        assert np.isnan(check.rhs) and not check.passed
+        nan_stat = lambda cells, pi: diagnostics.ChiSquareResult(np.nan, 29, diagnostics.chi2_sf(np.nan, 29))
+        monkeypatch.setattr(diagnostics, "chi_square_invariance", nan_stat)
+        (check,) = suite.chi2_null_calibration(30, n=5000, replicates=200, rng=np.random.default_rng(8))
+        assert np.isnan(check.rhs) and not check.passed
+
     def test_ar1_series_fails_ess_iid(self):
         from scipy.signal import lfilter
 

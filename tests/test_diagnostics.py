@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from slicegap import diagnostics
 from slicegap.diagnostics import (
     AcfEss,
     BinnedHistogram,
     acf_ess,
+    chi2_sf,
     chi_square_invariance,
     detailed_balance_test,
+    ks_sf,
+    kstest_uniform,
     tv_on_grid,
 )
 from slicegap.errors import DegenerateVarianceError, InsufficientDataError
@@ -52,6 +58,68 @@ class TestChiSquareInvariance:
         pi = np.full(10, 0.1)
         with pytest.raises(InsufficientDataError):
             chi_square_invariance(np.array([1, 2, 3]), pi)
+
+
+class TestChi2Sf:
+    """The closed-form chi-square tail, with ``scipy.stats.chi2`` as the oracle."""
+
+    def test_matches_scipy(self):
+        xs = np.geomspace(1e-3, 3000.0, 150)
+        for dof in range(1, 101):
+            want = stats.chi2.sf(xs, dof)
+            got = np.array([chi2_sf(float(x), dof) for x in xs])
+            keep = want > 1e-300
+            assert (np.abs(got[keep] - want[keep]) <= 1e-12 * want[keep]).all(), dof
+
+    def test_ends(self):
+        assert chi2_sf(0.0, 1) == chi2_sf(0.0, 2) == chi2_sf(-1.0, 7) == 1.0
+        assert chi2_sf(1e5, 3) == 0.0
+
+    def test_nan_statistic_gives_nan(self):
+        for dof in (1, 2, 7, 30):
+            assert math.isnan(chi2_sf(math.nan, dof))
+
+    @pytest.mark.parametrize("dof", [0, -1, 2.5, math.nan])
+    def test_bad_dof_raises(self, dof):
+        with pytest.raises(ValueError, match="dof"):
+            chi2_sf(1.0, dof)
+
+
+class TestKsSf:
+    """The two-sided Kolmogorov-Smirnov tail, with ``scipy.stats.kstwo`` as the oracle."""
+
+    @pytest.mark.parametrize("n", [141, 200, 1000, 5000, 20_000])
+    def test_matches_scipy_across_every_branch(self, n, monkeypatch):
+        # branch ends: n d = 1, n d^1.5 = 1.4 (Durbin | Pelz-Good), n d^2 = 2.2 (| Smirnov), d = 1/2, n d = n - 1, d = 1
+        ends = np.array([1.0 / n, (1.4 / n) ** (2.0 / 3.0), math.sqrt(2.2 / n), 0.5, 1.0 - 1.0 / n, 1.0])
+        near_ends = np.outer(ends, [1.0 - 1e-9, 1.0, 1.0 + 1e-9]).ravel()
+        ds = np.unique(np.concatenate([np.geomspace(0.5 / n, 1.1, 60), near_ends]))
+        used = set()
+        for name in ("_smirnov_sf", "_durbin_cdf", "_pelz_good_cdf"):
+            fn = getattr(diagnostics, name)
+            monkeypatch.setattr(diagnostics, name, lambda d, n, fn=fn, name=name: used.add(name) or fn(d, n))
+        got = np.array([ks_sf(float(d), n) for d in ds])
+        assert np.abs(got - stats.kstwo.sf(ds, n)).max() <= 1e-10
+        assert used == {"_smirnov_sf", "_durbin_cdf", "_pelz_good_cdf"}
+
+    def test_kstest_uniform_matches_scipy(self):
+        rng = np.random.default_rng(41)
+        for n in (141, 200, 20_000):
+            for xs in (rng.random(n), rng.random(n) ** 1.02, rng.random(n) * 0.999):
+                assert kstest_uniform(xs) == pytest.approx(stats.kstest(xs, "uniform").pvalue, abs=1e-10)
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(ks_sf(math.nan, 200))
+        for where in (0, 100, 199):
+            xs = np.random.default_rng(42).random(200)
+            xs[where] = math.nan
+            assert math.isnan(kstest_uniform(xs))
+
+    def test_small_n_raises(self):
+        with pytest.raises(ValueError, match="n > 140"):
+            ks_sf(0.1, 140)
+        with pytest.raises(ValueError, match="n > 140"):
+            kstest_uniform(np.random.default_rng(43).random(100))
 
 
 class TestDetailedBalance:

@@ -106,6 +106,13 @@ class TestBetaClosedForm:
         with pytest.raises(ValueError):
             beta_k_so_sh_closed_form(t1, 3.0, 0)
 
+    def test_nan_integrand_raises(self, t1, monkeypatch):
+        import slicegap.kernels
+
+        monkeypatch.setattr(slicegap.kernels, "gamma_t", lambda section, w: math.nan)
+        with pytest.raises(ArithmeticError, match="did not settle"):
+            beta_k_so_sh_closed_form(t1, 3.0, 1)
+
 
 class TestHarNormBound:
     def test_disk_value(self):

@@ -3,9 +3,10 @@
 ``slicegap.__all__`` is pinned as a literal, so adding or removing an
 export is a visible diff to this file.  ``bench/`` imports a few names by
 module path, including one private function; each must keep resolving.
-Importing the command line and the suite loads no scipy module that a
-command may not call, and a ``gap`` report loads no scipy module at all:
-its norms come from the oracle's own Lanczos solver.
+Importing the command line and the suite loads no scipy module, and
+neither does a ``gap`` report, whose norms come from the oracle's own
+Lanczos solver, nor ``verify``, whose chi-square and Kolmogorov-Smirnov
+tails and beta quadrature are the package's own.
 """
 
 import importlib
@@ -96,7 +97,7 @@ def test_bench_names_resolve(module, name):
 def test_import_leaves_out_scipy_stats_and_integrate():
     code = (
         "import sys, slicegap.cli, slicegap.suite; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(slicegap.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
@@ -147,6 +148,11 @@ def test_import_sample_and_small_2d_gap_leave_out_scipy_sparse(tmp_path):
         out = f"{command}-{config}"
         run = f"import slicegap.cli as c; assert c.main(['{command}', '--config', '{config}.cfg', '--out', '{out}']) == 0"
         assert _modules_after(run, tmp_path, prefix) == "[]", (command, config)
+
+
+def test_verify_leaves_out_scipy(tmp_path):
+    run = "import slicegap.cli as c; assert c.main(['verify', '--out', 'v']) == 0"
+    assert _modules_after(run, tmp_path, "scipy") == "[]"
 
 
 def test_lanczos_runs_through_the_module_name(monkeypatch):

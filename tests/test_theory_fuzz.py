@@ -9,8 +9,11 @@ raises ``OutOfClassError`` from the report.  On every drawn 1D target the
 level plan's product P v agrees with the assembled P and satisfies
 detailed balance as products, and the Lanczos norm of every drawn kernel,
 1D or 2D, agrees with the dense spectrum within 1e-12 and within its own
-Ritz residual.
+Ritz residual.  The closed-form beta_k of every drawn 1D target agrees with
+adaptive quadrature.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slicegap.errors import OutOfClassError
+from slicegap.kernels import beta_k_so_sh_closed_form, gamma_t
 from slicegap.slice_geometry import level_set_1d
 from slicegap.spectral_oracle import (
     DiscreteKernel,
@@ -122,6 +126,24 @@ def test_1d_product_matches_the_matrix(target, cells, kind, k, seed):
     scale = np.abs(u) @ (K.pi * (K.P @ np.abs(v)))
     assert abs(u @ (K.pi * K.apply(v)) - (K.pi * K.apply(u)) @ v) <= 1e-14 * scale
     assert_lanczos_norm(K)
+
+
+@FUZZ
+@given(target=targets_1d, k=st.sampled_from([1, 2, 5, 20]))
+def test_beta_closed_form_matches_quad(target, k):
+    # QUADPACK over [0, t2], split at t1, as ``beta_k_so_sh_closed_form`` once integrated; at its former
+    # epsrel of 1e-8 the oracle itself is off by up to 1e-9 on some of these targets, so it runs at 1e-12
+    integrate = pytest.importorskip("scipy.integrate")
+    assume(admitted_1d(target, W))
+    cert = check_Rw(target, W)
+    assume(cert.t1 < cert.t2)
+
+    def integrand(t):
+        return 0.0 if t <= 0.0 else (1.0 - gamma_t(level_set_1d(target, t), W)) ** (2 * k)
+
+    points = [cert.t1] if cert.t1 > 0.0 else None
+    val, _ = integrate.quad(integrand, 0.0, cert.t2, points=points, epsrel=1e-12, epsabs=0.0, limit=400)
+    assert beta_k_so_sh_closed_form(target, W, k) == pytest.approx(math.sqrt(val / cert.t2), rel=1e-10, abs=0.0)
 
 
 @FUZZ
