@@ -12,12 +12,14 @@ for a chain (the line density builder, or the axis line of a 1D target;
 ``w``, ``max_loop`` and ``rng.random``) and returns a move on states of
 Python floats.  The move returns the point it accepts and the density
 there, from which the next level is drawn.  ``run_chain`` binds the
-transition once per chain and writes each state and level into
-preallocated arrays; ``_step_with_level`` binds it per call, and
-``level_move``, the one public level move, binds the move of a kind per
-call.  Stepping-out plus shrinkage checks its start against that carried
-density, bit for bit equal to ``eval_density`` there, so a step of those
-kinds evaluates the density only where the algorithm needs it.
+transition once per chain and ``transitions`` once per batch of
+independent starts, and ``level_moves`` binds the move of a kind once per
+batch; each writes its states into preallocated arrays.
+``_step_with_level`` and ``level_move``, the one public level move, are
+the per-call forms and bind per call.  Stepping-out plus shrinkage checks
+its start against that carried density, bit for bit equal to
+``eval_density`` there, so a step of those kinds evaluates the density
+only where the algorithm needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -216,9 +218,12 @@ def _so_sh(
 
 
 def _uniform_move(target, rng, w, max_loop):
+    """Exact uniform draw on the level set; its density is ``eval_density``'s, through the builder bound here."""
+    build, zeros = line_builder(target), [0.0] * target.dim
+
     def move(t, xs, rho=None):
-        y = uniform_sample_level_set(target, t, rng)
-        return y.tolist(), eval_density(target, y)
+        ys = uniform_sample_level_set(target, t, rng).tolist()
+        return ys, build(ys, zeros)(0.0)
 
     return move
 
@@ -237,13 +242,15 @@ def _so_sh_move(target, rng, w, max_loop):
 
 
 def _har_move(target, rng, w, max_loop):
-    normal, dim = rng.standard_normal, target.dim
+    """Uniform draw on the chord's section; its density is ``eval_density``'s, through the builder bound here."""
+    build, normal, dim = line_builder(target), rng.standard_normal, target.dim
+    zeros = [0.0] * dim
 
     def move(t, xs, rho=None):
         x, theta = np.array(xs), np.array(_unit_direction(normal, dim))
         section = line_section(target, t, x, theta)
-        y = x + section.parts.sample_uniform(rng) * theta
-        return y.tolist(), eval_density(target, y)
+        ys = (x + section.parts.sample_uniform(rng) * theta).tolist()
+        return ys, build(ys, zeros)(0.0)
 
     return move
 
@@ -276,6 +283,14 @@ def _floats(x, dim: int) -> list[float]:
     return xs
 
 
+def _rows(starts, dim: int) -> np.ndarray:
+    """Starts of shape (n, ``dim``) as a float array; any other shape is refused, never reshaped."""
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != dim:
+        raise ValueError(f"starts of shape {starts.shape} do not have the trailing axis {dim} of the target")
+    return starts
+
+
 def level_move(target, config: SamplerConfig, t: float, x, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """One level move of ``config.kind`` from ``x`` at level ``t``: the point it accepts and the density there.
 
@@ -284,6 +299,22 @@ def level_move(target, config: SamplerConfig, t: float, x, rng: np.random.Genera
     """
     ys, rho = _MOVES[config.kind](target, rng, config.w, config.max_loop)(t, _floats(x, target.dim))
     return np.array(ys), rho
+
+
+def level_moves(
+    target, config: SamplerConfig, t: float, starts, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One level move at level ``t`` from each row of ``starts`` (n, d): the points accepted and the densities there.
+
+    The move is bound once; the draws are those of ``level_move`` called on
+    the rows in order with the same ``rng``, bit for bit.
+    """
+    starts = _rows(starts, target.dim)
+    move = _MOVES[config.kind](target, rng, config.w, config.max_loop)
+    states, dens = np.empty_like(starts), np.empty(len(starts))
+    for i in range(len(starts)):
+        states[i], dens[i] = move(t, starts[i].tolist())
+    return states, dens
 
 
 def sample_stationary(target, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -368,6 +399,22 @@ def _step_with_level(
         rho = eval_density(target, x)
     xs, t, rho = _bind_step(target, config, rng)(xs, rho)
     return np.array(xs), t, rho
+
+
+def transitions(target, config: SamplerConfig, starts, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One transition from each row of ``starts`` (n, d): the new states and the levels drawn.
+
+    The transition is bound once and the start densities come from one
+    ``target.density`` call, which equals ``eval_density`` on each row bit for
+    bit and draws nothing; the draws are those of ``_step_with_level`` called
+    on the rows in order with the same ``rng``.
+    """
+    starts = _rows(starts, target.dim)
+    step, rho = _bind_step(target, config, rng), target.density(starts)
+    states, levels = np.empty_like(starts), np.empty(len(starts))
+    for i in range(len(starts)):
+        states[i], levels[i], _ = step(starts[i].tolist(), float(rho[i]))
+    return states, levels
 
 
 def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:

@@ -20,11 +20,24 @@ from .targets import Ball, Interval, Region
 MEMBERSHIP_TOL = 1e-12
 
 
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index i with probability proportional to weights[i], drawn as ``rng.choice`` draws it with p = weights / sum."""
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw_index(weights, rng: np.random.Generator) -> int:
+    """Index i with probability proportional to weights[i], drawn as ``rng.choice`` draws it with p = weights / sum.
+
+    Runs on Python floats: a sequential sum, the cumulative sum of the
+    normalised weights divided by its last entry, and the count of entries
+    at or below the uniform.  numpy sums fewer than 8 entries in sequence,
+    so this is ``choice``'s arithmetic for the at most two regions a target
+    holds (and up to seven weights).
+    """
+    total = 0.0
+    for wi in weights:
+        total += wi
+    cdf, last = [], 0.0
+    for wi in weights:
+        last += wi / total
+        cdf.append(last)
+    u = rng.random()
+    return sum(c / last <= u for c in cdf)
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,7 @@ class IntervalUnion:
         raise ValueError(f"{s} lies in none of the intervals")
 
     def sample_uniform(self, rng: np.random.Generator) -> float:
-        lengths = np.array([iv.length for iv in self.intervals])
-        iv = self.intervals[_draw_index(lengths, rng)]
+        iv = self.intervals[_draw_index([iv.length for iv in self.intervals], rng)]
         return iv.lo + rng.random() * iv.length
 
 
@@ -240,7 +252,7 @@ def uniform_sample_level_set(target, t: float, rng: np.random.Generator) -> np.n
     regions = target.level_regions(min(t, target.sup_norm))
     if not regions:
         raise EmptyLevelSetError(f"no level region at {t}")
-    vols = np.array([_region_volume(r) for r in regions])
+    vols = [_region_volume(r) for r in regions]
     while True:
         point = _sample_region(regions[_draw_index(vols, rng)], rng)
         cover = sum(

@@ -291,6 +291,12 @@ def discretize_target(target, grid: Grid) -> np.ndarray:
     return vals * grid.cell_vol / mass
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``a``: ``np.unique`` without flags, which loads ``numpy.ma``."""
+    a = np.sort(a, axis=None)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
 def _active_cells(vals: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(vals > 0.0)
     if idx.size == 0:
@@ -560,7 +566,7 @@ class _StripPlan:
             delta, weight = now - weight, now
             changed = np.flatnonzero((delta != 0.0) & (count > 0))
             # the columns of c cells each in blocks of at most UPDATE_BLOCK entries, added pair by pair
-            for c in np.unique(count[changed]):
+            for c in _distinct(count[changed]):
                 group, step = changed[count[changed] == c], max(1, UPDATE_BLOCK // c**2)
                 for lo in range(0, group.size, step):
                     cols = group[lo : lo + step]
@@ -649,7 +655,7 @@ def _strip_plan(target, grid: Grid, kind: KernelKind) -> _StripPlan:
     top = np.zeros((2, both.size))
     np.maximum.at(top, (sides, keys), np.tile(rho, N_THETA))
     splits = both < top.min(axis=0)
-    levels = np.unique(np.concatenate([rho, both[splits & (both > 0.0)]]))
+    levels = _distinct(np.concatenate([rho, both[splits & (both > 0.0)]]))
     width, rank = np.diff(levels, prepend=0.0), np.searchsorted(levels, rho)
     # chord extents per side of each strip that splits, growing as cells join by falling density
     row = np.cumsum(splits) - 1
@@ -685,7 +691,7 @@ def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
         raise EmptyLevelSetError(f"no grid cell clears level {levels[-1]}")
     if strips:
         nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
-        walk, last = plan.level_matrices(w, np.unique(nodes)), -1
+        walk, last = plan.level_matrices(w, _distinct(nodes)), -1
         for t, j in zip(levels, nodes):
             if j != last:
                 P, last = next(walk), j

@@ -48,11 +48,11 @@ def beta_closed_vs_numeric(target, grid, w, k_list, m: int, norm_bins: int) -> l
 
 
 def level_move_law(target, t: float, x0: float, w, bins: int, n: int, rng) -> list[Check]:
-    """Chi-square p > 0.01 for n so_sh ``samplers.level_move`` calls from ``x0``, ``bins`` bins per part of the mixture."""
+    """Chi-square p > 0.01 for one batch of n so_sh ``samplers.level_moves`` from ``x0``, ``bins`` bins per part of the mixture."""
     ls = slice_geometry.level_set_1d(target, t)
     gamma = kernels.gamma_t(ls, w)
     config = samplers.SamplerConfig(samplers.SamplerKind.SO_SH, w)
-    ys = np.array([samplers.level_move(target, config, t, np.array([x0]), rng)[0][0] for _ in range(n)])
+    ys = samplers.level_moves(target, config, t, np.full((n, 1), x0), rng)[0][:, 0]
     edges = [np.linspace(part.lo, part.hi, bins + 1) for part in ls.parts.intervals]
     counts = np.concatenate([np.histogram(ys, e)[0] for e in edges])
     widths = np.concatenate([np.diff(e) for e in edges])
@@ -144,12 +144,11 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     # samplers against exact references
     u01 = uniform_interval(0.0, 1.0)
     simple = samplers.SamplerConfig(samplers.SamplerKind.SIMPLE)
-    ys = np.array([samplers._step_with_level(u01, simple, np.array([0.3]), rng)[0][0] for _ in range(20_000)])
-    rows += uniform_slice_ks(ys)
+    rows += uniform_slice_ks(samplers.transitions(u01, simple, np.full((20_000, 1), 0.3), rng)[0][:, 0])
     rows += level_move_law(t1, 0.5, -1.0, w, bins=12, n=20_000, rng=rng)
     so_sh = samplers.SamplerConfig(samplers.SamplerKind.SO_SH, w)
     starts = samplers.sample_stationary(t1, 20_000, rng)
-    steps = np.array([samplers._step_with_level(t1, so_sh, x, rng)[0][0] for x in starts])
+    steps = samplers.transitions(t1, so_sh, starts, rng)[0][:, 0]
     diag_grid = oracle.Grid.for_target(t1, 40)
     res = diagnostics.chi_square_invariance(diag_grid.locate(steps[:, None]), oracle.discretize_target(t1, diag_grid))
     rows.append(Check("invariance_chi2", 0.01, res.p_value, 0.0))

@@ -603,6 +603,28 @@ class TestCliVerify:
             "tv_decay_bound",
         ]
 
+    def test_suite_binds_each_sampler_once_per_loop(self, monkeypatch):
+        # the three sampler loops (uniform_slice_ks, level_kernel_match, the invariance and balance
+        # transitions) bind one move each, not one per draw
+        from collections import Counter
+
+        from slicegap import samplers, suite
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(samplers, "_bind_step", counting("_bind_step", samplers._bind_step))
+        for kind, binder in samplers._MOVES.items():
+            monkeypatch.setitem(samplers._MOVES, kind, counting(kind.value, binder))
+        assert all(c.passed for c in suite.run_verification_suite())
+        assert calls == Counter(_bind_step=2, simple=1, so_sh=2)
+
     def test_biased_level_move_fails_law(self, monkeypatch):
         # a move that never leaves the part of the level set it starts in
         from slicegap import samplers, suite
@@ -613,7 +635,9 @@ class TestCliVerify:
         (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
         assert check.passed
         left = level_set_1d(t1, 0.5).parts.intervals[0]
-        monkeypatch.setattr(samplers, "level_move", lambda target, config, t, x, rng: (rng.uniform(left.lo, left.hi, 1), 1.0))
+        monkeypatch.setattr(
+            samplers, "level_moves", lambda target, config, t, xs, rng: (rng.uniform(left.lo, left.hi, xs.shape), None)
+        )
         (check,) = suite.level_move_law(t1, 0.5, -1.0, 3.0, bins=12, n=5000, rng=np.random.default_rng(3))
         assert not check.passed
 
@@ -638,7 +662,7 @@ class TestCliVerify:
 
         rng = np.random.default_rng(6)
         config, u01 = samplers.SamplerConfig(samplers.SamplerKind.SIMPLE), uniform_interval(0.0, 1.0)
-        ys = np.array([samplers._step_with_level(u01, config, np.array([0.3]), rng)[0][0] for _ in range(20_000)])
+        ys = samplers.transitions(u01, config, np.full((20_000, 1), 0.3), rng)[0][:, 0]
         assert suite.uniform_slice_ks(ys)[0].passed
         assert not suite.uniform_slice_ks(ys**1.05)[0].passed
 

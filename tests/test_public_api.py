@@ -6,7 +6,8 @@ module path, including one private function; each must keep resolving.
 Importing the command line and the suite loads no scipy module, and
 neither does a ``gap`` report, whose norms come from the oracle's own
 Lanczos solver, nor ``verify``, whose chi-square and Kolmogorov-Smirnov
-tails and beta quadrature are the package's own.
+tails and beta quadrature are the package's own.  A ``gap`` report and
+``verify`` load no ``numpy.ma`` either.
 """
 
 import importlib
@@ -104,9 +105,10 @@ def test_import_leaves_out_scipy_stats_and_integrate():
     assert out.stdout.strip() == "[]"
 
 
-def _modules_after(code: str, cwd, prefix: str = "scipy.sparse") -> str:
-    """The sorted list of modules under ``prefix`` loaded once ``code`` has run in a fresh interpreter, as printed."""
-    code += f"; import sys; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+def _modules_after(code: str, cwd, packages: tuple[str, ...] = ("scipy.sparse",)) -> str:
+    """The sorted list of modules in ``packages`` loaded once ``code`` has run in a fresh interpreter, as printed."""
+    heads = tuple(p + "." for p in packages)
+    code += f"; import sys; print(sorted(m for m in sys.modules if (m + '.').startswith({heads!r})))"
     src = str(Path(slicegap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True)
@@ -144,15 +146,18 @@ def test_import_sample_and_small_2d_gap_leave_out_scipy_sparse(tmp_path):
     assert _modules_after("import slicegap.cli, slicegap.suite", tmp_path) == "[]"
     (tmp_path / "t2.cfg").write_text(SMALL_2D)
     (tmp_path / "t1.cfg").write_text(LARGE_1D)
-    for command, config, prefix in (("sample", "t2", "scipy.sparse"), ("gap", "t2", "scipy"), ("gap", "t1", "scipy")):
+    # a gap report loads no numpy.ma either: ``np.unique`` without flags would load it
+    gap = ("scipy", "numpy.ma")
+    for command, config, packages in (("sample", "t2", ("scipy.sparse",)), ("gap", "t2", gap), ("gap", "t1", gap)):
         out = f"{command}-{config}"
         run = f"import slicegap.cli as c; assert c.main(['{command}', '--config', '{config}.cfg', '--out', '{out}']) == 0"
-        assert _modules_after(run, tmp_path, prefix) == "[]", (command, config)
+        assert _modules_after(run, tmp_path, packages) == "[]", (command, config)
 
 
 def test_verify_leaves_out_scipy(tmp_path):
+    # nor numpy.ma, which the 2D strip probes' node and count sets would load through ``np.unique``
     run = "import slicegap.cli as c; assert c.main(['verify', '--out', 'v']) == 0"
-    assert _modules_after(run, tmp_path, "scipy") == "[]"
+    assert _modules_after(run, tmp_path, ("scipy", "numpy.ma")) == "[]"
 
 
 def test_lanczos_runs_through_the_module_name(monkeypatch):

@@ -19,11 +19,13 @@ from slicegap.samplers import (
     Trace,
     _step_with_level,
     level_move,
+    level_moves,
     read_trace_csv,
     run_chain,
     sample_stationary,
     shrinkage,
     stepping_out,
+    transitions,
 )
 from slicegap.slice_geometry import level_set_1d, line_section
 from slicegap.spectral_oracle import Grid, KernelKind, build_full_matrix
@@ -261,7 +263,7 @@ class TestSimpleSlice:
         u = uniform_interval(0.0, 1.0)
         rng = np.random.default_rng(8)
         simple = SamplerConfig(SamplerKind.SIMPLE)
-        ys = np.array([_step_with_level(u, simple, np.array([0.9]), rng)[0][0] for _ in range(100_000)])
+        ys = transitions(u, simple, np.full((100_000, 1), 0.9), rng)[0][:, 0]
         assert stats.kstest(ys, "uniform").pvalue > 0.01
 
     def test_zero_density_state_rejected(self, t1):
@@ -273,7 +275,7 @@ class TestSimpleSlice:
         n = 30_000
         starts = sample_stationary(t1, n, rng)
         simple = SamplerConfig(SamplerKind.SIMPLE)
-        steps = np.array([_step_with_level(t1, simple, x, rng)[0][0] for x in starts])
+        steps = transitions(t1, simple, starts, rng)[0][:, 0]
         edges = np.linspace(-2.0, 2.0, 41)
         probs = bin_masses_1d(t1, edges)
         from slicegap.diagnostics import chi_square_invariance
@@ -288,7 +290,7 @@ class TestHitAndRun:
         t = 0.5
         ls = level_set_1d(t1, t)
         cfg = SamplerConfig(SamplerKind.HAR)
-        ys = np.array([level_move(t1, cfg, t, np.array([-1.0]), rng)[0][0] for _ in range(30_000)])
+        ys = level_moves(t1, cfg, t, np.full((30_000, 1), -1.0), rng)[0][:, 0]
         p_left = float((ys < 0.0).mean())
         expect = ls.parts.intervals[0].length / ls.length
         assert abs(p_left - expect) <= 3.0 * math.sqrt(expect * (1 - expect) / ys.size)
@@ -455,8 +457,9 @@ class TestKStep:
     def test_uniform_inner_independent_of_k(self, t1):
         rng = np.random.default_rng(16)
         one, seven = SamplerConfig(SamplerKind.SIMPLE), SamplerConfig(SamplerKind.SIMPLE, k_inner=7)
-        a = np.array([_step_with_level(t1, one, np.array([-1.0]), rng)[0][0] for _ in range(20_000)])
-        b = np.array([_step_with_level(t1, seven, np.array([-1.0]), rng)[0][0] for _ in range(20_000)])
+        starts = np.full((20_000, 1), -1.0)
+        a = transitions(t1, one, starts, rng)[0][:, 0]
+        b = transitions(t1, seven, starts, rng)[0][:, 0]
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_large_k_approaches_exact_refresh(self, t1):
@@ -465,8 +468,9 @@ class TestKStep:
         rng = np.random.default_rng(17)
         n, k = 20_000, 50
         k_step, simple = SamplerConfig(SamplerKind.SO_SH, w=3.0, k_inner=k), SamplerConfig(SamplerKind.SIMPLE)
-        ys = np.array([_step_with_level(t1, k_step, np.array([-1.0]), rng)[0][0] for _ in range(n)])
-        us = np.array([_step_with_level(t1, simple, np.array([-1.0]), rng)[0][0] for _ in range(n)])
+        starts = np.full((n, 1), -1.0)
+        ys = transitions(t1, k_step, starts, rng)[0][:, 0]
+        us = transitions(t1, simple, starts, rng)[0][:, 0]
         edges = np.linspace(-2.0, 2.0, 51)
         fy = np.histogram(ys, edges)[0] / n
         fu = np.histogram(us, edges)[0] / n
@@ -645,6 +649,65 @@ class TestLevelMove:
         x = np.zeros(3 - target.dim)
         with pytest.raises(ValueError, match="does not have the target dimension"):
             level_move(target, config, 0.5, x, np.random.default_rng(0))
+
+
+#: (target, kind) of the batch tests: every kind on each target whose dimension it allows
+BATCH_CASES = [
+    (name, kind) for name in ("t1", "u01", "t2") for kind in SamplerKind if (name, kind) != ("t2", SamplerKind.SO_SH)
+]
+
+
+def _batch_case(name, kind, k_inner, request):
+    """Target, config and 200 starts from the target's law (uniform on [0, 1] for ``u01``)."""
+    target = uniform_interval(0.0, 1.0) if name == "u01" else request.getfixturevalue(name)
+    w = 3.0 if kind in (SamplerKind.SO_SH, SamplerKind.HAR_SO_SH) else None
+    rng = np.random.default_rng(12)
+    starts = rng.random((200, 1)) if name == "u01" else sample_stationary(target, 200, rng)
+    return target, SamplerConfig(kind, w=w, k_inner=k_inner), starts
+
+
+class TestBatches:
+    """``transitions`` and ``level_moves`` are the per-call loops with the move bound once, draw for draw."""
+
+    @pytest.mark.parametrize("k_inner", [1, 3])
+    @pytest.mark.parametrize("name, kind", BATCH_CASES)
+    def test_transitions_are_the_per_call_loop(self, name, kind, k_inner, request):
+        target, config, starts = _batch_case(name, kind, k_inner, request)
+        batch, loop = np.random.default_rng(3), np.random.default_rng(3)
+        states, levels = transitions(target, config, starts, batch)
+        steps = [_step_with_level(target, config, x, loop) for x in starts]
+        assert states.tobytes() == np.array([step[0] for step in steps]).tobytes()
+        assert levels.tobytes() == np.array([step[1] for step in steps]).tobytes()
+        assert batch.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("k_inner", [1, 3])
+    @pytest.mark.parametrize("name, kind", BATCH_CASES)
+    def test_level_moves_are_the_per_call_loop(self, name, kind, k_inner, request):
+        target, config, starts = _batch_case(name, kind, k_inner, request)
+        t = 0.5 * target.sup_norm
+        starts = starts[target.density(starts) >= t]
+        batch, loop = np.random.default_rng(3), np.random.default_rng(3)
+        states, dens = level_moves(target, config, t, starts, batch)
+        moves = [level_move(target, config, t, x, loop) for x in starts]
+        assert states.tobytes() == np.array([move[0] for move in moves]).tobytes()
+        assert dens.tobytes() == np.array([move[1] for move in moves]).tobytes()
+        assert batch.bit_generator.state == loop.bit_generator.state
+
+    def test_zero_density_start_rejected(self, t1):
+        with pytest.raises(InvalidStateError):
+            transitions(t1, SamplerConfig(SamplerKind.SIMPLE), np.array([[-1.0], [5.0]]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "name, shape", [("t1", (4,)), ("t1", (4, 2)), ("t1", (2, 2, 1)), ("t2", (4, 1)), ("t2", (8,))]
+    )
+    def test_starts_of_another_shape_rejected(self, name, shape, request):
+        # a mis-shaped batch is refused, never reshaped into rows of the target dimension
+        target, starts = request.getfixturevalue(name), np.zeros(shape)
+        config = SamplerConfig(SamplerKind.SIMPLE)
+        with pytest.raises(ValueError, match="trailing axis"):
+            transitions(target, config, starts, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trailing axis"):
+            level_moves(target, config, 0.5, starts, np.random.default_rng(0))
 
 
 class TestChainPins:
