@@ -226,10 +226,12 @@ def acf_ess(values: np.ndarray) -> AcfEss:
     if var <= 0.0:
         raise DegenerateVarianceError("constant series has no autocorrelation")
     max_lag = min(n - 2, 10_000)
-    # FFT autocovariance, normalised to acf[0] = 1
-    size = 1 << (2 * n - 1).bit_length()
+    # FFT autocovariance, normalised to acf[0] = 1; a circle of n + max_lag + 1 points or more
+    # keeps every lag up to max_lag clear of the wrap-around
+    size = 1 << (n + max_lag).bit_length()
     f = np.fft.rfft(x, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[: max_lag + 1] / n
+    f *= np.conj(f)
+    acov = np.fft.irfft(f, size)[: max_lag + 1] / n
     acf = acov / acov[0]
     # adjacent-pair sums acf[2m] + acf[2m+1], truncated at the first negative
     pair_sums = []

@@ -44,7 +44,7 @@ from .errors import (
     SliceGapError,
 )
 from .slice_geometry import line_section, uniform_sample_level_set
-from .targets import LineDensity, Shape, axis_line, eval_density, line_builder
+from .targets import LineDensity, Shape, eval_density, line_builder
 
 DEFAULT_MAX_LOOP = 10_000
 
@@ -231,7 +231,7 @@ def _uniform_move(target, rng, w, max_loop):
 def _so_sh_move(target, rng, w, max_loop):
     if target.dim != 1:
         raise ValueError("axis stepping-out requires a one-dimensional target")
-    line, random = axis_line(target), rng.random
+    line, random = line_builder(target)([0.0], [1.0]), rng.random
 
     def move(t, xs, rho=None):
         pos0 = xs[0]

@@ -81,18 +81,39 @@ def _line_floats(x, theta, dim: int) -> tuple[list[float], list[float]]:
     return x.tolist(), theta.tolist()
 
 
-def _line_norm(xs: list[float], ts: list[float], center) -> Callable[[float], float]:
-    """``s -> |x + s*theta - center|``, summing squares in axis order as ``np.linalg.norm`` does."""
-    axes = tuple(zip(xs, ts, map(float, center)))
+def _line_builder(density, components) -> Callable[[list[float], list[float]], LineDensity]:
+    """``(xs, ts) -> line density`` of ``density``, the maximum of ``components``, compiled from generated source.
 
-    def norm(s: float) -> float:
-        sq = 0.0
-        for xi, ti, ci in axes:
-            di = xi + s * ti - ci
-            sq += di * di
-        return math.sqrt(sq)
-
-    return norm
+    Each line is one closure, axes and components unrolled, that repeats
+    ``density`` on one point in numpy's order: squares summed in axis order,
+    ``r ** 2`` through C ``pow`` and numpy's own ``exp``.  The constants are
+    arguments of the generated factory, never printed literals.  Points wider
+    than ``_SCALAR_NORM_MAX_DIM`` go through the array ``density``.
+    """
+    dim = density.dim
+    if dim > _SCALAR_NORM_MAX_DIM:
+        return functools.partial(_array_line_density, density)
+    consts, body = {"exp": np.exp, "sqrt": math.sqrt}, [f"p{i} = x{i} + s * t{i}" for i in range(dim)]
+    for j, comp in enumerate(components):
+        consts.update({f"h{j}": float(comp.height), f"a{j}": float(comp.scale)})
+        consts.update({f"m{j}_{i}": float(c) for i, c in enumerate(comp.mode)})
+        if dim == 1:
+            body.append(f"r{j} = abs(p0 - m{j}_0)")
+        else:
+            body += [f"d{j}_{i} = p{i} - m{j}_{i}" for i in range(dim)]
+            body.append(f"r{j} = sqrt({' + '.join(f'd{j}_{i} * d{j}_{i}' for i in range(dim))})")
+        if comp.shape is Shape.FLAT:
+            body.append(f"v{j} = h{j} if r{j} <= a{j} else 0.0")
+        elif comp.shape is Shape.TRIANGULAR:  # np.maximum(0.0, v), NaN included
+            body += [f"v{j} = 1.0 - r{j} / a{j}", f"v{j} = h{j} * (0.0 if v{j} <= 0.0 else v{j})"]
+        else:
+            body.append(f"v{j} = h{j} * float(exp(-a{j} * r{j} ** 2))")
+    body.append("return v0 if v0 >= v1 else v1" if len(components) == 2 else "return v0")
+    xs, ts = "".join(f"x{i}, " for i in range(dim)), "".join(f"t{i}, " for i in range(dim))
+    head = [f"def make({', '.join(consts)}):", " def build(xs, ts):", f"  {xs}= xs", f"  {ts}= ts", "  def line(s):"]
+    namespace = {}
+    exec("\n".join([*head, *(f"   {line}" for line in body), "  return line", " return build"]), {}, namespace)
+    return namespace["make"](**consts)
 
 
 def _array_line_density(target, x, theta) -> LineDensity:
@@ -156,29 +177,11 @@ class QuasiConcaveComponent:
 
     def line_density(self, x, theta) -> LineDensity:
         """Component value at ``x + s * theta`` as a function of ``s``; see ``TargetDensity.line_density``."""
-        if self.dim > _SCALAR_NORM_MAX_DIM:
-            return _array_line_density(self, x, theta)
         return self._line(*_line_floats(x, theta, self.dim))
 
-    def _line(self, xs: list[float], ts: list[float]) -> LineDensity:
-        h, a = float(self.height), float(self.scale)
-        if self.dim > 1:  # Gaussian or flat: triangles are one-dimensional
-            radius = _line_norm(xs, ts, self.mode)
-            if self.shape is Shape.FLAT:
-                return lambda s: h if radius(s) <= a else 0.0
-            return lambda s: h * float(np.exp(-a * radius(s) ** 2))
-        x0, t0, m0 = xs[0], ts[0], float(self.mode[0])
-        if self.shape is Shape.FLAT:
-            return lambda s: h if abs(x0 + s * t0 - m0) <= a else 0.0
-        if self.shape is Shape.TRIANGULAR:
-
-            def triangle(s: float) -> float:
-                v = 1.0 - abs(x0 + s * t0 - m0) / a
-                return h * (0.0 if v <= 0.0 else v)  # np.maximum(0.0, v), NaN included
-
-            return triangle
-        # r ** 2 is C pow, as numpy squares a float64 scalar; np.exp is numpy's own kernel
-        return lambda s: h * float(np.exp(-a * abs(x0 + s * t0 - m0) ** 2))
+    @functools.cached_property
+    def _line(self) -> Callable[[list[float], list[float]], LineDensity]:
+        return _line_builder(self, (self,))
 
     def level_radius(self, t: float) -> float:
         """Radius of the level region {component >= t}, defined for 0 < t <= height."""
@@ -225,31 +228,17 @@ class TargetDensity:
     def line_density(self, x, theta) -> LineDensity:
         """Density at ``x + s * theta`` as a function of the Python float ``s``.
 
-        The closure runs on Python floats and reads the component constants
-        once.  It repeats the operations of ``density`` on one point in the
-        same order, so ``line_density(x, theta)(s)`` equals
-        ``float(density(x + s * theta))`` bit for bit; grids and batches of
-        points go through ``density``.
+        The closure runs on Python floats.  It comes from the target's line
+        builder, compiled on first use, and repeats the operations of
+        ``density`` on one point in the same order, so
+        ``line_density(x, theta)(s)`` equals ``float(density(x + s * theta))``
+        bit for bit; grids and batches of points go through ``density``.
         """
-        if self.dim > _SCALAR_NORM_MAX_DIM:
-            return _array_line_density(self, x, theta)
         return self._line(*_line_floats(x, theta, self.dim))
 
     @functools.cached_property
-    def _axis_line(self) -> LineDensity:
-        return self.line_density(0.0, 1.0)
-
-    def _line(self, xs: list[float], ts: list[float]) -> LineDensity:
-        lines = [comp._line(xs, ts) for comp in self.components]
-        if len(lines) == 1:
-            return lines[0]
-        first, second = lines
-
-        def line(s: float) -> float:
-            a, b = first(s), second(s)
-            return a if a >= b else b
-
-        return line
+    def _line(self) -> Callable[[list[float], list[float]], LineDensity]:
+        return _line_builder(self, self.components)
 
     @property
     def sup_norm(self) -> float:
@@ -295,31 +284,21 @@ class RwCertificate:
 def line_builder(target) -> Callable[[list[float], list[float]], LineDensity]:
     """``(xs, ts) -> line density`` through a point and along a direction given as Python floats.
 
-    A target on the scalar path gets the builder behind its ``line_density``,
-    which skips the array conversion and shape check; anything else, such as a
-    wrapper that substitutes or records line densities (the tests' fakes),
-    gets ``line_density`` itself.  Either way it is the same, bit for bit.
+    A ``TargetDensity`` gets the builder behind its ``line_density``, compiled
+    on first use, which skips the array conversion and shape check; anything
+    else, such as a wrapper that substitutes or records line densities (the
+    tests' fakes), gets ``line_density`` itself.  Either way it is the same,
+    bit for bit.
     """
-    if isinstance(target, TargetDensity) and target.dim <= _SCALAR_NORM_MAX_DIM:
+    if isinstance(target, TargetDensity):
         return target._line
     return target.line_density
 
 
-def axis_line(target) -> LineDensity:
-    """Density along the axis of a 1D target, ``line_density(0.0, 1.0)``.
-
-    A ``TargetDensity`` builds it on first use and keeps it for its lifetime;
-    anything else, such as a wrapper of the tests, builds it on each call.
-    """
-    if isinstance(target, TargetDensity):
-        return target._axis_line
-    return target.line_density(0.0, 1.0)
-
-
 def eval_density(target, x) -> float:
-    """Density of ``target`` at a single point ``x``, through its scalar ``line_density``."""
+    """Density of ``target`` at a single point ``x``, through its line builder."""
     x = np.asarray(x, dtype=float)
-    return target.line_density(x, np.zeros_like(x))(0.0)
+    return line_builder(target)(*_line_floats(x, np.zeros_like(x), target.dim))(0.0)
 
 
 def merge_level(target: TargetDensity) -> float:

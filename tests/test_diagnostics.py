@@ -144,7 +144,41 @@ class TestDetailedBalance:
             detailed_balance_test(np.array([[0, 0], [1, 1]]), 4)
 
 
+def _ar1_series(n, phi, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    for i in range(1, n):
+        x[i] += phi * x[i - 1]
+    return x
+
+
+def _direct_acf(x, max_lag):
+    """Autocorrelation by one dot product per lag, O(n L)."""
+    x = x - x.mean()
+    acov = np.array([np.dot(x[: x.size - k], x[k:]) for k in range(max_lag + 1)]) / x.size
+    return acov / acov[0]
+
+
 class TestAcfEss:
+    #: 20000 points and lags up to 10000: n + max_lag + 1 pads to 2^15 and 2n to 2^16
+    N, MAX_LAG = 20_000, 10_000
+
+    def test_matches_direct_autocovariance(self):
+        assert (self.N + self.MAX_LAG).bit_length() != (2 * self.N - 1).bit_length()
+        x = _ar1_series(self.N, 0.9, 41)
+        acf = acf_ess(x).acf
+        assert acf.size == self.MAX_LAG + 1
+        assert np.max(np.abs(acf - _direct_acf(x, self.MAX_LAG))) <= 1e-12
+
+    def test_padding_to_n_wraps_around_and_fails(self, monkeypatch):
+        # control: a circle of n points folds lag n - k onto lag k
+        x = _ar1_series(self.N, 0.9, 41)
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, size: rfft(a, a.size))
+        monkeypatch.setattr(np.fft, "irfft", lambda f, size: irfft(f, x.size))
+        acf = acf_ess(x).acf
+        assert np.max(np.abs(acf - _direct_acf(x, self.MAX_LAG))) > 1e-12
+
     def test_iid_ess_close_to_n(self):
         rng = np.random.default_rng(36)
         x = rng.standard_normal(100_000)

@@ -34,6 +34,25 @@ BALL_EDGES = [[1.5, -0.1], [-1.1, -0.1]]
 FLAT_AND_GAUSSIAN = TargetDensity(2, (*BALL.components, QuasiConcaveComponent(Shape.GAUSSIAN, (1.0, 0.5), 1.0, 2.0)))
 
 
+def _pair(shape, dim):
+    """Two overlapping components of ``shape`` in ``dim`` dimensions, with modes off the lattice."""
+    scales = (2.0, 0.7) if shape is Shape.GAUSSIAN else (2.5, 1.7)
+    return TargetDensity(
+        dim,
+        (
+            QuasiConcaveComponent(shape, tuple(0.3 * i - 0.1 for i in range(dim)), 1.0, scales[0]),
+            QuasiConcaveComponent(shape, tuple(1.1 - 0.7 * i for i in range(dim)), 0.8, scales[1]),
+        ),
+    )
+
+
+#: pairs whose norms sum three and seven squares, so the order of the axes shows; a triangle against a
+#: Gaussian in 1D, where the maximum switches between the two formulas; one component twice, for exact ties
+PAIRS = {f"{shape.value}_{dim}d": _pair(shape, dim) for shape in (Shape.GAUSSIAN, Shape.FLAT) for dim in (3, 7)}
+PAIRS["triangle_and_gaussian"] = TargetDensity(1, (twin_triangles().components[0], ONE_GAUSSIAN.components[0]))
+PAIRS["tied"] = TargetDensity(2, gaussian_pair().components[:1] * 2)
+
+
 def _assert_bit_identical(target, x, theta, s, sweep_seed):
     """``line_density(x, theta)(s)`` equals the array density at ``x + s*theta`` on every offset."""
     line = target.line_density(x, theta)
@@ -89,6 +108,15 @@ def test_flat_ball_and_gaussian(x, theta, s, sweep_seed):
     _assert_bit_identical(FLAT_AND_GAUSSIAN, x, theta, s, sweep_seed)
 
 
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), s=offset, sweep_seed=seed)
+def test_pairs(name, data, s, sweep_seed):
+    target = PAIRS[name]
+    x, theta = data.draw(_vector(target.dim)), data.draw(_vector(target.dim))
+    _assert_bit_identical(target, x, theta, s, sweep_seed)
+
+
 COMPONENTS = [
     *twin_triangles().components,
     *gaussian_pair().components,
@@ -104,10 +132,14 @@ def test_components(x, theta, s, sweep_seed, which):
     _assert_bit_identical(comp, x[: comp.dim], theta[: comp.dim], s, sweep_seed)
 
 
+EVAL_TARGETS = [twin_triangles(), gaussian_pair(), ONE_GAUSSIAN, INTERVAL, BALL, FLAT_AND_GAUSSIAN]
+EVAL_TARGETS += [PAIRS[name] for name in sorted(PAIRS)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(x=_vector(2), which=st.integers(0, 5))
+@given(x=_vector(7), which=st.integers(0, len(EVAL_TARGETS) - 1))
 def test_eval_density_is_the_array_density(x, which):
-    target = [twin_triangles(), gaussian_pair(), ONE_GAUSSIAN, INTERVAL, BALL, FLAT_AND_GAUSSIAN][which]
+    target = EVAL_TARGETS[which]
     point = np.asarray(x[: target.dim])
     assert eval_density(target, point).hex() == float(target.density(point)).hex()
 

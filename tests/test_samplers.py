@@ -594,6 +594,7 @@ CHAIN_CASES = {
     "simple": ("t1", SamplerConfig(SamplerKind.SIMPLE)),
     "simple_2d": ("t2", SamplerConfig(SamplerKind.SIMPLE)),
     "so_sh": ("t1", SamplerConfig(SamplerKind.SO_SH, w=3.0)),
+    "so_sh_k3": ("t1", SamplerConfig(SamplerKind.SO_SH, w=3.0, k_inner=3)),
     "har": ("t2", SamplerConfig(SamplerKind.HAR)),
     "har_so_sh": ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0)),
     "har_so_sh_k3": ("t2", SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0, k_inner=3)),
@@ -605,6 +606,7 @@ TRACE_SHA256 = {
     "simple": "f405e1bf9ba839ed5441b12fea9695c3790252717f579033444c101bca8aad9d",
     "simple_2d": "7beabf89e5a61edbad069f7567995626a49f8169252d0f8795069914f98d9f4a",
     "so_sh": "f967896cd07a3d88d8708aa0dfb9c9531c9825379a279e9eb43ca56e1b0480a1",
+    "so_sh_k3": "6c5f79a778ba43893b2d3494172b0aee6891e7c08d5a4f97a60746e129b6a219",
     "har": "9902d2b8cf626d74238731df582e5efd00f6021972f9d543889d80fd40952361",
     "har_so_sh": "26617cc8f6d939bda8b0242912542d824787ac366e79a9e61c6e47f14c9e72fd",
     "har_so_sh_k3": "3783886480504411d24f4f6c09d174c47a6eddebca01120e51816987990ae05f",

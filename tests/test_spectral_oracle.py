@@ -913,6 +913,19 @@ class TestBetaNumeric:
         for k in (1, 2):
             assert vals[k] == pytest.approx(beta_k_so_sh_closed_form(t1, 3.0, k), abs=5e-3)
 
+    def test_memory_holds_no_whole_cell_by_level_table(self, t1):
+        # at 2000 cells and m = 400 one cells x m float table is 6.1 MiB; the profile reads it a block of rows at a time
+        import tracemalloc
+
+        grid = Grid.for_target(t1, 2000)
+        tracemalloc.start()
+        try:
+            beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2, 5, 10, 20], m=400, norm_bins=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.n * 400 * 8
+
 
 @pytest.fixture(scope="module")
 def small_report(t1):
