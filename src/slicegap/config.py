@@ -11,9 +11,13 @@ fields and those of ``[run]``, ``[oracle]`` and ``[output]`` are
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass, field
 from enum import EnumMeta
+
+try:  # CPython's builtin SHA-256, which hashlib falls back to without OpenSSL; hashlib would load _hashlib
+    from _sha2 import sha256
+except ImportError:  # Python 3.10-3.11
+    from _sha256 import sha256
 
 from . import spectral_oracle as oracle
 from .errors import ConfigError, SliceGapError
@@ -200,8 +204,6 @@ def load_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"invalid sampler block: {exc}") from exc
     settings = {key: value for section in ("run", "oracle", "output") for key, value in values.get(section, {}).items()}
     try:
-        return ExperimentConfig(
-            target, sampler, config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(), **settings
-        )
+        return ExperimentConfig(target, sampler, config_hash=sha256(text.encode("utf-8")).hexdigest(), **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -28,7 +28,7 @@ module is imported.  Every kernel has ``apply``
 kernel's certificate, the least of the weights its table is built from.
 ``reversibility_residual`` tests detailed balance through products; the
 dense ``psd_check`` and ``reversibility_check`` remain as oracles, the
-latter reading P against its transpose in blocks of 256 rows.
+latter reading P against its transpose in blocks of ``ROW_BLOCK`` rows.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
@@ -65,8 +65,9 @@ TOL_MT = 1e-3  # Doeblin bound on gap(U)
 TOL_TV = 1e-8  # geometric TV decay
 TV_N_MAX = 50
 
-#: rows per block where a check or a gather reads a matrix a block of rows at a time
-ROW_BLOCK = 256
+#: rows per block where a check or a gather reads a matrix, or the β profile its cells x m level table, a block
+#: of rows at a time; every reader returns the same values at any block size
+ROW_BLOCK = 64
 
 #: Lanczos steps after which a norm falls back to the dense ``spectrum``
 LANCZOS_STEPS = 300

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from slicegap.cli import _read_trace, main
-from slicegap.config import _SCHEMA, load_config_text
+from slicegap.config import _SCHEMA, load_config, load_config_text
 from slicegap.errors import ConfigError, SliceGapError, TraceFormatError
 from slicegap.samplers import SamplerKind
 
@@ -203,6 +204,24 @@ kind = simple
             elif key:
                 documented.add((section, key.group(1)))
         assert documented == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
+
+
+class TestConfigHash:
+    """The config digest is hashlib's SHA-256 of the file's text, so every output header keeps its hex."""
+
+    @pytest.mark.parametrize("config", ["configs/t1_so_sh.cfg", "configs/t2_har_so_sh.cfg", "bench/gap2d.cfg"])
+    def test_digest_is_the_sha256_of_the_text(self, config):
+        path = ROOT / config
+        assert load_config(path).config_hash == hashlib.sha256(path.read_text().encode("utf-8")).hexdigest()
+
+    def test_gap_outputs_echo_its_first_16_digits(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = tmp_path / "gap"
+        assert main(["gap", "--config", str(cfg_path), "--out", str(out)]) == 0
+        header = f"# config={hashlib.sha256(MINIMAL.encode('utf-8')).hexdigest()[:16]} seed=7"
+        for name in ("gap_report.csv", "gap_summary.txt"):
+            assert (out / name).read_text().splitlines()[0] == header
 
 
 class TestCliSample:

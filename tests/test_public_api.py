@@ -7,7 +7,11 @@ Importing the command line and the suite loads no scipy module, and
 neither does a ``gap`` report, whose norms come from the oracle's own
 Lanczos solver, nor ``verify``, whose chi-square and Kolmogorov-Smirnov
 tails and beta quadrature are the package's own.  A ``gap`` report and
-``verify`` load no ``numpy.ma`` either.
+``verify`` load no ``numpy.ma`` either.  Importing the command line and a
+``gap`` report load no OpenSSL (``_hashlib``): the config digest is
+CPython's builtin SHA-256.  ``sample`` and ``verify`` are not held to
+that, since they make a ``numpy.random`` generator, and ``numpy.random``
+imports ``secrets``, which imports ``hmac``, which loads ``_hashlib``.
 """
 
 import importlib
@@ -143,11 +147,12 @@ LARGE_1D = LARGE_1D.replace("cells = 12,12", "cells = 900").replace("levels_m = 
 
 
 def test_import_sample_and_small_2d_gap_leave_out_scipy_sparse(tmp_path):
-    assert _modules_after("import slicegap.cli, slicegap.suite", tmp_path) == "[]"
+    assert _modules_after("import slicegap.cli, slicegap.suite", tmp_path, ("scipy.sparse", "_hashlib")) == "[]"
     (tmp_path / "t2.cfg").write_text(SMALL_2D)
     (tmp_path / "t1.cfg").write_text(LARGE_1D)
-    # a gap report loads no numpy.ma either: ``np.unique`` without flags would load it
-    gap = ("scipy", "numpy.ma")
+    # a gap report loads no numpy.ma either: ``np.unique`` without flags would load it; nor OpenSSL, which
+    # ``hashlib`` would load for the config digest
+    gap = ("scipy", "numpy.ma", "_hashlib")
     for command, config, packages in (("sample", "t2", ("scipy.sparse",)), ("gap", "t2", gap), ("gap", "t1", gap)):
         out = f"{command}-{config}"
         run = f"import slicegap.cli as c; assert c.main(['{command}', '--config', '{config}.cfg', '--out', '{out}']) == 0"

@@ -358,7 +358,7 @@ class TestPlanProduct:
 
     @pytest.mark.parametrize("name, kind", CASES)
     def test_blocked_gather_is_the_min_rank_index(self, name, kind):
-        # 600 1D cells: two full 256-row blocks and a partial one
+        # 600 1D cells: full `ROW_BLOCK` blocks and a partial one
         for K in self._kernels(name, kind, cells=600).values():
             assert np.array_equal(K.P, min_rank_kernel(K.plan, K.table))
 
@@ -807,7 +807,7 @@ class TestRowBlocks:
 
     @pytest.fixture(scope="class")
     def K(self):
-        # 517 rows: two full 256-row blocks and a partial one of 5
+        # 517 rows: eight full 64-row blocks (two of 256) and a partial one of 5
         rng = np.random.default_rng(517)
         S = rng.random((517, 517)) ** 4
         S += S.T
@@ -914,7 +914,8 @@ class TestBetaNumeric:
             assert vals[k] == pytest.approx(beta_k_so_sh_closed_form(t1, 3.0, k), abs=5e-3)
 
     def test_memory_holds_no_whole_cell_by_level_table(self, t1):
-        # at 2000 cells and m = 400 one cells x m float table is 6.1 MiB; the profile reads it a block of rows at a time
+        # at 2000 cells and m = 400 one cells x m float table is 6.1 MiB; the profile reads it ``ROW_BLOCK`` rows at
+        # a time and peaks below a quarter of it
         import tracemalloc
 
         grid = Grid.for_target(t1, 2000)
@@ -924,7 +925,18 @@ class TestBetaNumeric:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < grid.n * 400 * 8
+        assert peak < grid.n * 400 * 8 / 4
+
+    def test_block_size_leaves_beta_unchanged(self, t1, monkeypatch):
+        # each block gives its rows' means, and beta is the max over every row: equal at any block size
+        from slicegap import spectral_oracle as oracle
+
+        grid = Grid.for_target(t1, 2000)
+        betas = []
+        for block in (7, 64, 256):
+            monkeypatch.setattr(oracle, "ROW_BLOCK", block)
+            betas.append(beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2, 5, 10, 20], m=400, norm_bins=1024))
+        assert betas[0] == betas[1] == betas[2]
 
 
 @pytest.fixture(scope="module")
