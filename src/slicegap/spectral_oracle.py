@@ -13,22 +13,24 @@ kernels sum powers of the level matrices), so every kernel is stochastic
 and reversible by construction, with the discretized target as its
 stationary weights.  A level-plan kernel applies P v from its prefix
 table by cumulative sums over nodes, in O(n + nodes), and assembles P
-only when a check first reads it.  The 2D level matrices come from one
-walk over the nodes in a single buffer, each node adding only the weight
-changes of its strips; each matrix handed out is a view that later nodes
-overwrite.  Norms are read off one self-adjoint operator per kernel, the
-similarity D^(1/2) P D^(-1/2), which ``_similarity`` builds with one
-symmetry guard: P itself when pi is uniform, as on level kernels, else
-one scaled copy.  ``spectrum`` solves it once with ``eigvalsh`` for the
-centered norm and the smallest eigenvalue, where the whole spectrum is
-needed; a norm alone comes from Lanczos with full reorthogonalisation,
-on the level plan's product for a plan kernel, at every size.  No scipy
-module is imported.  Every kernel has ``apply``
-(P v) and ``positivity``: a dense kernel's smallest eigenvalue, or a plan
-kernel's certificate, the least of the weights its table is built from.
-``reversibility_residual`` tests detailed balance through products; the
-dense ``psd_check`` and ``reversibility_check`` remain as oracles, the
-latter reading P against its transpose in blocks of ``ROW_BLOCK`` rows.
+only when a check first reads it; 1D level kernels read their cells and
+sides from it, and the 1D beta profile is exact over its nodes.  The 2D
+level matrices come from one walk over the nodes in a single buffer, each
+node adding only the weight changes of its strips; each matrix handed out
+is a view that later nodes overwrite.  Norms are read off one self-adjoint
+operator per kernel, the similarity D^(1/2) P D^(-1/2), which
+``_similarity`` builds with one symmetry guard: P itself when pi is
+uniform, as on level kernels, else one scaled copy.  ``spectrum`` solves
+it once with ``eigvalsh`` for the centered norm and the smallest
+eigenvalue, where the whole spectrum is needed; a norm alone comes from
+Lanczos with full reorthogonalisation, on the level plan's product for a
+plan kernel, at every size.  No scipy module is imported.  Every kernel
+has ``apply`` (P v) and ``positivity``: a dense kernel's smallest
+eigenvalue, or a plan kernel's certificate, the least of the weights its
+table is built from.  ``reversibility_residual`` tests detailed balance
+through products; the dense ``psd_check`` and ``reversibility_check``
+remain as oracles, the latter reading P against its transpose in blocks
+of ``ROW_BLOCK`` rows.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
@@ -65,8 +67,8 @@ TOL_MT = 1e-3  # Doeblin bound on gap(U)
 TOL_TV = 1e-8  # geometric TV decay
 TV_N_MAX = 50
 
-#: rows per block where a check or a gather reads a matrix, or the β profile its cells x m level table, a block
-#: of rows at a time; every reader returns the same values at any block size
+#: rows per block where a check or a gather reads a matrix, or the 2D β profile its cells x m level table, a
+#: block of rows at a time; every reader returns the same values at any block size
 ROW_BLOCK = 64
 
 #: Lanczos steps after which a norm falls back to the dense ``spectrum``
@@ -327,9 +329,9 @@ class _LevelPlan:
     In 1D, ``length`` and ``gap`` are the level-set geometry at each
     interval's midpoint, and a two-part node adds a refresh within the part
     of the current cell.  The gaps are nested, so a cell keeps one side of
-    every gap below its density, its ``side`` (-1 below every gap);
-    ``side_count`` holds the cells per side and node, and same-side pairs
-    read their side's table row.  No n x n array is kept: ``kernel``
+    every gap below its density, its ``side`` (-1 if no two-part set holds
+    it); ``side_count`` holds the cells per side and node, and same-side
+    pairs read their side's table row.  No n x n array is kept: ``kernel``
     gathers P a block of rows at a time, and ``product`` applies it.
     """
 
@@ -412,7 +414,7 @@ def _level_plan(target, grid: Grid, m: int) -> _LevelPlan:
     width = np.diff(levels, prepend=0.0)
     plan = _LevelPlan(rho, act, width, _count_from(rank, (levels.size,)), rank, np.full(rho.size, -1))
     if grid.dim == 1:
-        _add_sides(plan, target, grid.centers[act, 0], levels - width / 2)
+        _add_sides(plan, target, grid.centers[act, 0], levels)
     return plan
 
 
@@ -425,33 +427,35 @@ def _count_from(index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.cumsum(per_node[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, mids: np.ndarray) -> None:
-    """Level-set geometry per node and the side of the gap each cell keeps."""
-    rank, side = plan.rank, plan.side
-    sets = [level_set_1d(target, float(t)) for t in mids]
+def _add_sides(plan: _LevelPlan, target, centers: np.ndarray, levels: np.ndarray) -> None:
+    """Level-set geometry at each node's midpoint, and the side of the gap each cell keeps.
+
+    Every cell that a two-part set holds gets a side: the cells of the lowest two-part node, and of the node
+    below when the set is two-part at its top (their density).  The lowest of those nested gaps places them.
+    """
+    sets = [level_set_1d(target, float(t)) for t in levels - plan.width / 2]
     plan.length = np.array([ls.length for ls in sets])
     plan.gap = np.array([ls.delta for ls in sets])
     two = np.flatnonzero([ls.parts.nparts == 2 for ls in sets])
-    nodes = mids.size
-    plan.side_count = np.zeros((2, nodes), dtype=np.int64)
+    plan.side_count = np.zeros((2, levels.size), dtype=np.int64)
     if two.size == 0:
         return
-    # every cell in a two-part node's set also takes part in the lowest one
-    taking_part = rank >= two[0]
-    side[taking_part] = centers[taking_part] > sets[two[0]].parts.intervals[0].hi
+    below = level_set_1d(target, float(levels[two[0] - 1])) if two[0] else sets[0]
+    first, split = (two[0] - 1, below) if below.parts.nparts == 2 else (two[0], sets[two[0]])
+    plan.side[:] = np.where(plan.rank >= first, centers > split.parts.intervals[0].hi, -1)
     edges = (
         np.array([sets[j].parts.intervals[0].hi for j in two]),
         -np.array([sets[j].parts.intervals[1].lo for j in two]),
     )
     for s, edge in enumerate(edges):
-        mine = side == s
+        mine = plan.side == s
         # the cell of each side nearest the gap, among those taking part in each node
-        reach = np.full(nodes, -np.inf)
-        np.maximum.at(reach, rank[mine], (1 - 2 * s) * centers[mine])
+        reach = np.full(levels.size, -np.inf)
+        np.maximum.at(reach, plan.rank[mine], (1 - 2 * s) * centers[mine])
         reach = np.maximum.accumulate(reach[::-1])[::-1]
         if np.any(reach[two] > edge + LEVEL_TOL):
             raise OutOfClassError("a grid cell changes side of the level-set gap; the gaps are not nested")
-        plan.side_count[s] = _count_from(rank[mine], (nodes,))
+        plan.side_count[s] = _count_from(plan.rank[mine], levels.shape)
 
 
 # -- strip plan: every 2D level kernel ----------------------------------------
@@ -679,16 +683,16 @@ def _strip_plan(target, grid: Grid, kind: KernelKind) -> _StripPlan:
 def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
     """The level kernel at each of the ascending ``levels``, on the sub-grid of cells clearing it.
 
-    2D strip kinds walk the levels' distinct nodes once: a kernel lists its cells by falling density,
-    and its P is a view that the next node overwrites.  1D and uniform kinds are built level by level.
+    1D and uniform kinds read the cells (density at least t - ``LEVEL_TOL``) and sides that H integrates from
+    the level plan (m = 1; no set or side depends on m), with gamma at t.  2D strip kinds walk the levels'
+    distinct nodes once: a kernel lists its cells by falling density, its P a view the next node overwrites.
     """
     levels = [float(t) for t in levels]
     if any(b < a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be ascending")
     strips = grid.dim >= 2 and kind is not KernelKind.UNIFORM
-    plan = _strip_plan(target, grid, kind) if strips else None
-    vals = plan.rho if strips else density_on_grid(target, grid)
-    if levels and levels[-1] > vals.max() + LEVEL_TOL:
+    plan = _strip_plan(target, grid, kind) if strips else _level_plan(target, grid, 1)
+    if levels and levels[-1] > plan.rho.max() + LEVEL_TOL:
         raise EmptyLevelSetError(f"no grid cell clears level {levels[-1]}")
     if strips:
         nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
@@ -701,17 +705,15 @@ def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
             yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=plan.support[cells])
         return
     for t in levels:
-        idx = np.flatnonzero(vals >= t - LEVEL_TOL)
-        u = np.full(idx.size, 1.0 / idx.size)
-        P = np.tile(u, (idx.size, 1))
-        ls = None if kind in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN) else level_set_1d(target, t)
-        if ls is not None and ls.parts.nparts == 2:
-            gamma = gamma_t(ls, w)
-            in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
+        cells = np.flatnonzero(plan.rho >= t - LEVEL_TOL)
+        u = np.full(cells.size, 1.0 / cells.size)
+        P = np.tile(u, (cells.size, 1))
+        if kind not in (KernelKind.UNIFORM, KernelKind.HIT_AND_RUN):
+            gamma, side = gamma_t(level_set_1d(target, t), w), plan.side[cells]
             P *= gamma
-            for mask in (in_first, ~in_first):
-                P[np.ix_(mask, mask)] += (1.0 - gamma) / max(int(mask.sum()), 1)
-        yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=idx)
+            for mine in (side == 0, side == 1):
+                P[np.ix_(mine, mine)] += (1.0 - gamma) / max(int(mine.sum()), 1)
+        yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=plan.support[cells])
 
 
 def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
@@ -741,6 +743,7 @@ def _power_kernels(target, grid, kind, w, k_list, m):
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
     k_list = tuple(sorted(set(k_list)))
+    ks = sorted(set(k_list))
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
         for k in k_list:
@@ -874,55 +877,30 @@ def reversibility_residual(K: DiscreteKernel) -> float:
 # -- numeric beta profile ------------------------------------------------------
 
 
-def _level_norm(target, grid: Grid, vals: np.ndarray, t: float, kind: KernelKind, w) -> float:
-    """Distance of one discretized 1D or uniform level kernel to its uniform refresh.
-
-    In 1D the centered two-part mixture kernel is (1 - gamma) times the
-    difference of two orthogonal projections of rank two and one, so its
-    norm is 1 - gamma whenever both parts hold grid cells.
-    """
-    idx = np.flatnonzero(vals >= t - LEVEL_TOL)
-    n_s = idx.size
-    if n_s == 0 or kind is KernelKind.UNIFORM or kind is KernelKind.HIT_AND_RUN:
-        return 0.0
-    ls = level_set_1d(target, t)
-    in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + LEVEL_TOL
-    if ls.parts.nparts == 1 or in_first.all() or not in_first.any():
-        return 0.0
-    return 1.0 - gamma_t(ls, w)
-
-
-def beta_profile(
-    target, grid: Grid, kind: KernelKind, w, norm_bins: int = 1024
-) -> tuple[np.ndarray, float]:
-    """Per-level kernel distances on a uniform bin grid over (0, max density].
-
-    A 2D strip kernel takes the centered norm of each distinct level
-    matrix the bins fall on, from ``spectrum``.
-    """
-    vals = density_on_grid(target, grid)
-    top = float(vals.max())
-    width = top / norm_bins
-    levels = [(b + 0.5) * width for b in range(norm_bins)]
-    if grid.dim >= 2 and kind is not KernelKind.UNIFORM:
-        plan = _strip_plan(target, grid, kind)
-        nodes = np.searchsorted(plan.levels, np.array(levels) - LEVEL_TOL)
-        _, first, bins = np.unique(nodes, return_index=True, return_inverse=True)
-        norms = [spectrum(K)[0] for K in level_kernels(target, grid, kind, w, [levels[b] for b in first])]
-        return np.array(norms)[bins], width
-    return np.array([_level_norm(target, grid, vals, t, kind, w) for t in levels]), width
-
-
 def beta_k_numeric_many(
     target, grid: Grid, kind: KernelKind, w, k_list, m: int, norm_bins: int = 1024
 ) -> dict[int, float]:
-    """Numeric convergence profile sup_x of the row-averaged squared level norms per ``k``, ``ROW_BLOCK`` cells at a time."""
-    vals = density_on_grid(target, grid)
-    rho = vals[_active_cells(vals)]
-    nus, width = beta_profile(target, grid, kind, w, norm_bins)
-    offsets, ks, tops = (np.arange(m) + 0.5) / m, sorted(set(k_list)), []
-    for start in range(0, rho.size, ROW_BLOCK):
-        bins = (offsets[None, :] * rho[start : start + ROW_BLOCK, None] / width).astype(int)
+    """beta_k = sup_x ((1/rho(x)) int_0^rho(x) nu_t^(2k) dt)^(1/2), nu_t the level kernel's centered norm.
+
+    On a level plan (1D, or the uniform kind) it is exact over the plan's nodes, the prefix sum that builds
+    H, with nu = 1 - gamma where both sides hold cells, else 0; ``norm_bins`` is not read.  A 2D strip kind
+    takes nu by ``spectrum`` on ``norm_bins`` equal bins over (0, max density] and averages it over ``m``
+    midpoint levels per cell, ``ROW_BLOCK`` cells at a time.
+    """
+    ks = sorted(set(k_list))
+    if grid.dim == 1 or kind is KernelKind.UNIFORM:
+        plan = _level_plan(target, grid, m)
+        gamma = plan.gamma(kind, w, 1)
+        nu = 0.0 if gamma is None else np.where(plan.side_count.min(axis=0) > 0, 1.0 - gamma, 0.0)
+        return {k: math.sqrt(np.max(np.cumsum(plan.width * nu ** (2 * k))[plan.rank] / plan.rho)) for k in ks}
+    plan = _strip_plan(target, grid, kind)
+    width = float(plan.rho.max()) / norm_bins
+    levels = (np.arange(norm_bins) + 0.5) * width
+    _, first, bins = np.unique(np.searchsorted(plan.levels, levels - LEVEL_TOL), return_index=True, return_inverse=True)
+    nus = np.array([spectrum(K)[0] for K in level_kernels(target, grid, kind, w, levels[first])])[bins]
+    offsets, tops = (np.arange(m) + 0.5) / m, []
+    for start in range(0, plan.rho.size, ROW_BLOCK):
+        bins = (offsets[None, :] * plan.rho[start : start + ROW_BLOCK, None] / width).astype(int)
         nu_rows = nus[np.minimum(bins, nus.size - 1)]
         tops.append([np.max(np.mean(nu_rows ** (2 * k), axis=1)) for k in ks])
     return dict(zip(ks, np.sqrt(np.max(tops, axis=0)).tolist()))

@@ -26,7 +26,7 @@ from .targets import gaussian_pair, twin_triangles, uniform_interval
 
 
 def level_probes_1d(target, grid, w, levels) -> list[Check]:
-    """Stepping-out level kernels at the ascending ``levels``: norm 1 - gamma_t within 1e-6, PSD within 1e-10."""
+    """Stepping-out level kernels on the level plan's sets and sides: norm 1 - gamma_t within 1e-6, PSD within 1e-10."""
     worst, min_eig = 0.0, np.inf
     for t, K in zip(levels, oracle.level_kernels(target, grid, KernelKind.SO_SH, w, levels)):
         norm, low = oracle.spectrum(K)
@@ -36,11 +36,11 @@ def level_probes_1d(target, grid, w, levels) -> list[Check]:
     return [Check("so_sh_norm_identity", worst, 0.0, 1e-6), Check("psd_levels_1d", -min_eig, 0.0, 1e-10)]
 
 
-def beta_closed_vs_numeric(target, grid, w, k_list, m: int, norm_bins: int) -> list[Check]:
-    """Closed-form and numeric beta_k agree within 2e-3 over ``k_list``, and neither rises with k."""
+def beta_closed_vs_numeric(target, grid, w, k_list, m: int) -> list[Check]:
+    """Closed-form and numeric beta_k (exact on the level plan's nodes) agree within 2e-3; neither rises with k."""
     ks = sorted(k_list)
     closed = {k: kernels.beta_k_so_sh_closed_form(target, w, k) for k in ks}
-    numeric = oracle.beta_k_numeric_many(target, grid, KernelKind.SO_SH, w, ks, m, norm_bins)
+    numeric = oracle.beta_k_numeric_many(target, grid, KernelKind.SO_SH, w, ks, m)
     checks = [Check("beta_closed_vs_numeric", max(abs(closed[k] - numeric[k]) for k in ks), 0.0, 2e-3)]
     for label, beta in (("closed", closed), ("numeric", numeric)):
         checks += [Check(f"beta_{label}_k{b}_le_k{a}", beta[b], beta[a], 0.0) for a, b in zip(ks, ks[1:])]
@@ -122,11 +122,11 @@ def run_verification_suite(seed: int = VERIFY_SEED) -> list[Check]:
     t1, t2, w = twin_triangles(), gaussian_pair(), 3.0
     levels_1d = [(j + 0.5) * 0.8 / 12 for j in range(12)]
     identity, psd_1d = level_probes_1d(t1, oracle.Grid.for_target(t1, 800), w, levels_1d)
-    beta = beta_closed_vs_numeric(t1, oracle.Grid.for_target(t1, 1600), w, [1, 5], m=300, norm_bins=1536)
+    beta = beta_closed_vs_numeric(t1, oracle.Grid.for_target(t1, 1600), w, [1, 5], m=300)
 
     # assembled kernels: one row per family of the report's rows, its psd_H and corollary rows left out
     report = oracle.verify_theorem_bounds(
-        t1, oracle.Grid.for_target(t1, 600), KernelKind.SO_SH, w, [1, 5], 150, k_max=5, tv_n_max=30, norm_bins=512
+        t1, oracle.Grid.for_target(t1, 600), KernelKind.SO_SH, w, [1, 5], 150, k_max=5, tv_n_max=30
     )
     rows = [identity, _fold("beta_closed_vs_numeric", beta)]
     for name, family in (

@@ -6,7 +6,10 @@ and volumes by hit-or-miss Monte Carlo.  The one exception is the level
 integral kernel, which takes its 1D level sets from ``level_set_1d`` and
 checks how ``spectral_oracle`` assembles kernels from them, one node at a
 time; in 2D it builds each level matrix strip by strip, with component
-regions from their level radii.  ``min_rank_kernel`` gathers a level
+regions from their level radii.  ``level_matrix_1d`` builds one 1D level
+kernel densely from its own level set, and ``beta_node_integral`` sums
+the convergence profile over level nodes cell by cell, both with 1D
+level sets from ``level_set_1d``.  ``min_rank_kernel`` gathers a level
 plan's matrix through one n x n min-rank index, the reference for the
 plan's blocked gather.  ``ArrayLineTarget`` runs the samplers'
 single-point evaluations through the array ``density`` instead of the
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from slicegap.kernels import mixture_weight
+from slicegap.kernels import gamma_t, mixture_weight
 from slicegap.slice_geometry import level_set_1d
 
 
@@ -130,6 +133,58 @@ def level_integral_kernels(target, centers, rho, m, w=None, ks=(1,), grid=None):
                 flows[k] += (top - below) * np.outer(rows, rows) / rows.sum()
         below = top
     return {k: flow / rho[:, None] for k, flow in flows.items()}
+
+
+def level_matrix_1d(target, grid, t, w=None):
+    """Level kernel at ``t`` on the 1D cells whose density is at least t - 1e-12, and those cells' grid indices.
+
+    The parts come from ``level_set_1d`` at t itself: a cell is in the first part when its centre lies
+    at most 1e-12 beyond the first interval's end.  With a step width ``w``, a two-part set refreshes
+    over the whole set with weight ``gamma_t`` and within the current cell's part otherwise; with None,
+    or one part, it refreshes over the whole set.
+    """
+    idx = np.flatnonzero(np.asarray(target.density(grid.centers), dtype=float) >= t - 1e-12)
+    u = np.full(idx.size, 1.0 / idx.size)
+    P = np.tile(u, (idx.size, 1))
+    ls = level_set_1d(target, t)
+    if w is not None and ls.parts.nparts == 2:
+        gamma = gamma_t(ls, w)
+        in_first = grid.centers[idx, 0] <= ls.parts.intervals[0].hi + 1e-12
+        P *= gamma
+        for mask in (in_first, ~in_first):
+            P[np.ix_(mask, mask)] += (1.0 - gamma) / max(int(mask.sum()), 1)
+    return P, idx
+
+
+def beta_node_integral(target, centers, rho, m, w, ks):
+    """beta_k = max over cells x of ((1/rho(x)) sum over nodes up to rho(x) of width_j nu_j^(2k))^(1/2), per ``k``.
+
+    The nodes are the sorted distinct densities ``rho`` of the 1D cells at ``centers``, refined by ``m``
+    equal levels up to the top; node j covers the level interval of ``width_j`` below it, and its set
+    holds the cells whose density reaches the node.  nu_j is 1 - ``mixture_weight`` of the length and
+    gap of ``level_set_1d`` at the interval's midpoint when that set has two parts and both hold a cell,
+    a cell lying in the first part when its centre is left of the gap, and 0 otherwise.  Every sum runs
+    cell by cell over the nodes in rising order.
+    """
+    nodes = np.unique(np.concatenate([rho, np.linspace(0.0, rho.max(), m + 1)[1:]]))
+    widths = np.diff(nodes, prepend=0.0)
+    nus = []
+    for top, width in zip(nodes, widths):
+        ls = level_set_1d(target, float(top - width / 2))
+        first = centers[rho >= top] < ls.parts.intervals[0].hi + ls.delta / 2
+        both = ls.parts.nparts == 2 and first.any() and not first.all()
+        nus.append(1.0 - mixture_weight(ls.length, ls.delta, w) if both else 0.0)
+    betas = {}
+    for k in ks:
+        worst = 0.0
+        for level in rho:
+            total = 0.0
+            for top, width, nu in zip(nodes, widths, nus):
+                if top <= level:
+                    total += width * nu ** (2 * k)
+            worst = max(worst, total / level)
+        betas[k] = float(np.sqrt(worst))
+    return betas
 
 
 def min_rank_kernel(plan, table):

@@ -17,7 +17,7 @@ import pytest
 
 from oracles import bin_masses_1d, bin_masses_2d
 from slicegap.diagnostics import chi_square_invariance, detailed_balance_test
-from slicegap.samplers import SamplerConfig, SamplerKind, _step_with_level, sample_stationary, stepping_out
+from slicegap.samplers import SamplerConfig, SamplerKind, sample_stationary, stepping_out, transitions
 from slicegap.spectral_oracle import (
     DiscreteKernel,
     Grid,
@@ -68,7 +68,7 @@ def t1_bundle(t1):
     grid = Grid.for_target(t1, 2000)
     U = build_full_matrix(t1, grid, KernelKind.UNIFORM, W, m=400)
     H = build_full_matrix(t1, grid, KernelKind.SO_SH, W, m=400)
-    betas = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, W, K_LIST_1D, m=400, norm_bins=2048)
+    betas = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, W, K_LIST_1D, m=400)
     mats = build_k_step_matrices(t1, grid, KernelKind.SO_SH, W, K_LIST_1D, m=400)
     for K in (U, H, *mats.values()):  # spectra count towards the core runtime; each is cached on its kernel
         spectral_gap(K)
@@ -115,7 +115,7 @@ def test_criterion_2_norm_identity(t1, t1_bundle):
 
 def test_criterion_3_beta_closed_vs_numeric(t1, t1_bundle):
     """Closed-form and numeric convergence profiles agree and decrease."""
-    checks = beta_closed_vs_numeric(t1, t1_bundle["grid"], W, (1, 2, 5, 10), m=400, norm_bins=2048)
+    checks = beta_closed_vs_numeric(t1, t1_bundle["grid"], W, (1, 2, 5, 10), m=400)
     mono = passed(checks[1:])
     assert announce(3, passed(checks), f"max |closed - numeric| = {checks[0].lhs:.2e}, both non-increasing: {mono}")
 
@@ -184,7 +184,7 @@ def test_criterion_9_tv_convergence(t1, t1_bundle):
     so_sh = SamplerConfig(SamplerKind.SO_SH, W)
     for n in [5, 10, 15, 20]:
         while step < n:
-            xs = np.array([_step_with_level(t1, so_sh, np.array([x]), rng)[0][0] for x in xs])
+            xs = transitions(t1, so_sh, xs[:, None], rng)[0][:, 0]
             step += 1
         freq = np.bincount(grid.locate(xs[:, None]) // agg, minlength=pi_coarse.size) / n_rep
         tv_emp = 0.5 * float(np.abs(freq - pi_coarse).sum())
@@ -205,12 +205,12 @@ def test_criterion_10_reversibility_and_invariance(t1, t2, t1_bundle, t2_bundle)
     rng = np.random.default_rng(104)
     starts = sample_stationary(t1, 100_000, rng)
     so_sh, har_so_sh = SamplerConfig(SamplerKind.SO_SH, W), SamplerConfig(SamplerKind.HAR_SO_SH, W)
-    steps = np.array([_step_with_level(t1, so_sh, x, rng)[0][0] for x in starts])
+    steps = transitions(t1, so_sh, starts, rng)[0][:, 0]
     edges = np.linspace(-2.0, 2.0, 41)
     probs = bin_masses_1d(t1, edges)
     p_t1 = chi_square_invariance(np.clip(np.digitize(steps, edges) - 1, 0, 39), probs).p_value
 
-    steps2 = np.array([_step_with_level(t2, har_so_sh, x, rng)[0] for x in sample_stationary(t2, 100_000, rng)])
+    steps2 = transitions(t2, har_so_sh, sample_stationary(t2, 100_000, rng), rng)[0]
     xedges, yedges = np.linspace(-2.8, 5.2, 16), np.linspace(-3.8, 3.8, 16)
     ix = np.clip(np.digitize(steps2[:, 0], xedges) - 1, 0, 14)
     iy = np.clip(np.digitize(steps2[:, 1], yedges) - 1, 0, 14)

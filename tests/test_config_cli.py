@@ -31,11 +31,12 @@ levels_m = 50
 k_list = 1,2
 k_max = 3
 tv_n_max = 10
-norm_bins = 128
 """
 
 #: MINIMAL on the 2D reference target, valid but for the axis kind
 SO_SH_2D = MINIMAL.replace("twin_triangles", "gaussian_pair").replace("cells = 200", "cells = 12,12")
+#: MINIMAL on the 2D reference target, with a 2D kind: ``oracle.norm_bins`` is a 2D setting
+HAR_2D = SO_SH_2D.replace("kind = so_sh", "kind = har_so_sh")
 
 
 def diagnostics_exit_code(out) -> int:
@@ -60,6 +61,13 @@ class TestConfigParsing:
         assert cfg.cells == (40, 40)
         assert cfg.levels_m == 32
         assert cfg.kstep_cells == (24, 24)
+
+    def test_norm_bins_is_2d_only(self):
+        assert load_config_text(MINIMAL).norm_bins == load_config_text(HAR_2D).norm_bins == 512
+        assert load_config_text(HAR_2D + "norm_bins = 64\n").norm_bins == 64
+        # even the default value: a 1D beta reads no bins
+        with pytest.raises(ConfigError, match="2D only: a 1D beta is exact over the level plan's nodes"):
+            load_config_text(MINIMAL + "norm_bins = 512\n")
 
     def test_explicit_components(self):
         text = """
@@ -144,30 +152,31 @@ kind = simple
             ("kind = so_sh", "kind = k_step\ninner_kind = so_sh", "sampler.kind"),
             ("w = 3.0", "w = 3.0\ninner_kind = so_sh", "unknown key sampler.inner_kind"),
             ("preset = twin_triangles", "preset = twin_triangles\ndim = 1", "unknown key target.dim"),
-            ("norm_bins = 128", "norm_bins = 128\n[output]\nformats = csv", "unknown key output.formats"),
+            ("tv_n_max = 10", "tv_n_max = 10\n[output]\nformats = csv", "unknown key output.formats"),
         ],
         ids=["k_step", "inner_kind", "dim", "formats"],
     )
     def test_removed_settings_exit_2(self, tmp_path, capsys, old, new, message):
         cfg_path = tmp_path / "exp.cfg"
+        assert MINIMAL.replace(old, new) != MINIMAL
         cfg_path.write_text(MINIMAL.replace(old, new))
         assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "old, new, key",
+        "base, old, new, key",
         [
-            ("norm_bins = 128", "norm_bins = 128\nkstep_cells = 200,200", "kstep_cells"),
-            ("cells = 200", "cells = 0", "cells"),
-            ("norm_bins = 128", "norm_bins = 128\nkstep_cells = 0", "kstep_cells"),
-            ("levels_m = 50", "levels_m = 0", "levels_m"),
-            ("norm_bins = 128", "norm_bins = 128\nkstep_m = 0", "kstep_m"),
-            ("k_list = 1,2", "k_list = 1,0", "k_list"),
-            ("norm_bins = 128", "norm_bins = 0", "norm_bins"),
-            ("norm_bins = 128", "norm_bins = 128\neps_cut = 0", "eps_cut"),
-            ("norm_bins = 128", "norm_bins = 128\neps_cut = 1.0", "eps_cut"),
-            ("k_max = 3", "k_max = 0", "k_max"),
-            ("tv_n_max = 10", "tv_n_max = -1", "tv_n_max"),
+            (MINIMAL, "tv_n_max = 10", "tv_n_max = 10\nkstep_cells = 200,200", "kstep_cells"),
+            (MINIMAL, "cells = 200", "cells = 0", "cells"),
+            (MINIMAL, "tv_n_max = 10", "tv_n_max = 10\nkstep_cells = 0", "kstep_cells"),
+            (MINIMAL, "levels_m = 50", "levels_m = 0", "levels_m"),
+            (MINIMAL, "tv_n_max = 10", "tv_n_max = 10\nkstep_m = 0", "kstep_m"),
+            (MINIMAL, "k_list = 1,2", "k_list = 1,0", "k_list"),
+            (HAR_2D, "tv_n_max = 10", "tv_n_max = 10\nnorm_bins = 0", "norm_bins"),
+            (MINIMAL, "tv_n_max = 10", "tv_n_max = 10\neps_cut = 0", "eps_cut"),
+            (MINIMAL, "tv_n_max = 10", "tv_n_max = 10\neps_cut = 1.0", "eps_cut"),
+            (MINIMAL, "k_max = 3", "k_max = 0", "k_max"),
+            (MINIMAL, "tv_n_max = 10", "tv_n_max = -1", "tv_n_max"),
         ],
         ids=[
             "kstep_cells_count",
@@ -183,9 +192,10 @@ kind = simple
             "tv_n_max_negative",
         ],
     )
-    def test_invalid_oracle_value_exits_2(self, tmp_path, capsys, old, new, key):
+    def test_invalid_oracle_value_exits_2(self, tmp_path, capsys, base, old, new, key):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(MINIMAL.replace(old, new))
+        assert base.replace(old, new) != base
+        cfg_path.write_text(base.replace(old, new))
         assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / "gap")]) == 2
         assert f"oracle.{key}" in capsys.readouterr().err
         assert not (tmp_path / "gap").exists()
@@ -342,6 +352,7 @@ class TestGapReportSharing:
         .replace("so_sh", "har_so_sh")
         .replace("cells = 200", "cells = 10,10\nkstep_cells = 10,10\nkstep_m = 8")
         .replace("levels_m = 40", "levels_m = 8")
+        .replace("tv_n_max = 10", "tv_n_max = 10\nnorm_bins = 128")
     )
 
     @staticmethod
@@ -532,10 +543,10 @@ class TestCliVerify:
 
         t1 = twin_triangles()
         grid = Grid.for_target(t1, 1600)
-        assert all(c.passed for c in suite.beta_closed_vs_numeric(t1, grid, 3.0, [1, 5], m=300, norm_bins=1536))
+        assert all(c.passed for c in suite.beta_closed_vs_numeric(t1, grid, 3.0, [1, 5], m=300))
         true_beta = kernels.beta_k_so_sh_closed_form
         monkeypatch.setattr(kernels, "beta_k_so_sh_closed_form", lambda target, w, k: true_beta(target, w, k) + 1e-2)
-        closeness, *_ = suite.beta_closed_vs_numeric(t1, grid, 3.0, [1, 5], m=300, norm_bins=1536)
+        closeness, *_ = suite.beta_closed_vs_numeric(t1, grid, 3.0, [1, 5], m=300)
         assert not closeness.passed
 
     def test_non_psd_level_kernels_fail(self, monkeypatch):

@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import bin_masses_1d, level_integral_kernels, min_rank_kernel, strip_level_matrix
+from oracles import (
+    beta_node_integral,
+    bin_masses_1d,
+    level_integral_kernels,
+    level_matrix_1d,
+    min_rank_kernel,
+    strip_level_matrix,
+)
 from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
 from slicegap.kernels import beta_k_so_sh_closed_form
 from slicegap.slice_geometry import level_set_1d
@@ -636,6 +643,25 @@ class TestLevelKernels:
             seen += 1
         assert seen == len(levels)
 
+    @pytest.mark.parametrize("case", ["t1-verify", "t1-criterion-2", "two-gaussian-merge"])
+    def test_1d_kernels_are_the_dense_level_matrices(self, t1, case):
+        # the plan's sets and sides against each level's own level set: verify's 12 levels on 800 cells,
+        # criterion 2's 20 levels on 2000 cells, and levels just above a merge level, whose sets hold a
+        # cell of the node below the lowest two-part one
+        if case == "two-gaussian-merge":
+            target, cells, levels = gaussian_twins_1d(), 800, [0.05167, 0.0517]
+            assert [level_set_1d(target, t).parts.nparts for t in levels] == [2, 2]
+            assert [level_set_1d(target, t - 1e-4).parts.nparts for t in levels] == [1, 1]
+        else:
+            target, cells = t1, 800 if case == "t1-verify" else 2000
+            count = 12 if case == "t1-verify" else 20
+            levels = [(j + 0.5) * 0.8 / count for j in range(count)]
+        grid = Grid.for_target(target, cells)
+        for t, K in zip(levels, level_kernels(target, grid, KernelKind.SO_SH, 3.0, levels)):
+            P, support = level_matrix_1d(target, grid, t, 3.0)
+            assert np.array_equal(K.support, support)
+            assert np.abs(K.P - P).max() <= 1e-15
+
     def test_levels_out_of_order_rejected(self, t2):
         grid = Grid.for_target(t2, (12, 12))
         with pytest.raises(ValueError, match="ascending"):
@@ -899,43 +925,59 @@ class TestBetaNumeric:
     def test_uniform_kind_is_zero(self, t1):
         grid = Grid.for_target(t1, 200)
         for k in (1, 4):
-            assert beta_k_numeric_many(t1, grid, KernelKind.UNIFORM, None, [k], m=50, norm_bins=100)[k] == 0.0
+            assert beta_k_numeric_many(t1, grid, KernelKind.UNIFORM, None, [k], m=50)[k] == 0.0
 
     def test_nonincreasing_in_k(self, t1):
         grid = Grid.for_target(t1, 400)
-        vals = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, list(range(1, 8)), m=100, norm_bins=400)
+        vals = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, list(range(1, 8)), m=100)
         seq = [vals[k] for k in range(1, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
 
     def test_matches_closed_form(self, t1):
         grid = Grid.for_target(t1, 800)
-        vals = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2], m=200, norm_bins=800)
+        vals = beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2], m=200)
         for k in (1, 2):
             assert vals[k] == pytest.approx(beta_k_so_sh_closed_form(t1, 3.0, k), abs=5e-3)
 
+    @pytest.mark.parametrize(
+        "name, cells, m", [("twin_triangles", 300, 80), ("twin_triangles", 200, 80), ("gaussian_twins_1d", 260, 80)]
+    )
+    def test_1d_is_the_exact_node_integral(self, name, cells, m):
+        # the level plan's prefix sum against a cell-by-cell sum over nodes with their own level sets; on 200
+        # and 260 cells, one side of some two-part nodes holds no cell, so their nu is 0
+        target = twin_triangles() if name == "twin_triangles" else gaussian_twins_1d()
+        grid = Grid.for_target(target, cells)
+        rho = density_on_grid(target, grid)
+        act = rho > 0.0
+        ks = [1, 2, 5, 10, 20]
+        ref = beta_node_integral(target, grid.centers[act, 0], rho[act], m, 3.0, ks)
+        vals = beta_k_numeric_many(target, grid, KernelKind.SO_SH, 3.0, ks, m)
+        assert max(abs(vals[k] - ref[k]) for k in ks) <= 1e-12
+
     def test_memory_holds_no_whole_cell_by_level_table(self, t1):
-        # at 2000 cells and m = 400 one cells x m float table is 6.1 MiB; the profile reads it ``ROW_BLOCK`` rows at
-        # a time and peaks below a quarter of it
+        # the 1D profile is one prefix sum over the level plan's nodes; the bound is a quarter of the cells x m
+        # float table (6.1 MiB at 2000 cells and m = 400) that a binned profile would read
         import tracemalloc
 
         grid = Grid.for_target(t1, 2000)
         tracemalloc.start()
         try:
-            beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2, 5, 10, 20], m=400, norm_bins=1024)
+            beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2, 5, 10, 20], m=400)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < grid.n * 400 * 8 / 4
 
-    def test_block_size_leaves_beta_unchanged(self, t1, monkeypatch):
-        # each block gives its rows' means, and beta is the max over every row: equal at any block size
+    def test_block_size_leaves_beta_unchanged(self, t2, monkeypatch):
+        # the 2D strip profile: each block gives its rows' means, and beta is the max over every row, so it is
+        # equal at any block size
         from slicegap import spectral_oracle as oracle
 
-        grid = Grid.for_target(t1, 2000)
+        grid = Grid.for_target(t2, (24, 24))
         betas = []
         for block in (7, 64, 256):
             monkeypatch.setattr(oracle, "ROW_BLOCK", block)
-            betas.append(beta_k_numeric_many(t1, grid, KernelKind.SO_SH, 3.0, [1, 2, 5, 10, 20], m=400, norm_bins=1024))
+            betas.append(beta_k_numeric_many(t2, grid, KernelKind.COMBINED, 3.0, [1, 2, 5], m=16, norm_bins=512))
         assert betas[0] == betas[1] == betas[2]
 
 
