@@ -14,21 +14,26 @@ Python floats.  The move returns the point it accepts and the density
 there, from which the next level is drawn.  ``run_chain`` binds the
 transition once per chain and ``transitions`` once per batch of
 independent starts, and ``level_moves`` binds the move of a kind once per
-batch; each writes its states into preallocated arrays.
-``_step_with_level`` and ``level_move``, the one public level move, are
-the per-call forms and bind per call.  Stepping-out plus shrinkage checks
-its start against that carried density, bit for bit equal to
-``eval_density`` there, so a step of those kinds evaluates the density
-only where the algorithm needs it.
+batch; each writes its states into preallocated arrays, ``run_chain`` a
+block of ``_BLOCK`` steps at a time.  ``_step_with_level`` and
+``level_move``, the one public level move, are the per-call forms and
+bind per call.  Stepping-out plus shrinkage checks its start against that
+carried density, bit for bit equal to ``eval_density`` there, so a step
+of those kinds evaluates the density only where the algorithm needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
+A ``so_sh`` chain reads its uniforms from ``rng.random(_BLOCK)`` blocks of
+its own generator, the same doubles in order; not the HAR kinds, which
+draw normals between uniforms, nor batches, whose generator is the caller's.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -48,8 +53,8 @@ from .targets import LineDensity, Shape, eval_density, line_builder
 
 DEFAULT_MAX_LOOP = 10_000
 
-#: trace rows converted to Python floats at a time when writing CSV
-_CSV_BLOCK = 256
+#: uniforms drawn, chain steps written and trace rows formatted at a time
+_BLOCK = 1024
 
 
 class SamplerKind(str, Enum):
@@ -87,16 +92,20 @@ class Trace:
     config: SamplerConfig = field(repr=False)
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        """Write ``step,level,x1,...,xd`` rows with 17 significant digits and CSV (``\\r\\n``) line ends."""
-        d = self.states.shape[1]
+        """Write ``step,level,x1,...,xd`` rows with 17 significant digits and CSV (``\\r\\n``) line ends.
+
+        Each ``_BLOCK`` rows are one ``%`` on the row format repeated; ``%d`` prints a float step as its integer.
+        """
+        n, d = self.states.shape
         row = "%d" + ",%.17g" * (d + 1) + "\r\n"
         with open(path, "w", newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(["step", "level"] + [f"x{i + 1}" for i in range(d)]) + "\r\n")
-            for start in range(0, self.levels.size, _CSV_BLOCK):
-                block = np.column_stack((self.levels[start : start + _CSV_BLOCK], self.states[start : start + _CSV_BLOCK]))
-                fh.writelines(row % (i, *vals) for i, vals in enumerate(block.tolist(), start))
+            for start in range(0, n, _BLOCK):
+                stop = min(start + _BLOCK, n)
+                block = np.column_stack((np.arange(start, stop), self.levels[start:stop], self.states[start:stop]))
+                fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -420,24 +429,32 @@ def transitions(target, config: SamplerConfig, starts, rng: np.random.Generator)
 def run_chain(target, config: SamplerConfig, x0, n: int, seed: int) -> Trace:
     """Run ``n`` transitions from ``x0``; deterministic in all arguments.
 
-    The transition is bound once per chain; each step runs on Python floats
-    and writes its state and level into the preallocated trace arrays.
+    The transition is bound once per chain and runs on Python floats; each block of ``_BLOCK`` steps is
+    written with one slice assignment per trace array.  A ``so_sh`` chain's binders read its scalar uniforms
+    from blocks of its generator, which no caller sees, so reading ahead changes no draw.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     rho = eval_density(target, x0)
     if rho <= 0.0:
         raise InvalidStateError(f"starting point {x0} has zero density")
-    rng = np.random.default_rng(seed)
+    rng = gen = np.random.default_rng(seed)
+    if config.kind is SamplerKind.SO_SH:  # a source with only ``random``, so any other draw fails loudly
+        blocks = iter(lambda: gen.random(_BLOCK).tolist(), None)
+        rng = types.SimpleNamespace(random=itertools.chain.from_iterable(blocks).__next__)
     step = _bind_step(target, config, rng)
     states = np.empty((n + 1, target.dim))
     levels = np.zeros(n + 1)
     states[0] = x0
     xs = x0.tolist()
-    for i in range(1, n + 1):
-        try:
-            xs, t, rho = step(xs, rho)
-        except SliceGapError as exc:
-            raise ChainError(i, exc) from exc
-        states[i] = xs
-        levels[i] = t
+    try:
+        for start in range(1, n + 1, _BLOCK):
+            block_xs, block_ts = [], []
+            for i in range(start, min(start + _BLOCK, n + 1)):
+                xs, t, rho = step(xs, rho)
+                block_xs += xs
+                block_ts.append(t)
+            states[start : i + 1] = np.reshape(block_xs, (i + 1 - start, -1))
+            levels[start : i + 1] = block_ts
+    except SliceGapError as exc:
+        raise ChainError(i, exc) from exc
     return Trace(states=states, levels=levels, seed=seed, config=config)

@@ -743,7 +743,6 @@ def _power_kernels(target, grid, kind, w, k_list, m):
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
     k_list = tuple(sorted(set(k_list)))
-    ks = sorted(set(k_list))
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
         for k in k_list:

@@ -13,7 +13,7 @@ from oracles import ArrayLineTarget, bin_masses_1d, scan_intervals_1d
 from slicegap.errors import ChainError, InvalidStateError, OffSliceError, RunawayExpansionError
 from slicegap.kernels import beta_k_so_sh_closed_form, gamma_t
 from slicegap.samplers import (
-    _CSV_BLOCK,
+    _BLOCK,
     SamplerConfig,
     SamplerKind,
     Trace,
@@ -200,7 +200,7 @@ class TestSoShStep:
         rng = np.random.default_rng(6)
         n = 50_000
         so_sh = SamplerConfig(SamplerKind.SO_SH, w=3.0)
-        ys = np.array([_step_with_level(t1, so_sh, np.array([x0]), rng)[0][0] for _ in range(n)])
+        ys = transitions(t1, so_sh, np.full((n, 1), x0), rng)[0][:, 0]
         cells = grid.locate(ys[:, None])
         row = H.P[np.searchsorted(H.support, start_cell)]
         probs = np.zeros(grid.n)
@@ -218,7 +218,7 @@ class TestSoShStep:
         n = 30_000
         starts = sample_stationary(t1, n, rng)
         so_sh = SamplerConfig(SamplerKind.SO_SH, w=3.0)
-        steps = np.array([_step_with_level(t1, so_sh, x, rng)[0][0] for x in starts])
+        steps = transitions(t1, so_sh, starts, rng)[0][:, 0]
         edges = np.linspace(-2.0, 2.0, 41)
         probs = bin_masses_1d(t1, edges)
         cells = np.clip(np.digitize(steps, edges) - 1, 0, 39)
@@ -364,7 +364,7 @@ class TestHitAndRun:
         rng = np.random.default_rng(11)
         n = 100_000
         har = SamplerConfig(SamplerKind.HAR)
-        steps = np.array([_step_with_level(t2, har, x0, rng)[0] for _ in range(n)])
+        steps = transitions(t2, har, np.tile(x0, (n, 1)), rng)[0]
         ix = np.clip(np.digitize(steps[:, 0], xedges) - 1, 0, 29)
         iy = np.clip(np.digitize(steps[:, 1], yedges) - 1, 0, 29)
         keep = ~((ix == start[0]) & (iy == start[1]))
@@ -380,7 +380,7 @@ class TestHitAndRun:
         n = 50_000
         starts = sample_stationary(t2, n, rng)
         har = SamplerConfig(SamplerKind.HAR)
-        steps = np.array([_step_with_level(t2, har, x, rng)[0] for x in starts])
+        steps = transitions(t2, har, starts, rng)[0]
         from oracles import bin_masses_2d
         from slicegap.diagnostics import chi_square_invariance
 
@@ -440,7 +440,7 @@ class TestHarSoSh:
         n = 50_000
         starts = sample_stationary(t2, n, rng)
         har_so_sh = SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0)
-        steps = np.array([_step_with_level(t2, har_so_sh, x, rng)[0] for x in starts])
+        steps = transitions(t2, har_so_sh, starts, rng)[0]
         from oracles import bin_masses_2d
         from slicegap.diagnostics import chi_square_invariance
 
@@ -534,25 +534,34 @@ class TestRunChain:
         chi2 = float((n_eff * (freq - probs) ** 2 / probs).sum())
         assert stats.chi2.sf(chi2, probs.size - 1) > 0.01
 
-    def test_step_error_carries_index(self, t1):
-        # the public-move reference loop at the same seed finds the failing transition
-        cfg = SamplerConfig(SamplerKind.SO_SH, w=0.05, max_loop=3)
-        rng, x = np.random.default_rng(1), np.array([-1.0])
-        for failing in range(1, 51):
-            t = eval_density(t1, x) * (1.0 - rng.random())
+    @staticmethod
+    def _assert_fails_where_reference_does(target, cfg, n, seed):
+        """Assert that ``run_chain`` fails where the public-move reference loop at one seed does; return the step."""
+        rng, x = np.random.default_rng(seed), np.array([-1.0])
+        for failing in range(1, n + 1):
+            t = eval_density(target, x) * (1.0 - rng.random())
             try:
-                x = level_move(t1, cfg, t, x, rng)[0]
+                x = level_move(target, cfg, t, x, rng)[0]
             except RunawayExpansionError as exc:
                 expected = exc
                 break
         else:
             pytest.fail("the reference loop never failed")
         with pytest.raises(ChainError) as excinfo:
-            run_chain(t1, cfg, np.array([-1.0]), 50, seed=1)
+            run_chain(target, cfg, np.array([-1.0]), n, seed=seed)
         assert excinfo.value.step == failing
         cause = excinfo.value.__cause__
         assert type(cause) is RunawayExpansionError and str(cause) == str(expected)
         assert excinfo.value.cause is cause
+        return failing
+
+    def test_step_error_carries_index(self, t1):
+        self._assert_fails_where_reference_does(t1, SamplerConfig(SamplerKind.SO_SH, w=0.05, max_loop=3), 50, seed=1)
+
+    def test_step_error_after_first_block_carries_index(self, t1):
+        # the failure falls in the second block of steps, after one block of states was written
+        cfg = SamplerConfig(SamplerKind.SO_SH, w=0.1, max_loop=40)
+        assert _BLOCK < self._assert_fails_where_reference_does(t1, cfg, 2 * _BLOCK + 7, seed=4) <= 2 * _BLOCK
 
     @pytest.mark.parametrize("call", ["run_chain", "level_move"])
     def test_target_is_released(self, call):
@@ -720,15 +729,24 @@ class TestChainPins:
         run_chain(target, config, target.components[0].mode, 2000, seed=2024).to_csv(tmp_path / "trace.csv")
         assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == TRACE_SHA256[case]
 
-    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
-    def test_run_chain_is_the_reference_loop(self, case, request):
+    @staticmethod
+    def _assert_reference_loop(case, n, request):
         name, config = CHAIN_CASES[case]
         target = request.getfixturevalue(name)
         x0 = np.asarray(target.components[0].mode) + 0.1
-        trace = run_chain(target, config, x0, 300, seed=31)
-        states, levels = _reference_chain(target, config, x0, 300, seed=31)
+        trace = run_chain(target, config, x0, n, seed=31)
+        states, levels = _reference_chain(target, config, x0, n, seed=31)
         assert trace.states[1:].tobytes() == states.tobytes()
         assert trace.levels[1:].tobytes() == levels.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_run_chain_is_the_reference_loop(self, case, request):
+        self._assert_reference_loop(case, 300, request)
+
+    @pytest.mark.parametrize("case", ["so_sh", "so_sh_k3", "har_so_sh"])
+    def test_run_chain_across_blocks_is_the_reference_loop(self, case, request):
+        # two write blocks and 7 steps into a third; a so_sh step draws three or more uniforms, so many uniform blocks
+        self._assert_reference_loop(case, 2 * _BLOCK + 7, request)
 
 
 def _csv_writer_bytes(trace, path, comment):
@@ -746,11 +764,11 @@ class TestTraceCsv:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_bytes_match_csv_writer(self, dim, tmp_path):
         rng = np.random.default_rng(dim)
-        n = 2 * _CSV_BLOCK + 88
+        n = 2 * _BLOCK + 88
         states = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, (n, dim))
         levels = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
         special = [-0.0, 1e-300, 1e300, 0.0, -1e300, 5e-324, 0.1]
-        for row in (0, _CSV_BLOCK - 1, _CSV_BLOCK, n - 1):
+        for row in (0, _BLOCK - 1, _BLOCK, n - 1):
             states[row] = special[:dim]
             levels[row] = special[row % len(special)]
         states[1:8, 0] = special
