@@ -26,11 +26,8 @@ from .spectral_oracle import (
     KernelKind,
     build_full_matrix,
     build_k_step_matrices,
-    build_level_matrix,
     discretize_target,
     op_norm_centered,
-    psd_check,
-    reversibility_check,
     spectral_gap,
     verify_corollary,
     verify_monotonicity,

@@ -110,7 +110,7 @@ class ExperimentConfig:
         if self.levels_m is None:
             self.levels_m = 400 if d == 1 else 32
         if self.norm_bins is None:
-            self.norm_bins = 512
+            self.norm_bins = oracle.NORM_BINS
         elif d == 1:
             raise ConfigError("oracle.norm_bins is 2D only: a 1D beta is exact over the level plan's nodes")
         if self.kstep_cells is None:

@@ -15,11 +15,12 @@ there, from which the next level is drawn.  ``run_chain`` binds the
 transition once per chain and ``transitions`` once per batch of
 independent starts, and ``level_moves`` binds the move of a kind once per
 batch; each writes its states into preallocated arrays, ``run_chain`` a
-block of ``_BLOCK`` steps at a time.  ``_step_with_level`` and
-``level_move``, the one public level move, are the per-call forms and
-bind per call.  Stepping-out plus shrinkage checks its start against that
-carried density, bit for bit equal to ``eval_density`` there, so a step
-of those kinds evaluates the density only where the algorithm needs it.
+block of ``_BLOCK`` steps at a time.  No other binding exists.  Every
+density that a level draw reads comes from the line builder, bit for bit
+equal to ``eval_density``: the start's, and then the one each move
+carries.  Stepping-out plus shrinkage checks its start against that
+carried density, so a step of those kinds evaluates the density only
+where the algorithm needs it.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 chains are reproducible bit-for-bit for a fixed seed within one build.
@@ -284,14 +285,6 @@ _MOVES = {
 }
 
 
-def _floats(x, dim: int) -> list[float]:
-    """A point (array, sequence or scalar) of dimension ``dim`` as a list of Python floats."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
-    if len(xs) != dim:
-        raise ValueError(f"state {x} does not have the target dimension {dim}")
-    return xs
-
-
 def _rows(starts, dim: int) -> np.ndarray:
     """Starts of shape (n, ``dim``) as a float array; any other shape is refused, never reshaped."""
     starts = np.asarray(starts, dtype=float)
@@ -300,23 +293,13 @@ def _rows(starts, dim: int) -> np.ndarray:
     return starts
 
 
-def level_move(target, config: SamplerConfig, t: float, x, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One level move of ``config.kind`` from ``x`` at level ``t``: the point it accepts and the density there.
-
-    Bound per call with ``config.w`` and ``config.max_loop``; ``config.k_inner``
-    belongs to the transition and is not read.
-    """
-    ys, rho = _MOVES[config.kind](target, rng, config.w, config.max_loop)(t, _floats(x, target.dim))
-    return np.array(ys), rho
-
-
 def level_moves(
     target, config: SamplerConfig, t: float, starts, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """One level move at level ``t`` from each row of ``starts`` (n, d): the points accepted and the densities there.
 
-    The move is bound once; the draws are those of ``level_move`` called on
-    the rows in order with the same ``rng``, bit for bit.
+    The move is bound once; the draws are those of the kind's move bound per call on the rows in order
+    with the same ``rng``, bit for bit.
     """
     starts = _rows(starts, target.dim)
     move = _MOVES[config.kind](target, rng, config.w, config.max_loop)
@@ -395,34 +378,19 @@ def _bind_step(target, config: SamplerConfig, rng):
     return step
 
 
-def _step_with_level(
-    target, config: SamplerConfig, x: np.ndarray, rng, rho: float | None = None
-) -> tuple[np.ndarray, float, float]:
-    """One transition: a level draw, then ``config.k_inner`` level moves at that level.
-
-    ``rho`` is the density at ``x`` when the caller already has it.  Returns
-    the new state, the level and the density at the new state.
-    """
-    xs = _floats(x, target.dim)
-    if rho is None:
-        rho = eval_density(target, x)
-    xs, t, rho = _bind_step(target, config, rng)(xs, rho)
-    return np.array(xs), t, rho
-
-
 def transitions(target, config: SamplerConfig, starts, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One transition from each row of ``starts`` (n, d): the new states and the levels drawn.
 
-    The transition is bound once and the start densities come from one
-    ``target.density`` call, which equals ``eval_density`` on each row bit for
-    bit and draws nothing; the draws are those of ``_step_with_level`` called
-    on the rows in order with the same ``rng``.
+    The transition is bound once, and each start's density comes from the line builder, as ``eval_density``'s
+    does; so the draws are those of the transition bound per call on the rows in order with the same ``rng``,
+    bit for bit.
     """
     starts = _rows(starts, target.dim)
-    step, rho = _bind_step(target, config, rng), target.density(starts)
+    step, build, zeros = _bind_step(target, config, rng), line_builder(target), [0.0] * target.dim
     states, levels = np.empty_like(starts), np.empty(len(starts))
     for i in range(len(starts)):
-        states[i], levels[i], _ = step(starts[i].tolist(), float(rho[i]))
+        xs = starts[i].tolist()
+        states[i], levels[i], _ = step(xs, build(xs, zeros)(0.0))
     return states, levels
 
 

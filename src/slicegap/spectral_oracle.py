@@ -14,7 +14,8 @@ and reversible by construction, with the discretized target as its
 stationary weights.  A level-plan kernel applies P v from its prefix
 table by cumulative sums over nodes, in O(n + nodes), and assembles P
 only when a check first reads it; 1D level kernels read their cells and
-sides from it, and the 1D beta profile is exact over its nodes.  The 2D
+sides from it, and the 1D beta profile is exact over its nodes; the 2D
+beta profile is the exact level integral of its binned norms.  The 2D
 level matrices come from one walk over the nodes in a single buffer, each
 node adding only the weight changes of its strips; each matrix handed out
 is a view that later nodes overwrite.  Norms are read off one self-adjoint
@@ -28,9 +29,7 @@ plan kernel, at every size.  No scipy module is imported.  Every kernel
 has ``apply`` (P v) and ``positivity``: a dense kernel's smallest
 eigenvalue, or a plan kernel's certificate, the least of the weights its
 table is built from.  ``reversibility_residual`` tests detailed balance
-through products; the dense ``psd_check`` and ``reversibility_check``
-remain as oracles, the latter reading P against its transpose in blocks
-of ``ROW_BLOCK`` rows.
+through products.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
@@ -67,8 +66,11 @@ TOL_MT = 1e-3  # Doeblin bound on gap(U)
 TOL_TV = 1e-8  # geometric TV decay
 TV_N_MAX = 50
 
-#: rows per block where a check or a gather reads a matrix, or the 2D β profile its cells x m level table, a
-#: block of rows at a time; every reader returns the same values at any block size
+#: equal level bins of a 2D strip kind's beta profile
+NORM_BINS = 512
+
+#: rows per block where the symmetry guard or a plan's gather reads a matrix; both return the same values at
+#: any block size
 ROW_BLOCK = 64
 
 #: Lanczos steps after which a norm falls back to the dense ``spectrum``
@@ -716,11 +718,6 @@ def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
         yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=plan.support[cells])
 
 
-def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
-    """Discretized level kernel at level ``t``: ``level_kernels`` at that one level."""
-    return next(level_kernels(target, grid, kind, w, [t]))
-
-
 def build_full_matrix(target, grid: Grid, kind: KernelKind, w: float | None = None, m: int = 64) -> DiscreteKernel:
     """Full transition matrix: the level integral of level kernels."""
     return dict(_power_kernels(target, grid, kind, w, (1,), m))[1]
@@ -837,24 +834,6 @@ def spectral_gap(K: DiscreteKernel) -> float:
     return 1.0 - op_norm_centered(K)
 
 
-def psd_check(K: DiscreteKernel) -> float:
-    """Smallest eigenvalue of the similarity transform D^(1/2) P D^(-1/2), from ``spectrum``."""
-    return spectrum(K)[1]
-
-
-def reversibility_check(K: DiscreteKernel) -> float:
-    """Largest detailed-balance residual max_ij |pi_i P_ij - pi_j P_ji|."""
-    worst = []
-    # a block of rows of the flow against the same columns, so no n x n flow or transpose is made
-    for start in range(0, K.n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        residual = K.pi[rows, None] * K.P[rows]
-        residual -= (K.pi[:, None] * K.P[:, rows]).T
-        worst.append(np.abs(residual, out=residual).max())
-    # np.max, unlike max, keeps a NaN
-    return float(np.max(worst, initial=0.0))
-
-
 def reversibility_residual(K: DiscreteKernel) -> float:
     """Detailed balance read through products, after Freivalds (1977): 0 when P is pi-reversible.
 
@@ -877,32 +856,36 @@ def reversibility_residual(K: DiscreteKernel) -> float:
 
 
 def beta_k_numeric_many(
-    target, grid: Grid, kind: KernelKind, w, k_list, m: int, norm_bins: int = 1024
+    target, grid: Grid, kind: KernelKind, w, k_list, m: int, norm_bins: int = NORM_BINS
 ) -> dict[int, float]:
     """beta_k = sup_x ((1/rho(x)) int_0^rho(x) nu_t^(2k) dt)^(1/2), nu_t the level kernel's centered norm.
 
-    On a level plan (1D, or the uniform kind) it is exact over the plan's nodes, the prefix sum that builds
-    H, with nu = 1 - gamma where both sides hold cells, else 0; ``norm_bins`` is not read.  A 2D strip kind
-    takes nu by ``spectrum`` on ``norm_bins`` equal bins over (0, max density] and averages it over ``m``
-    midpoint levels per cell, ``ROW_BLOCK`` cells at a time.
+    nu is constant on level intervals, and a cell's integral is the exclusive prefix sum of width nu^(2k)
+    up to its top interval plus the part of that interval below rho(x).  On a level plan (1D, or the
+    uniform kind) the intervals are the plan's nodes, the prefix sum that builds H, with nu = 1 - gamma
+    where both sides hold cells, else 0, and the top interval is the cell's own node, so beta is exact;
+    ``norm_bins`` is not read.  A 2D strip kind takes nu by ``spectrum`` at the midpoints of ``norm_bins``
+    equal bins over (0, max density] and integrates that binned nu exactly, the top bin in part; ``m`` is
+    not read.
     """
-    ks = sorted(set(k_list))
     if grid.dim == 1 or kind is KernelKind.UNIFORM:
         plan = _level_plan(target, grid, m)
-        gamma = plan.gamma(kind, w, 1)
-        nu = 0.0 if gamma is None else np.where(plan.side_count.min(axis=0) > 0, 1.0 - gamma, 0.0)
-        return {k: math.sqrt(np.max(np.cumsum(plan.width * nu ** (2 * k))[plan.rank] / plan.rho)) for k in ks}
-    plan = _strip_plan(target, grid, kind)
-    width = float(plan.rho.max()) / norm_bins
-    levels = (np.arange(norm_bins) + 0.5) * width
-    _, first, bins = np.unique(np.searchsorted(plan.levels, levels - LEVEL_TOL), return_index=True, return_inverse=True)
-    nus = np.array([spectrum(K)[0] for K in level_kernels(target, grid, kind, w, levels[first])])[bins]
-    offsets, tops = (np.arange(m) + 0.5) / m, []
-    for start in range(0, plan.rho.size, ROW_BLOCK):
-        bins = (offsets[None, :] * plan.rho[start : start + ROW_BLOCK, None] / width).astype(int)
-        nu_rows = nus[np.minimum(bins, nus.size - 1)]
-        tops.append([np.max(np.mean(nu_rows ** (2 * k), axis=1)) for k in ks])
-    return dict(zip(ks, np.sqrt(np.max(tops, axis=0)).tolist()))
+        gamma, width, top, part = plan.gamma(kind, w, 1), plan.width, plan.rank, plan.width[plan.rank]
+        nu = np.zeros(width.size) if gamma is None else np.where(plan.side_count.min(axis=0) > 0, 1.0 - gamma, 0.0)
+    else:
+        plan = _strip_plan(target, grid, kind)
+        step = float(plan.rho.max()) / norm_bins
+        levels = (np.arange(norm_bins) + 0.5) * step
+        _, first, bins = np.unique(np.searchsorted(plan.levels, levels - LEVEL_TOL), return_index=True, return_inverse=True)
+        nu = np.array([spectrum(K)[0] for K in level_kernels(target, grid, kind, w, levels[first])])[bins]
+        width, top = np.full(norm_bins, step), np.minimum((plan.rho / step).astype(int), norm_bins - 1)
+        part = plan.rho - top * step
+    betas, below = {}, np.zeros(width.size + 1)  # below[j]: the integral over the intervals under interval j
+    for k in sorted(set(k_list)):
+        power = nu ** (2 * k)
+        np.cumsum(width * power, out=below[1:])
+        betas[k] = math.sqrt(np.max((below[top] + part * power[top]) / plan.rho))
+    return betas
 
 
 # -- inequality verifiers ------------------------------------------------------
@@ -917,7 +900,7 @@ def verify_theorem_bounds(
     m: int,
     k_max: int = 1,
     tv_n_max: int = TV_N_MAX,
-    norm_bins: int = 1024,
+    norm_bins: int = NORM_BINS,
     kstep_grid: Grid | None = None,
     kstep_m: int | None = None,
 ) -> GapReport:
@@ -927,7 +910,9 @@ def verify_theorem_bounds(
     level matrices never coexist with the kernels.  U is reduced to gap(U)
     and its reversibility residual, then released.  The k-step set covers
     ``k_list`` and 1..``k_max`` on ``kstep_grid`` with ``kstep_m`` levels (by
-    default the main grid and ``m``) and is walked one kernel at a time,
+    default the main grid and ``m``; on a 2D strip kind ``m`` and ``kstep_m``
+    refine only U, and each beta reads ``norm_bins`` level bins instead) and
+    is walked one kernel at a time,
     each kept only as its norm; when those are the main ones, its k=1 kernel
     is H and the corollary reuses gap(U) and beta, else H and its dense
     positivity solve, the largest working set, come before that set.  U and

@@ -14,14 +14,25 @@ plan's matrix through one n x n min-rank index, the reference for the
 plan's blocked gather.  ``ArrayLineTarget`` runs the samplers'
 single-point evaluations through the array ``density`` instead of the
 scalar line densities.
+
+``level_move`` and ``step_with_level`` bind a sampler's move or transition
+per call, the reference that the package's per-chain and per-batch bindings
+must reproduce draw for draw.  ``build_level_matrix`` takes one level
+kernel from the oracle, and the dense ``psd_check`` and
+``reversibility_check`` read a kernel's smallest eigenvalue and its largest
+detailed-balance residual off P itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from slicegap import spectral_oracle as oracle
 from slicegap.kernels import gamma_t, mixture_weight
+from slicegap.samplers import _MOVES, SamplerConfig, _bind_step
 from slicegap.slice_geometry import level_set_1d
+from slicegap.spectral_oracle import DiscreteKernel, Grid, KernelKind, level_kernels, spectrum
+from slicegap.targets import eval_density
 
 
 def scan_intervals_1d(target, t, lo, hi, n=2_000_001):
@@ -279,3 +290,59 @@ class ArrayLineTarget:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return lambda s: float(self._target.density(x + s * theta))
+
+
+def _floats(x, dim: int) -> list[float]:
+    """A point (array, sequence or scalar) of dimension ``dim`` as a list of Python floats."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+    if len(xs) != dim:
+        raise ValueError(f"state {x} does not have the target dimension {dim}")
+    return xs
+
+
+def level_move(target, config: SamplerConfig, t: float, x, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One level move of ``config.kind`` from ``x`` at level ``t``: the point it accepts and the density there.
+
+    Bound per call with ``config.w`` and ``config.max_loop``; ``config.k_inner``
+    belongs to the transition and is not read.
+    """
+    ys, rho = _MOVES[config.kind](target, rng, config.w, config.max_loop)(t, _floats(x, target.dim))
+    return np.array(ys), rho
+
+
+def step_with_level(
+    target, config: SamplerConfig, x: np.ndarray, rng, rho: float | None = None
+) -> tuple[np.ndarray, float, float]:
+    """One transition: a level draw, then ``config.k_inner`` level moves at that level.
+
+    ``rho`` is the density at ``x`` when the caller already has it.  Returns
+    the new state, the level and the density at the new state.
+    """
+    xs = _floats(x, target.dim)
+    if rho is None:
+        rho = eval_density(target, x)
+    xs, t, rho = _bind_step(target, config, rng)(xs, rho)
+    return np.array(xs), t, rho
+
+
+def build_level_matrix(target, grid: Grid, t: float, kind: KernelKind, w: float | None = None) -> DiscreteKernel:
+    """Discretized level kernel at level ``t``: ``level_kernels`` at that one level."""
+    return next(level_kernels(target, grid, kind, w, [t]))
+
+
+def psd_check(K: DiscreteKernel) -> float:
+    """Smallest eigenvalue of the similarity transform D^(1/2) P D^(-1/2), from ``spectrum``."""
+    return spectrum(K)[1]
+
+
+def reversibility_check(K: DiscreteKernel) -> float:
+    """Largest detailed-balance residual max_ij |pi_i P_ij - pi_j P_ji|."""
+    worst = []
+    # a block of rows of the flow against the same columns, so no n x n flow or transpose is made
+    for start in range(0, K.n, oracle.ROW_BLOCK):
+        rows = slice(start, start + oracle.ROW_BLOCK)
+        residual = K.pi[rows, None] * K.P[rows]
+        residual -= (K.pi[:, None] * K.P[:, rows]).T
+        worst.append(np.abs(residual, out=residual).max())
+    # np.max, unlike max, keeps a NaN
+    return float(np.max(worst, initial=0.0))

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bin_masses_1d, bin_masses_2d
+from oracles import bin_masses_1d, bin_masses_2d, reversibility_check
 from slicegap.diagnostics import chi_square_invariance, detailed_balance_test
 from slicegap.samplers import SamplerConfig, SamplerKind, sample_stationary, stepping_out, transitions
 from slicegap.spectral_oracle import (
@@ -26,7 +26,6 @@ from slicegap.spectral_oracle import (
     build_full_matrix,
     build_k_step_matrices,
     op_norm_centered,
-    reversibility_check,
     spectral_gap,
     verify_corollary,
     verify_monotonicity,

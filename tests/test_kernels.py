@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import build_level_matrix, psd_check, reversibility_check
 from slicegap.errors import OutOfClassError
 from slicegap.kernels import (
     beta_k_so_sh_closed_form,
@@ -17,10 +18,7 @@ from slicegap.spectral_oracle import (
     Grid,
     KernelKind,
     beta_k_numeric_many,
-    build_level_matrix,
     op_norm_centered,
-    psd_check,
-    reversibility_check,
 )
 from slicegap.targets import QuasiConcaveComponent, Shape, TargetDensity, uniform_ball
 

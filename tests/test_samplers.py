@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import ArrayLineTarget, bin_masses_1d, scan_intervals_1d
+from oracles import ArrayLineTarget, bin_masses_1d, level_move, scan_intervals_1d, step_with_level
 from slicegap.errors import ChainError, InvalidStateError, OffSliceError, RunawayExpansionError
 from slicegap.kernels import beta_k_so_sh_closed_form, gamma_t
 from slicegap.samplers import (
@@ -17,8 +17,7 @@ from slicegap.samplers import (
     SamplerConfig,
     SamplerKind,
     Trace,
-    _step_with_level,
-    level_move,
+    _bind_step,
     level_moves,
     read_trace_csv,
     run_chain,
@@ -168,7 +167,7 @@ class TestSoShStep:
         t = 0.4
         iv = level_set_1d(tri, t).parts.intervals[0]
         cfg = SamplerConfig(SamplerKind.SO_SH, w=3.0)
-        ys = np.array([level_move(tri, cfg, t, np.array([0.1]), rng)[0][0] for _ in range(30_000)])
+        ys = level_moves(tri, cfg, t, np.full((30_000, 1), 0.1), rng)[0][:, 0]
         assert stats.kstest((ys - iv.lo) / iv.length, "uniform").pvalue > 0.01
 
     def test_level_kernel_matches_mixture(self, t1):
@@ -179,7 +178,7 @@ class TestSoShStep:
         gamma = gamma_t(ls, w)
         left, right = ls.parts.intervals
         cfg = SamplerConfig(SamplerKind.SO_SH, w=w)
-        ys = np.array([level_move(t1, cfg, t, np.array([-1.0]), rng)[0][0] for _ in range(n)])
+        ys = level_moves(t1, cfg, t, np.full((n, 1), -1.0), rng)[0][:, 0]
         edges_l = np.linspace(left.lo, left.hi, 13)
         edges_r = np.linspace(right.lo, right.hi, 13)
         counts = np.concatenate([np.histogram(ys, edges_l)[0], np.histogram(ys, edges_r)[0]])
@@ -237,7 +236,7 @@ class TestDensityEvaluations:
         target = CountingLines(uniform_interval(0.0, 1.0))
         rng = FakeRng([0.25, 0.5, 0.9, 0.5])
         cfg = SamplerConfig(SamplerKind.SO_SH, w=0.3)
-        y, t, rho = _step_with_level(target, cfg, np.array([0.5]), rng, rho=1.0)
+        y, t, rho = _bind_step(target, cfg, rng)([0.5], 1.0)
         left, right, shrunk = [0.35, 0.05, -0.25], [0.65, 0.95, 1.25], [1.1, 0.425]
         assert [p[0] for p in target.points] == pytest.approx(left + right + shrunk)
         assert [0.5] not in target.points
@@ -250,11 +249,11 @@ class TestDensityEvaluations:
         target = CountingLines(uniform_ball((0.0, 0.0), 1.0))
         rng = FakeRng([0.25, 0.5, 0.9, 0.5], normals=[[0.0, 2.0]])
         cfg = SamplerConfig(SamplerKind.HAR_SO_SH, w=0.5)
-        y, t, rho = _step_with_level(target, cfg, np.array([0.6, 0.0]), rng, rho=1.0)
+        y, t, rho = _bind_step(target, cfg, rng)([0.6, 0.0], 1.0)
         left, right, shrunk = [-0.25, -0.75, -1.25], [0.25, 0.75, 1.25], [1.0, -0.125]
         assert target.points == [[0.6, s] for s in left + right + shrunk]
         assert [0.6, 0.0] not in target.points
-        assert (y.tolist(), t, rho) == ([0.6, -0.125], 0.75, 1.0)
+        assert (y, t, rho) == ([0.6, -0.125], 0.75, 1.0)
         assert rng.values == [] and rng.normals == []
 
 
@@ -268,7 +267,7 @@ class TestSimpleSlice:
 
     def test_zero_density_state_rejected(self, t1):
         with pytest.raises(InvalidStateError):
-            _step_with_level(t1, SamplerConfig(SamplerKind.SIMPLE), np.array([5.0]), np.random.default_rng(0))
+            transitions(t1, SamplerConfig(SamplerKind.SIMPLE), np.array([[5.0]]), np.random.default_rng(0))
 
     def test_invariance(self, t1):
         rng = np.random.default_rng(9)
@@ -489,7 +488,7 @@ class TestKStep:
             for _ in range(3):
                 x, _ = level_move(t1, cfg, t, x, rng)
             assert trace.levels[i] == t and np.array_equal(trace.states[i], x)
-        first = _step_with_level(t1, cfg, trace.states[0], np.random.default_rng(4))[0]
+        first = step_with_level(t1, cfg, trace.states[0], np.random.default_rng(4))[0]
         assert np.array_equal(first, trace.states[1])
 
     def test_k_must_be_positive(self, t1):
@@ -536,7 +535,7 @@ class TestRunChain:
 
     @staticmethod
     def _assert_fails_where_reference_does(target, cfg, n, seed):
-        """Assert that ``run_chain`` fails where the public-move reference loop at one seed does; return the step."""
+        """Assert that ``run_chain`` fails where the per-call reference loop at one seed does; return the step."""
         rng, x = np.random.default_rng(seed), np.array([-1.0])
         for failing in range(1, n + 1):
             t = eval_density(target, x) * (1.0 - rng.random())
@@ -563,7 +562,7 @@ class TestRunChain:
         cfg = SamplerConfig(SamplerKind.SO_SH, w=0.1, max_loop=40)
         assert _BLOCK < self._assert_fails_where_reference_does(t1, cfg, 2 * _BLOCK + 7, seed=4) <= 2 * _BLOCK
 
-    @pytest.mark.parametrize("call", ["run_chain", "level_move"])
+    @pytest.mark.parametrize("call", ["run_chain", "level_moves"])
     def test_target_is_released(self, call):
         # a name no other target has, so no equal target met earlier can stand in for this one
         target = dataclasses.replace(twin_triangles(), name=f"released-by-{call}")
@@ -572,7 +571,7 @@ class TestRunChain:
         if call == "run_chain":
             run_chain(target, cfg, np.array([-1.0]), 20, seed=1)
         else:
-            level_move(target, cfg, 0.5, np.array([-1.0]), np.random.default_rng(1))
+            level_moves(target, cfg, 0.5, np.array([[-1.0]]), np.random.default_rng(1))
         del target
         gc.collect()
         assert ref() is None
@@ -638,28 +637,28 @@ def _reference_chain(target, config, x0, n, seed):
 class TestLevelMove:
     @pytest.mark.parametrize("case", ["simple", "so_sh", "har", "har_so_sh"])
     def test_k_inner_is_not_read(self, case, request):
-        # k_inner repeats the move inside a transition; one call of level_move is one move
+        # k_inner repeats the move inside a transition; one level move is one move
         name, config = CHAIN_CASES[case]
         target = request.getfixturevalue(name)
-        x = np.asarray(target.components[0].mode) + 0.1
+        x = (np.asarray(target.components[0].mode) + 0.1)[None]
         rngs = np.random.default_rng(6), np.random.default_rng(6)
-        one = level_move(target, config, 0.5, x, rngs[0])
-        three = level_move(target, dataclasses.replace(config, k_inner=3), 0.5, x, rngs[1])
-        assert one[0].tobytes() == three[0].tobytes() and one[1] == three[1]
+        one = level_moves(target, config, 0.5, x, rngs[0])
+        three = level_moves(target, dataclasses.replace(config, k_inner=3), 0.5, x, rngs[1])
+        assert one[0].tobytes() == three[0].tobytes() and one[1].tobytes() == three[1].tobytes()
         assert rngs[0].random() == rngs[1].random()
 
     def test_axis_kind_rejects_two_dimensions(self, t2):
         with pytest.raises(ValueError, match="one-dimensional target"):
-            level_move(t2, SamplerConfig(SamplerKind.SO_SH, w=3.0), 0.5, np.zeros(2), np.random.default_rng(0))
+            level_moves(t2, SamplerConfig(SamplerKind.SO_SH, w=3.0), 0.5, np.zeros((1, 2)), np.random.default_rng(0))
 
     @pytest.mark.parametrize("case", ["simple", "simple_2d", "so_sh", "har", "har_so_sh"])
     def test_state_of_another_dimension_rejected(self, case, request):
         # the axis and line moves read the coordinates they zip with, so a short or long state must fail here
         name, config = CHAIN_CASES[case]
         target = request.getfixturevalue(name)
-        x = np.zeros(3 - target.dim)
-        with pytest.raises(ValueError, match="does not have the target dimension"):
-            level_move(target, config, 0.5, x, np.random.default_rng(0))
+        x = np.zeros((1, 3 - target.dim))
+        with pytest.raises(ValueError, match="trailing axis"):
+            level_moves(target, config, 0.5, x, np.random.default_rng(0))
 
 
 #: (target, kind) of the batch tests: every kind on each target whose dimension it allows
@@ -686,7 +685,7 @@ class TestBatches:
         target, config, starts = _batch_case(name, kind, k_inner, request)
         batch, loop = np.random.default_rng(3), np.random.default_rng(3)
         states, levels = transitions(target, config, starts, batch)
-        steps = [_step_with_level(target, config, x, loop) for x in starts]
+        steps = [step_with_level(target, config, x, loop) for x in starts]
         assert states.tobytes() == np.array([step[0] for step in steps]).tobytes()
         assert levels.tobytes() == np.array([step[1] for step in steps]).tobytes()
         assert batch.bit_generator.state == loop.bit_generator.state
@@ -702,6 +701,18 @@ class TestBatches:
         moves = [level_move(target, config, t, x, loop) for x in starts]
         assert states.tobytes() == np.array([move[0] for move in moves]).tobytes()
         assert dens.tobytes() == np.array([move[1] for move in moves]).tobytes()
+        assert batch.bit_generator.state == loop.bit_generator.state
+
+    def test_start_densities_are_the_per_call_loops(self, t2):
+        # on 14 of these starts the array density differs from eval_density in its last bit, and so does the
+        # level drawn below it; each start density must come from the line builder, as the per-call loop's does
+        starts = sample_stationary(t2, 50_000, np.random.default_rng(12))
+        config = SamplerConfig(SamplerKind.HAR_SO_SH, w=3.0)
+        batch, loop = np.random.default_rng(5), np.random.default_rng(5)
+        states, levels = transitions(t2, config, starts, batch)
+        steps = [step_with_level(t2, config, x, loop) for x in starts]
+        assert levels.tobytes() == np.array([step[1] for step in steps]).tobytes()
+        assert states.tobytes() == np.array([step[0] for step in steps]).tobytes()
         assert batch.bit_generator.state == loop.bit_generator.state
 
     def test_zero_density_start_rejected(self, t1):

@@ -7,9 +7,12 @@ import pytest
 from oracles import (
     beta_node_integral,
     bin_masses_1d,
+    build_level_matrix,
     level_integral_kernels,
     level_matrix_1d,
     min_rank_kernel,
+    psd_check,
+    reversibility_check,
     strip_level_matrix,
 )
 from slicegap.errors import CoverageError, EmptyLevelSetError, OutOfClassError, UnsupportedShapeError
@@ -23,13 +26,10 @@ from slicegap.spectral_oracle import (
     beta_k_numeric_many,
     build_full_matrix,
     build_k_step_matrices,
-    build_level_matrix,
     density_on_grid,
     discretize_target,
     level_kernels,
     op_norm_centered,
-    psd_check,
-    reversibility_check,
     reversibility_residual,
     spectral_gap,
     spectrum,
@@ -968,17 +968,34 @@ class TestBetaNumeric:
             tracemalloc.stop()
         assert peak < grid.n * 400 * 8 / 4
 
-    def test_block_size_leaves_beta_unchanged(self, t2, monkeypatch):
-        # the 2D strip profile: each block gives its rows' means, and beta is the max over every row, so it is
-        # equal at any block size
-        from slicegap import spectral_oracle as oracle
+    def test_2d_is_the_node_integral(self, t2):
+        # nu is constant between the strip nodes, which lie among the cell and component densities: the exact
+        # integral takes one spectrum per interval of positive width and sums each cell's intervals below it
+        grid, ks = Grid.for_target(t2, (12, 12)), [1, 2, 5]
+        rho = density_on_grid(t2, grid)
+        rho, centers = rho[rho > 0.0], grid.centers[rho > 0.0]
+        nodes = np.unique(np.concatenate([rho] + [np.asarray(comp.density(centers)) for comp in t2.components]))
+        widths = np.diff(nodes, prepend=0.0)
+        nus = np.zeros(nodes.size)
+        mids = (nodes - widths / 2)[widths > 0.0]
+        nus[widths > 0.0] = [spectrum(K)[0] for K in level_kernels(t2, grid, KernelKind.COMBINED, 3.0, mids)]
+        reached = nodes[None, :] <= rho[:, None]
+        vals = beta_k_numeric_many(t2, grid, KernelKind.COMBINED, 3.0, ks, m=16, norm_bins=512)
+        for k in ks:
+            assert abs(vals[k] - np.sqrt(np.max(reached @ (widths * nus ** (2 * k)) / rho))) <= 2e-3
 
-        grid = Grid.for_target(t2, (24, 24))
-        betas = []
-        for block in (7, 64, 256):
-            monkeypatch.setattr(oracle, "ROW_BLOCK", block)
-            betas.append(beta_k_numeric_many(t2, grid, KernelKind.COMBINED, 3.0, [1, 2, 5], m=16, norm_bins=512))
-        assert betas[0] == betas[1] == betas[2]
+    def test_2d_integrates_its_binned_norms(self, t2):
+        # each bin of nu adds the part of it below rho(x), clipped to the bin: the top bin counts in part
+        grid, ks, bins = Grid.for_target(t2, (12, 12)), [1, 2, 5], 512
+        rho = density_on_grid(t2, grid)
+        rho = rho[rho > 0.0]
+        step = rho.max() / bins
+        levels = (np.arange(bins) + 0.5) * step
+        nus = np.array([spectrum(K)[0] for K in level_kernels(t2, grid, KernelKind.COMBINED, 3.0, levels)])
+        below = np.clip(rho[:, None] - np.arange(bins) * step, 0.0, step)
+        vals = beta_k_numeric_many(t2, grid, KernelKind.COMBINED, 3.0, ks, m=16, norm_bins=bins)
+        for k in ks:
+            assert abs(vals[k] - np.sqrt(np.max(below @ nus ** (2 * k) / rho))) <= 1e-12
 
 
 @pytest.fixture(scope="module")

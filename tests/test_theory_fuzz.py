@@ -22,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import psd_check, reversibility_check
 from slicegap.errors import OutOfClassError
 from slicegap.kernels import beta_k_so_sh_closed_form, gamma_t
 from slicegap.slice_geometry import level_set_1d
@@ -33,8 +34,6 @@ from slicegap.spectral_oracle import (
     build_k_step_matrices,
     discretize_target,
     op_norm_centered,
-    psd_check,
-    reversibility_check,
     spectrum,
     verify_theorem_bounds,
 )
