@@ -26,18 +26,20 @@ it once with ``eigvalsh`` for the centered norm and the smallest
 eigenvalue, where the whole spectrum is needed; a norm alone comes from
 Lanczos with full reorthogonalisation, on the level plan's product for a
 plan kernel, at every size.  No scipy module is imported.  Every kernel
-has ``apply`` (P v) and ``positivity``: a dense kernel's smallest
-eigenvalue, or a plan kernel's certificate, the least of the weights its
-table is built from.  ``reversibility_residual`` tests detailed balance
-through products.
+has ``apply`` (P v) and ``positivity``: a level or strip plan kernel's
+certificate, the least of the weights it is built from, or else a dense
+kernel's smallest eigenvalue.  ``reversibility_residual`` tests detailed
+balance through products.
 
 Each ``verify_*`` function checks inequalities of the gap theory, with an
 explicit margin, on the gaps and norms it is given (the TV bound alone
 iterates a kernel).  ``verify_theorem_bounds`` is the one place that
 makes the kernels of a gap report, each once, and runs every check: it
-reduces U to numbers and releases it, then walks the k-step set one
-kernel at a time, and reads U and H only through ``apply`` and
-``positivity``, so a 1D report makes no n x n array.
+reduces U and H to numbers where each is made and releases it, walks the
+k-step set one kernel at a time (H is its k=1 kernel on a shared grid),
+and reads U and H only through ``apply``, ``positivity`` and their
+norms, so a 1D report makes no n x n array and a 2D report holds one
+dense kernel at a time.
 """
 
 from __future__ import annotations
@@ -86,7 +88,11 @@ class KernelKind(str, Enum):
 
 @dataclass(eq=False)
 class Grid:
-    """Regular cell grid covering the support of a target."""
+    """Regular cell grid covering the support of a target.
+
+    Each centre is taken from its nearer edge, the middle one of an odd count
+    as the box centre, so the centres mirror about the box centre bit for bit.
+    """
 
     bounds: tuple[tuple[float, float], ...]
     shape: tuple[int, ...]
@@ -101,7 +107,9 @@ class Grid:
             if hi <= lo or cells < 1:
                 raise ValueError("grid bounds must be increasing and cell counts positive")
             h = (hi - lo) / cells
-            axes.append(lo + h * (np.arange(cells) + 0.5))
+            i = np.arange(cells) + 0.5  # cell centres in cells from lo
+            axes.append(np.where(i < cells / 2, lo + h * i, hi - h * (cells - i)))
+            axes[-1][i == cells / 2] = (lo + hi) / 2
             vol *= h
         self.axes = axes
         if len(axes) == 1:
@@ -150,6 +158,8 @@ class DiscreteKernel:
     pi: np.ndarray
     label: str = ""
     support: np.ndarray | None = None
+    #: the least weight of the Gram terms its maker summed into P, which shows P PSD when nonnegative (None: not given)
+    certificate: float | None = None
     _norm: float | None = field(default=None, init=False, repr=False)
     #: ||C v - theta v|| of the Ritz pair that gave the norm, when Lanczos gave it (None: ``spectrum`` did)
     residual: float | None = field(default=None, init=False, repr=False)
@@ -181,8 +191,9 @@ class DiscreteKernel:
         return self.P @ v
 
     def positivity(self) -> float:
-        """Nonnegative when P is shown PSD on L2(pi): here its smallest eigenvalue, from ``spectrum``."""
-        return spectrum(self)[1]
+        """Nonnegative when P is shown PSD on L2(pi): its ``certificate`` when its maker gives one, as level and
+        strip plans do, else its smallest eigenvalue, from ``spectrum``."""
+        return spectrum(self)[1] if self.certificate is None else self.certificate
 
     def _similarity_product(self):
         """v -> D^(1/2) P D^(-1/2) v, the similarity built once by ``_similarity`` behind its guard."""
@@ -196,13 +207,20 @@ class _PlanKernel(DiscreteKernel):
     Every entry of P is a table value over rho(x), so a finite table whose increments over nodes are
     nonnegative gives a finite, nonnegative P; its rows sum to 1 when the product of ones is 1.  The flow
     is symmetric by construction, so the similarity product needs no guard.
+
+    Its certificate is the least of every node's width, gamma and 1 - gamma.  When that is nonnegative
+    each level kernel, gamma times the refresh on its set plus 1 - gamma times the refresh within each
+    side, is a nonnegative sum of Gram terms 1_S 1_S^T, so PSD and reversible for the uniform law on its
+    set, and so is P (Rudolf and Ullrich 2013).
     """
 
     def __init__(self, plan: "_LevelPlan", gamma: np.ndarray | None, label: str):
-        self.plan, self.gamma, self.label, self.support, self._norm = plan, gamma, label, plan.support, None
+        self.plan, self.label, self.support, self._norm = plan, label, plan.support, None
         self.table = _prefix_table(plan.width, plan.count, gamma, plan.side_count)
         self.pi = plan.rho / plan.rho.sum()
         self._validate(self.apply(np.ones(plan.rho.size)), np.diff(self.table, prepend=0.0).min(), "level increment")
+        low = plan.width.min()
+        self.certificate = float(low if gamma is None else min(low, gamma.min(), 1.0 - gamma.max()))
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -210,16 +228,6 @@ class _PlanKernel(DiscreteKernel):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.plan.product(self.table, v)
-
-    def positivity(self) -> float:
-        """The least of every node's width, gamma and 1 - gamma: a certificate, no spectrum.
-
-        When it is nonnegative each level kernel, gamma times the refresh on its set plus 1 - gamma
-        times the refresh within each side, is a nonnegative sum of Gram terms 1_S 1_S^T, so PSD and
-        reversible for the uniform law on its set, and so is P (Rudolf and Ullrich 2013).
-        """
-        weights = (self.plan.width,) if self.gamma is None else (self.plan.width, self.gamma, 1.0 - self.gamma)
-        return float(min(a.min() for a in weights))
 
     def _similarity_product(self):
         root = np.sqrt(self.pi)
@@ -494,6 +502,12 @@ class _StripPlan:
     positions in that order of column c's cells, rising, at
     member[first[c]:first[c + 1]].  ``level_matrices`` walks the nodes in
     one buffer and hands out each A_j as a view that later nodes overwrite.
+
+    Every weight of A_t is a gamma or 1 - gamma over a cell count, so the
+    least width, gamma and 1 - gamma over directions, strips and nodes
+    certifies every kernel the plan builds: when it is nonnegative, each A_t
+    and its powers are PSD and reversible for the uniform law on its set,
+    and so is their level integral (Rudolf and Ullrich 2013).
     """
 
     rho: np.ndarray
@@ -551,7 +565,8 @@ class _StripPlan:
         return gamma
 
     def level_matrices(self, w, nodes):
-        """A_t on the interval of each of the increasing ``nodes``, over the node's cells in ``falling`` order.
+        """A_t on the interval of each of the increasing ``nodes``, over the node's cells in ``falling`` order,
+        with the least gamma and 1 - gamma that weight it.
 
         One buffer spans the first node's cells, and every later node's cells lead it.  A_t is the sum
         of w_c 1_c 1_c^T over the strip and part columns c; moving on to a node adds (w_c - w'_c) 1_c 1_c^T
@@ -571,6 +586,7 @@ class _StripPlan:
             local = (1.0 - gamma)[:, None] / (N_THETA * np.maximum(part_count, 1))
             now = np.concatenate([gamma / (N_THETA * np.maximum(count[:strip_cols], 1)), local.ravel()])
             delta, weight = now - weight, now
+            low = min(gamma.min(), 1.0 - gamma.max())
             changed = np.flatnonzero((delta != 0.0) & (count > 0))
             # the columns of c cells each in blocks of at most UPDATE_BLOCK entries, added pair by pair
             for c in _distinct(count[changed]):
@@ -580,37 +596,40 @@ class _StripPlan:
                     cells = member[first[cols, None] + np.arange(c)].astype(np.intp)
                     pairs = cells[:, :, None] * buf.shape[0] + cells[:, None, :]
                     np.add.at(flat, pairs.ravel(), np.repeat(delta[cols], c * c))
-            yield buf[:size, :size]
+            yield buf[:size, :size], low
 
-    def kernel(self, w) -> np.ndarray:
+    def kernel(self, w, label: str) -> DiscreteKernel:
         """H from its flow rho(x) H(x, y): per strip, a prefix sum over nodes gathered at the pair's smaller rank."""
         n, nodes, strips = self.rho.size, self.levels.size, self.strips
-        flow = np.zeros((n, n))
+        flow, low = np.zeros((n, n)), self.width.min()
         for a in range(N_THETA):
             strip = self.sid[a] - a * strips
             count = _count_from(strip * nodes + self.rank, (strips, nodes))
             part_count = _count_from((2 * strip + self.side) * nodes + self.rank, (strips, 2, nodes))
             key = np.arange(strips)[:, None] + a * strips
             gamma = self.gamma(key, np.arange(nodes), *part_count.swapaxes(0, 1), w)
+            low = min(low, gamma.min(), 1.0 - gamma.max())
             table = _prefix_table(self.width, count, gamma, part_count)
             rows, cols = _strip_pairs(strip)
             side = np.where(self.side[rows] == self.side[cols], 1 + self.side[rows], 0)
             index = (3 * strip[rows] + side) * nodes + np.minimum(self.rank[rows], self.rank[cols])
             flow[rows, cols] += table.ravel().take(index)
         flow /= N_THETA * self.rho[:, None]
-        return flow
+        return DiscreteKernel(flow, self.rho / self.rho.sum(), label, self.support, float(low))
 
-    def power_kernels(self, w, k_list):
-        """H_k for the sorted ``k_list``, handed out in its order, each flow released as its kernel goes.
+    def power_kernels(self, w, k_list, label: str):
+        """(k, H_k) for the sorted ``k_list``, handed out in its order, each flow released as its kernel goes.
 
         H alone is one prefix sum per strip (``kernel``); a set holding k > 1 sums
         rho(x) H_k(x, y) = sum over nodes j of width_j A_j^k(x, y) for every k in one joint pass, k=1 included.
+        Each kernel is labelled ``label.format(k)`` and certified by the least weight of the plan.
         """
         if k_list == (1,):
-            yield self.kernel(w)
+            yield 1, self.kernel(w, label.format(1))
             return
-        flows = {k: np.zeros((self.rho.size,) * 2) for k in k_list}
-        for width, A in zip(self.width, self.level_matrices(w, range(self.levels.size))):
+        flows, low = {k: np.zeros((self.rho.size,) * 2) for k in k_list}, self.width.min()
+        for width, (A, node_low) in zip(self.width, self.level_matrices(w, range(self.levels.size))):
+            low = min(low, node_low)
             size = A.shape[0]
             power, step = A, 1
             for k in k_list:
@@ -618,9 +637,10 @@ class _StripPlan:
                     power = power @ A
                     step += 1
                 flows[k][:size, :size] += width * power
-        back = np.ix_(*(np.argsort(self.falling),) * 2)
+        back, pi, low = np.ix_(*(np.argsort(self.falling),) * 2), self.rho / self.rho.sum(), float(low)
+        # built in the yield: while suspended, this frame holds no matrix it has handed out
         for k in k_list:
-            yield flows.pop(k)[back] / self.rho[:, None]
+            yield k, DiscreteKernel(flows.pop(k)[back] / self.rho[:, None], pi, label.format(k), self.support, low)
 
 
 def _strip_pairs(strip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -701,7 +721,7 @@ def level_kernels(target, grid: Grid, kind: KernelKind, w, levels):
         walk, last = plan.level_matrices(w, _distinct(nodes)), -1
         for t, j in zip(levels, nodes):
             if j != last:
-                P, last = next(walk), j
+                (P, _), last = next(walk), j
                 cells = plan.falling[: P.shape[0]]
                 u = np.full(cells.size, 1.0 / cells.size)
             yield DiscreteKernel(P=P, pi=u, label=f"{kind.value}-level-{t:.6g}", support=plan.support[cells])
@@ -735,7 +755,7 @@ def _power_kernels(target, grid, kind, w, k_list, m):
 
     1D and uniform kernels refine their level nodes by ``m`` levels and are plan kernels, one prefix table
     per ``k``, whose P is assembled only when read; 2D strip kernels are exact, ignore ``m``, and come dense
-    from one joint pass.  Nothing here keeps a kernel it has handed out.
+    from one joint pass, with the strip plan's certificate.  Nothing here keeps a kernel it has handed out.
     """
     if m < 1 or min(k_list) < 1:
         raise ValueError("m and every k must be at least 1")
@@ -745,12 +765,7 @@ def _power_kernels(target, grid, kind, w, k_list, m):
         for k in k_list:
             yield k, _PlanKernel(plan, plan.gamma(kind, w, k), f"{kind.value}-k{k}-m{m}")
         return
-    plan = _strip_plan(target, grid, kind)
-    mats = plan.power_kernels(w, k_list)
-    pi = plan.rho / plan.rho.sum()
-    # next() rather than a loop variable: while suspended, this frame holds no matrix it has handed out
-    for k in k_list:
-        yield k, DiscreteKernel(P=next(mats), pi=pi, label=f"{kind.value}-k{k}-m{m}", support=plan.support)
+    yield from _strip_plan(target, grid, kind).power_kernels(w, k_list, f"{kind.value}-k{{}}-m{m}")
 
 
 # -- norms and spectra ---------------------------------------------------------
@@ -914,12 +929,12 @@ def verify_theorem_bounds(
     refine only U, and each beta reads ``norm_bins`` level bins instead) and
     is walked one kernel at a time,
     each kept only as its norm; when those are the main ones, its k=1 kernel
-    is H and the corollary reuses gap(U) and beta, else H and its dense
-    positivity solve, the largest working set, come before that set.  U and
-    H are read only through ``apply`` and ``positivity`` (a dense H's one
-    ``spectrum`` gives its norm too), so a 1D report, where every norm is
-    Lanczos on a plan product, makes no n x n array, and a 2D report holds
-    at most H and one working n x n array besides the kernel being solved.
+    is H and the corollary reuses gap(U) and beta, else H comes before that
+    set.  H is reduced to its rows where it is made: its ``positivity`` (a
+    plan's certificate, no spectrum), its gap, kept for k=1, its
+    reversibility residual and its TV rows.  So a 1D report, where every
+    norm is Lanczos on a plan product, makes no n x n array, and a 2D report
+    holds one dense kernel at a time.
     The margins are the module's ``TOL_*`` constants, read at call time; the
     exact checks use ``TOL_EXACT``, capped at 1e-10 for the positivity of H
     and 1e-8 for reversibility.  H is the one-step kernel whatever k the
@@ -937,31 +952,34 @@ def verify_theorem_bounds(
     U = build_full_matrix(target, grid, KernelKind.UNIFORM, w, m)
     gap_u, reversibility_u = spectral_gap(U), reversibility_residual(U)
     del U
+
+    def read_h(H):  # every row of H; its norm stays cached on it for the k-step set
+        psd, gap = H.positivity(), spectral_gap(H)
+        return psd, gap, reversibility_residual(H), verify_tv_bound(H, n_max=tv_n_max, tol=TOL_TV)
+
     if shared:
         gap_uk, beta_k = gap_u, beta
     else:
-        H = build_full_matrix(target, grid, kind, w, m)
-        psd_h = H.positivity()
+        psd_h, gap_h, reversibility_h, tv = read_h(build_full_matrix(target, grid, kind, w, m))
         gap_uk = spectral_gap(build_full_matrix(target, kgrid, KernelKind.UNIFORM, w, km))
         beta_k = beta_k_numeric_many(target, kgrid, kind, w, k_list, km, norm_bins)
 
     norms = {}
     for k, K in _power_kernels(target, kgrid, kind, w, [*k_list, *range(1, k_max + 1)], km):
         if shared and k == 1:
-            H, psd_h = K, K.positivity()  # before the norm, which a dense kernel's solve then caches
+            psd_h, gap_h, reversibility_h, tv = read_h(K)
         norms[k] = op_norm_centered(K)
         del K  # released before the next kernel is built
-    gap_h = spectral_gap(H)
 
     checks = [Check("psd_H", lhs=-psd_h, rhs=0.0, tol=min(1e-10, TOL_EXACT))]
     checks += verify_sandwich(gap_u, gap_h, beta, TOL_THEOREM)
     checks += verify_corollary(gap_uk, beta_k, norms, TOL_THEOREM)
-    for name, residual in (("reversibility_U", reversibility_u), ("reversibility_H", reversibility_residual(H))):
+    for name, residual in (("reversibility_U", reversibility_u), ("reversibility_H", reversibility_h)):
         checks.append(Check(name, lhs=residual, rhs=0.0, tol=min(1e-8, TOL_EXACT)))
     checks += verify_monotonicity(norms, k_max, TOL_EXACT)
     checks += verify_power_bound(norms, k_max, TOL_EXACT)
     checks.append(verify_mt_bound(target, grid, gap_u, TOL_MT))
-    checks += verify_tv_bound(H, n_max=tv_n_max, tol=TOL_TV)
+    checks += tv
     return GapReport(gap_u=gap_u, gap_h=gap_h, beta=beta, checks=checks)
 
 

@@ -80,6 +80,15 @@ class TestGrid:
         idx = grid.locate(grid.centers)
         assert np.array_equal(idx, np.arange(grid.n))
 
+    @pytest.mark.parametrize("cells", [24, 25, 40, 41])
+    def test_centres_mirror_bit_for_bit(self, cells):
+        # mirrored cells of a symmetric target then have equal densities, and so share their level nodes
+        grid = Grid(bounds=((-3.7, 3.7), (-2.3, 2.3)), shape=(cells, cells + 1))
+        for (lo, hi), count, axis in zip(grid.bounds, grid.shape, grid.axes):
+            assert np.array_equal(axis, -axis[::-1])
+            half = np.arange(count // 2)
+            assert np.array_equal(axis[half], lo + (hi - lo) / count * (half + 0.5))
+
 
 class TestDiscretizeTarget:
     def test_uniform_four_cells(self):
@@ -425,7 +434,8 @@ class TestPositivityCertificate:
 
     The controls set the whole-set weight gamma at t1's two-part nodes (m = 400 as in
     ``configs/t1_so_sh.cfg``).  A single non-PSD level kernel leaves H's smallest eigenvalue at
-    rounding, so only the certificate sees it.
+    rounding, so only the certificate sees it.  In 2D the weights are a strip plan's, over directions,
+    strips and nodes, and the controls set gamma at its two-part strip nodes on a 10 x 10 grid.
     """
 
     @staticmethod
@@ -472,9 +482,54 @@ class TestPositivityCertificate:
         with pytest.raises(ValueError, match="negative level increment"):
             build_full_matrix(t1, Grid.for_target(t1, 2000), KernelKind.SO_SH, 3.0, m=400)
 
-    def test_dense_kernels_keep_the_smallest_eigenvalue(self, t2):
-        H = build_full_matrix(t2, Grid.for_target(t2, (10, 10)), KernelKind.COMBINED, 3.0, m=8)
-        assert H.positivity() == psd_check(H)
+    @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
+    def test_strip_kernels_certified_alone_and_in_the_joint_pass(self, t2, kind):
+        grid, w = Grid.for_target(t2, (10, 10)), 3.0 if kind is KernelKind.COMBINED else None
+        alone = build_full_matrix(t2, grid, kind, w, m=8)  # per-strip prefix sums
+        joint = build_k_step_matrices(t2, grid, kind, w, [1, 2], m=8)[1]  # the level-matrix walk
+        assert alone.positivity() == joint.positivity() >= 0.0
+        for H in (alone, joint):
+            assert psd_check(H) >= -1e-10
+
+    @staticmethod
+    def _psd_row_2d(t2, shared):
+        # H from per-strip prefix sums beside a k-step set on its own grid, or as k=1 of the joint pass
+        grid, kgrid = Grid.for_target(t2, (10, 10)), None if shared else Grid.for_target(t2, (8, 8))
+        report = verify_theorem_bounds(
+            t2, grid, KernelKind.COMBINED, 3.0, [1, 2], m=8, k_max=1, tv_n_max=1, norm_bins=64, kstep_grid=kgrid
+        )
+        assert report.checks[0].name == "psd_H"
+        # the dense smallest eigenvalue, the row's source before the certificate, misses both controls
+        assert psd_check(build_full_matrix(t2, grid, KernelKind.COMBINED, 3.0, m=8)) > 0.0
+        return report.checks[0]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_strip_node_not_psd_fails_in_2d(self, monkeypatch, t2, shared):
+        import slicegap.spectral_oracle as oracle
+
+        plan = oracle._strip_plan(t2, Grid.for_target(t2, (10, 10)), KernelKind.COMBINED)
+        # a strip refreshes in two parts from the first node above its both level while each side has a cell there
+        keys, sides = plan.sid.ravel(), np.tile(plan.side, oracle.N_THETA)
+        top = np.full((2, plan.both.size), -1)
+        np.maximum.at(top, (sides, keys), np.tile(plan.rank, oracle.N_THETA))
+        first = np.searchsorted(plan.levels, plan.both, side="right")
+        key = np.flatnonzero(first <= top.min(axis=0))[0]
+        gamma = oracle._StripPlan.gamma
+
+        def mutated(self, k, j, *args):
+            return np.where((k == key) & (j == first[key]), 1.5, gamma(self, k, j, *args))
+
+        monkeypatch.setattr(oracle._StripPlan, "gamma", mutated)
+        row = self._psd_row_2d(t2, shared)
+        assert row.lhs == pytest.approx(0.5) and not row.passed
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_every_two_part_strip_node_over_one(self, monkeypatch, t2, shared):
+        import slicegap.spectral_oracle as oracle
+
+        monkeypatch.setattr(oracle, "mixture_weight", lambda length, gap, w: np.full(np.shape(length), 1.02))
+        row = self._psd_row_2d(t2, shared)
+        assert row.lhs == pytest.approx(0.02) and not row.passed
 
 
 class TestReversibilityResidual:
@@ -555,16 +610,23 @@ class TestStripWalk:
         mids, centers = plan.levels - plan.width / 2.0, grid.centers[plan.support[plan.falling]]
         w = 4.0 if combined else None
         refs = [strip_level_matrix(target, grid, centers[:size], t, w) for t, size in zip(mids, plan.size)]
-        # an interval within rounding of zero width has no midpoint at which the oracle's regions match the plan's
-        wide = plan.width > 1e-12
         for walk in (nodes, nodes[1::3], nodes[2::5], *([j] for j in (0, nodes.size // 2, nodes.size - 1))):
             seen = 0
-            for j, A in zip(walk, plan.level_matrices(4.0, walk)):
+            for j, (A, _) in zip(walk, plan.level_matrices(4.0, walk)):
                 assert A.shape == refs[j].shape
                 assert np.array_equal(A, A.T)
-                assert not wide[j] or np.abs(A - refs[j]).max() <= 1e-13
+                assert np.abs(A - refs[j]).max() <= 1e-13
                 seen += 1
             assert seen == len(walk)
+
+    @pytest.mark.parametrize("cells", [16, 24])
+    def test_no_node_within_rounding_of_the_one_below(self, cells):
+        # mirrored cells of gaussian_pair share their density bit for bit, so no pair of them splits a node
+        from slicegap.spectral_oracle import _strip_plan
+
+        target = TestLevelPlan.TARGETS["gaussian_pair"]
+        plan = _strip_plan(target, Grid.for_target(target, (cells, cells)), KernelKind.COMBINED)
+        assert plan.width.min() > 1e-12
 
     @pytest.mark.parametrize("kind", [KernelKind.HIT_AND_RUN, KernelKind.COMBINED])
     def test_level_matrix_support_follows_falling_density(self, t2, kind):
@@ -1041,6 +1103,27 @@ class TestVerifiers:
         low, high = peak(2), peak(10)
         assert high < 6 * grid.n**2 * 8
         assert high <= 1.1 * low
+
+    def test_2d_report_releases_h_before_the_k_step_set(self, t2):
+        # tracemalloc peak, with the strip plans cached, of a report whose k-step set has its own grid:
+        # 1844363 bytes as measured here, 2370863 when H (524288 bytes) was held through the k-step set
+        import tracemalloc
+
+        grid, kgrid = Grid.for_target(t2, (16, 16)), Grid.for_target(t2, (12, 12))
+
+        def run():
+            verify_theorem_bounds(
+                t2, grid, KernelKind.COMBINED, 3.0, [1, 2, 5], m=8, k_max=5, tv_n_max=5, norm_bins=64, kstep_grid=kgrid
+            )
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
     def test_uniform_kind_sandwich_is_tight(self):
         u = uniform_interval(0.0, 1.0)
