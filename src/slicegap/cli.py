@@ -23,7 +23,7 @@ import numpy as np
 from . import diagnostics, spectral_oracle as oracle, suite
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SliceGapError, TraceFormatError
-from .samplers import SamplerKind, Trace, read_trace_csv, run_chain
+from .samplers import _BLOCK, SamplerKind, Trace, read_trace_csv, run_chain
 from .spectral_oracle import GapReport, Grid, KernelKind
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def _diagnostic_rows(cfg: ExperimentConfig, trace: Trace) -> list[tuple]:
     rows: list[tuple] = []
     try:
         a = diagnostics.acf_ess(series)
-        ess, iact, acf1 = a.ess, a.iact, float(a.acf[1]) if a.acf.size > 1 else 0.0
+        ess, iact, acf1 = a.ess, a.iact, float(a.acf[1])
     except SliceGapError:
         ess, iact, acf1 = float("nan"), float("nan"), float("nan")
     rows.append(("ess", f"{ess:.17g}", ">=10", ess >= 10))
@@ -81,10 +81,10 @@ def _diagnostic_rows(cfg: ExperimentConfig, trace: Trace) -> list[tuple]:
     shape = tuple(min(c, 50) for c in cfg.cells)
     grid = Grid.for_target(cfg.target, shape, cfg.eps_cut)
     pi = oracle.discretize_target(cfg.target, grid)
-    hist = diagnostics.BinnedHistogram(
-        counts=np.bincount(grid.locate(states), minlength=grid.n).astype(float), n=states.shape[0]
-    )
-    tv = diagnostics.tv_on_grid(hist, pi)
+    counts = np.zeros(grid.n)
+    for start in range(0, states.shape[0], _BLOCK):  # a block of states at a time: no trace-long index is made
+        counts += np.bincount(grid.locate(states[start : start + _BLOCK]), minlength=grid.n)
+    tv = diagnostics.tv_on_grid(diagnostics.BinnedHistogram(counts=counts, n=states.shape[0]), pi)
     n_eff = max(ess if np.isfinite(ess) else 1.0, 1.0)
     noise = 0.5 * float(np.sum(np.sqrt(pi * (1.0 - pi) / n_eff)))
     threshold = 3.0 * noise + 1e-3

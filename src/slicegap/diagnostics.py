@@ -210,41 +210,36 @@ def detailed_balance_test(pair_cells: np.ndarray, n_cells: int) -> DetailedBalan
 
 
 def acf_ess(values: np.ndarray) -> AcfEss:
-    """Autocorrelation with initial-positive-sequence truncation and the ESS.
+    """Autocorrelation with initial-positive-sequence truncation and the ESS (Geyer 1992).
 
-    Adjacent-lag autocorrelation pairs are summed and the sum truncated at
-    its first negative term, which is valid for reversible chains; the
-    integrated time is clamped at one so the ESS never exceeds the sample
-    size.
+    The lag-k autocovariance of the centered series is the sum of x[:n-k] x[k:], read one adjacent
+    pair of lags (2m, 2m+1) at a time.  The pair sums are truncated at their first non-positive term,
+    which is valid for reversible chains, or at lag ``min(n - 2, 10000)``, so the cost is O(n tau) for
+    a truncation lag tau, and ``acf`` holds lags 0 up to the last lag read.  Each lag is one
+    ``einsum`` of the series against its shift: no BLAS call, and no buffer beyond the centered copy.
+    The integrated time is clamped at one so the ESS never exceeds the sample size.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = np.array(values, dtype=float).ravel()
     n = x.size
     if n < 4:
         raise InsufficientDataError("need at least four values")
-    x = x - x.mean()
-    var = float(np.dot(x, x)) / n
-    if var <= 0.0:
+    x -= x.mean()
+
+    def lag(k: int) -> float:
+        return float(np.einsum("i,i->", x[: n - k], x[k:]))
+
+    acov0 = lag(0)
+    if acov0 <= 0.0:
         raise DegenerateVarianceError("constant series has no autocorrelation")
-    max_lag = min(n - 2, 10_000)
-    # FFT autocovariance, normalised to acf[0] = 1; a circle of n + max_lag + 1 points or more
-    # keeps every lag up to max_lag clear of the wrap-around
-    size = 1 << (n + max_lag).bit_length()
-    f = np.fft.rfft(x, size)
-    f *= np.conj(f)
-    acov = np.fft.irfft(f, size)[: max_lag + 1] / n
-    acf = acov / acov[0]
-    # adjacent-pair sums acf[2m] + acf[2m+1], truncated at the first negative
-    pair_sums = []
-    m = 0
-    while 2 * m + 1 <= max_lag:
-        g = acf[2 * m] + acf[2 * m + 1]
+    acf, pair_sums = [1.0], []
+    for k in range(1, min(n - 2, 10_000) + 1, 2):  # the pair of lags k - 1 and k
+        acf += [lag(j) / acov0 for j in range(len(acf), k + 1)]
+        g = acf[k - 1] + acf[k]
         if g <= 0.0:
             break
         pair_sums.append(g)
-        m += 1
     iact = max(1.0, 2.0 * sum(pair_sums) - 1.0)
-    ess = n / iact
-    return AcfEss(acf=acf, iact=float(iact), ess=float(ess))
+    return AcfEss(acf=np.array(acf), iact=float(iact), ess=float(n / iact))
 
 
 def tv_on_grid(hist: BinnedHistogram, pi: np.ndarray) -> float:

@@ -19,9 +19,10 @@ beta profile is the exact level integral of its binned norms.  The 2D
 level matrices come from one walk over the nodes in a single buffer, each
 node adding only the weight changes of its strips; each matrix handed out
 is a view that later nodes overwrite.  Norms are read off one self-adjoint
-operator per kernel, the similarity D^(1/2) P D^(-1/2), which
-``_similarity`` builds with one symmetry guard: P itself when pi is
-uniform, as on level kernels, else one scaled copy.  ``spectrum`` solves
+operator per kernel, the similarity D^(1/2) P D^(-1/2), behind one
+symmetry guard: ``_similarity`` builds it, P itself when pi is uniform, as
+on level kernels, else one scaled copy, and a dense kernel's product
+applies it as sqrt(pi) P (v / sqrt(pi)) with no copy.  ``spectrum`` solves
 it once with ``eigvalsh`` for the centered norm and the smallest
 eigenvalue, where the whole spectrum is needed; a norm alone comes from
 Lanczos with full reorthogonalisation, on the level plan's product for a
@@ -196,8 +197,9 @@ class DiscreteKernel:
         return spectrum(self)[1] if self.certificate is None else self.certificate
 
     def _similarity_product(self):
-        """v -> D^(1/2) P D^(-1/2) v, the similarity built once by ``_similarity`` behind its guard."""
-        return _similarity(self).__matmul__
+        """v -> D^(1/2) P D^(-1/2) v as sqrt(pi) P (v / sqrt(pi)), behind ``_reversible_root``: no copy of P."""
+        root = _reversible_root(self)
+        return self.apply if root is None else lambda v: root * self.apply(v / root)
 
 
 class _PlanKernel(DiscreteKernel):
@@ -776,21 +778,42 @@ def _similarity(K: DiscreteKernel) -> np.ndarray:
 
     With pi uniform it is P itself, a level kernel's view included; else one scaled copy.
     """
-    root = np.sqrt(K.pi)
-    S = K.P
-    if root.min() != root.max():
+    root, S = _reversible_root(K), K.P
+    if root is not None:
         S = S * root[:, None]
         S /= root[None, :]
-    asym = _asymmetry(S)
-    if not asym <= 1e-12:  # a NaN fails too
-        raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
     return S
 
 
-def _asymmetry(A: np.ndarray) -> float:
-    """max |A - A^T|, a block of rows against its mirrored columns at a time: no second n x n array is made."""
-    blocks = (A[s : s + ROW_BLOCK, s:] - A[s:, s : s + ROW_BLOCK].T for s in range(0, A.shape[0], ROW_BLOCK))
-    return float(np.max([np.abs(b).max() for b in blocks], initial=0.0))
+def _reversible_root(K: DiscreteKernel) -> np.ndarray | None:
+    """sqrt(pi), None when pi is uniform, once D^(1/2) P D^(-1/2) is found symmetric within 1e-12; else ValueError."""
+    root = np.sqrt(K.pi)
+    root = None if root.min() == root.max() else root
+    asym = _asymmetry(K.P, root)
+    if not asym <= 1e-12:  # a NaN fails too
+        raise ValueError(f"{K.label or 'kernel'} is not reversible: similarity asymmetry {asym:.3e}")
+    return root
+
+
+def _asymmetry(A: np.ndarray, root: np.ndarray | None = None) -> float:
+    """max |S - S^T| for S = D^(1/2) A D^(-1/2) with sqrt(pi) ``root`` (None: S = A), a block of rows against its
+    mirrored columns at a time: no second n x n array is made."""
+
+    def block(rows, cols):
+        b = A[rows, cols] * root[rows, None]
+        b /= root[None, cols]
+        return b
+
+    n, worst = A.shape[0], []
+    for r in (slice(s, s + ROW_BLOCK) for s in range(0, n, ROW_BLOCK)):
+        c = slice(r.start, n)
+        if root is None:
+            d = A[r, c] - A[c, r].T
+        else:
+            d = block(r, c)
+            d -= block(c, r).T
+        worst.append(np.abs(d, out=d).max())
+    return float(np.max(worst, initial=0.0))
 
 
 def spectrum(K: DiscreteKernel) -> tuple[float, float]:
@@ -809,7 +832,7 @@ def op_norm_centered(K: DiscreteKernel) -> float:
 
     ``_lanczos`` solves the similarity product minus sqrt(pi) sqrt(pi)^T at every size: a plan
     kernel's product comes from its prefix table, so its P is never assembled, and a dense kernel's
-    from ``_similarity``.  ``K.residual`` keeps the Ritz residual; ``spectrum`` is the fallback.
+    from P behind ``_reversible_root``.  ``K.residual`` keeps the Ritz residual; ``spectrum`` is the fallback.
     """
     if K._norm is None:
         S, root = K._similarity_product(), np.sqrt(K.pi)

@@ -15,6 +15,9 @@ plan's blocked gather.  ``ArrayLineTarget`` runs the samplers'
 single-point evaluations through the array ``density`` instead of the
 scalar line densities.
 
+``geyer_ess`` reads Geyer's initial-positive-sequence ESS off the whole
+autocovariance of one FFT, the reference for the diagnostics' lag sums.
+
 ``level_move`` and ``step_with_level`` bind a sampler's move or transition
 per call, the reference that the package's per-chain and per-batch bindings
 must reproduce draw for draw.  ``build_level_matrix`` takes one level
@@ -346,3 +349,22 @@ def reversibility_check(K: DiscreteKernel) -> float:
         worst.append(np.abs(residual, out=residual).max())
     # np.max, unlike max, keeps a NaN
     return float(np.max(worst, initial=0.0))
+
+
+def geyer_ess(x, max_lag: int, late: int = 0) -> tuple[float, int]:
+    """Geyer's (1992) initial-positive-sequence ESS of a series, and the number of lags that its truncation reads.
+
+    Every lag's autocovariance comes from one FFT of the centered series zero-padded to at least 2n points, a
+    circle on which no lag wraps around.  The sums of the lag pairs (2m, 2m + 1) up to ``max_lag`` stop at the
+    first non-positive one, which is read but not summed, and ``late`` more pairs are summed past it (a
+    negative control).  The integrated time is clamped at one.
+    """
+    x = np.asarray(x, dtype=float) - np.mean(x)
+    size = 1 << (2 * x.size).bit_length()
+    f = np.fft.rfft(x, size)
+    acov = np.fft.irfft(f * np.conj(f), size)[: x.size]
+    pairs = (acov[: 2 * ((max_lag + 1) // 2)] / acov[0]).reshape(-1, 2).sum(axis=1)
+    stop = np.flatnonzero(pairs <= 0.0)
+    m = int(stop[0]) if stop.size else pairs.size
+    iact = max(1.0, 2.0 * pairs[: m + late].sum() - 1.0)
+    return x.size / iact, 2 * min(m + 1, pairs.size)

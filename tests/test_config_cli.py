@@ -720,6 +720,53 @@ class TestCliVerify:
         assert not suite.ess_iid(lfilter([1.0], [1.0, -0.5], noise))[0].passed
 
 
+class TestDiagnosticRows:
+    @staticmethod
+    def _trace(cfg, rows, seed=3):
+        """``rows`` states past burn-in, uniform over a box a quarter wider than the target's, so some are clipped."""
+        from slicegap.samplers import Trace
+
+        bounds = np.array(cfg.target.support_bounds(cfg.eps_cut))
+        mid, half = bounds.mean(axis=1), 1.25 * np.diff(bounds, axis=1)[:, 0] / 2
+        states = np.random.default_rng(seed).uniform(mid - half, mid + half, (cfg.burn_in + rows, cfg.target.dim))
+        return Trace(states=states, levels=np.zeros(states.shape[0]), seed=cfg.seed, config=cfg.sampler)
+
+    @pytest.mark.parametrize("config", ["t1_so_sh", "t2_har_so_sh"])
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_block_counts_equal_the_whole_trace_bincount(self, monkeypatch, config, blocks):
+        from slicegap import diagnostics
+        from slicegap.cli import _diagnostic_rows
+        from slicegap.samplers import _BLOCK
+        from slicegap.spectral_oracle import Grid
+
+        cfg = load_config(ROOT / "configs" / f"{config}.cfg")
+        trace = self._trace(cfg, blocks * _BLOCK + 1)
+        seen = []
+        monkeypatch.setattr(diagnostics, "tv_on_grid", lambda hist, pi: seen.append(hist) or 0.0)
+        _diagnostic_rows(cfg, trace)
+        grid = Grid.for_target(cfg.target, tuple(min(c, 50) for c in cfg.cells), cfg.eps_cut)
+        states = trace.states[cfg.burn_in :]
+        assert seen[0].n == blocks * _BLOCK + 1
+        assert np.array_equal(seen[0].counts, np.bincount(grid.locate(states), minlength=grid.n))
+
+    def test_rows_hold_little_beyond_one_copy_of_the_series(self):
+        # 100,001 rows past burn-in: the ESS holds one centered copy of the series (800,008 bytes) and the TV
+        # counts a block of states at a time; an FFT autocovariance or a trace-long cell index holds more
+        import tracemalloc
+
+        from slicegap.cli import _diagnostic_rows
+
+        cfg = load_config(ROOT / "configs" / "t1_so_sh.cfg")
+        trace = self._trace(cfg, 100_001)
+        tracemalloc.start()
+        try:
+            _diagnostic_rows(cfg, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestCliDiag:
     def test_diag_from_existing_trace(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import geyer_ess
 from scipy import stats
 
 from slicegap import diagnostics
@@ -159,25 +160,54 @@ def _direct_acf(x, max_lag):
     return acov / acov[0]
 
 
+@pytest.fixture(scope="module")
+def acf_cases():
+    """AR(1) series of 20000 points with phi 0, 0.5, 0.9 and 0.99, and the first axis of a t1 and a t2 chain."""
+    from pathlib import Path
+
+    from slicegap.config import load_config
+    from slicegap.samplers import run_chain
+
+    cases = {f"ar1-{phi}": _ar1_series(20_000, phi, 41) for phi in (0.0, 0.5, 0.9, 0.99)}
+    for name in ("t1_so_sh", "t2_har_so_sh"):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        cases[name] = run_chain(cfg.target, cfg.sampler, np.asarray(cfg.x0), 20_000, cfg.seed).states[1000:, 0]
+    return cases
+
+
 class TestAcfEss:
-    #: 20000 points and lags up to 10000: n + max_lag + 1 pads to 2^15 and 2n to 2^16
-    N, MAX_LAG = 20_000, 10_000
+    #: the lag cap of ``acf_ess`` on series of more than 10002 points
+    MAX_LAG = 10_000
 
-    def test_matches_direct_autocovariance(self):
-        assert (self.N + self.MAX_LAG).bit_length() != (2 * self.N - 1).bit_length()
-        x = _ar1_series(self.N, 0.9, 41)
-        acf = acf_ess(x).acf
-        assert acf.size == self.MAX_LAG + 1
-        assert np.max(np.abs(acf - _direct_acf(x, self.MAX_LAG))) <= 1e-12
+    def test_matches_direct_autocovariance(self, acf_cases):
+        # every lag read equals the direct lag sum, and the lags end at the pair that stops the ESS sum
+        for name, x in acf_cases.items():
+            acf = acf_ess(x).acf
+            assert acf.size == geyer_ess(x, self.MAX_LAG)[1] < self.MAX_LAG, name
+            assert np.max(np.abs(acf - _direct_acf(x, acf.size - 1))) <= 1e-12, name
 
-    def test_padding_to_n_wraps_around_and_fails(self, monkeypatch):
-        # control: a circle of n points folds lag n - k onto lag k
-        x = _ar1_series(self.N, 0.9, 41)
-        rfft, irfft = np.fft.rfft, np.fft.irfft
-        monkeypatch.setattr(np.fft, "rfft", lambda a, size: rfft(a, a.size))
-        monkeypatch.setattr(np.fft, "irfft", lambda f, size: irfft(f, x.size))
+    def test_circular_lags_fail_the_direct_comparison(self, acf_cases, monkeypatch):
+        # control: lag products around a circle of n points (np.roll) add x[n-k:] x[:k] to lag k
+        x, einsum = acf_cases["ar1-0.9"], np.einsum
+
+        def circular(subscripts, head, tail):
+            whole = tail.base  # the centered series, which both operands view
+            return einsum(subscripts, whole, np.roll(whole, head.size - whole.size))
+
+        monkeypatch.setattr(np, "einsum", circular)
         acf = acf_ess(x).acf
-        assert np.max(np.abs(acf - _direct_acf(x, self.MAX_LAG))) > 1e-12
+        monkeypatch.undo()
+        assert np.max(np.abs(acf - _direct_acf(x, acf.size - 1))) > 1e-12
+
+    def test_ess_matches_geyer_over_the_full_fft(self, acf_cases):
+        for name, x in acf_cases.items():
+            assert acf_ess(x).ess == pytest.approx(geyer_ess(x, self.MAX_LAG)[0], rel=1e-9, abs=0.0), name
+
+    def test_truncation_one_pair_late_fails(self, acf_cases):
+        # control: summing the first non-positive pair too; at phi = 0 both times may clamp at one
+        for name, x in acf_cases.items():
+            if name != "ar1-0.0":
+                assert acf_ess(x).ess != pytest.approx(geyer_ess(x, self.MAX_LAG, late=1)[0], rel=1e-9, abs=0.0), name
 
     def test_iid_ess_close_to_n(self):
         rng = np.random.default_rng(36)

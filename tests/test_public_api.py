@@ -10,7 +10,8 @@ Lanczos solver, nor ``verify``, whose chi-square and Kolmogorov-Smirnov
 tails and beta quadrature are the package's own.  A ``gap`` report and
 ``verify`` load no ``numpy.ma`` either.  Importing the command line and a
 ``gap`` report load no OpenSSL (``_hashlib``): the config digest is
-CPython's builtin SHA-256.  ``sample`` and ``verify`` are not held to
+CPython's builtin SHA-256.  ``sample`` loads no ``numpy.fft``: its ESS
+sums lag products.  ``sample`` and ``verify`` are not held to
 that, since they make a ``numpy.random`` generator, and ``numpy.random``
 imports ``secrets``, which imports ``hmac``, which loads ``_hashlib``.
 """
@@ -151,7 +152,10 @@ def test_import_sample_and_small_2d_gap_leave_out_scipy_sparse(tmp_path):
     # a gap report loads no numpy.ma either: ``np.unique`` without flags would load it; nor OpenSSL, which
     # ``hashlib`` would load for the config digest
     gap = ("scipy", "numpy.ma", "_hashlib")
-    for command, config, packages in (("sample", "t2", ("scipy.sparse",)), ("gap", "t2", gap), ("gap", "t1", gap)):
+    # ``sample`` loads no numpy.fft: its ESS sums lag products, and an FFT autocovariance would load it
+    sample = ("scipy.sparse", "numpy.fft")
+    runs = (("sample", "t2", sample), ("sample", "t1", sample), ("gap", "t2", gap), ("gap", "t1", gap))
+    for command, config, packages in runs:
         out = f"{command}-{config}"
         run = f"import slicegap.cli as c; assert c.main(['{command}', '--config', '{config}.cfg', '--out', '{out}']) == 0"
         assert _modules_after(run, tmp_path, packages) == "[]", (command, config)

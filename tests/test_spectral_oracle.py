@@ -770,12 +770,35 @@ class TestOpNorm:
         import slicegap.spectral_oracle as oracle
 
         calls = []
-        solve = oracle._similarity
-        monkeypatch.setattr(oracle, "_similarity", lambda K: calls.append(K) or solve(K))
+        solve = oracle._lanczos
+        monkeypatch.setattr(oracle, "_lanczos", lambda op, n: calls.append(n) or solve(op, n))
         K = two_state(0.9)
         assert spectral_gap(K) == pytest.approx(0.2, abs=1e-12)
         assert op_norm_centered(K) == pytest.approx(0.8, abs=1e-12)
         assert len(calls) == 1
+
+    def test_dense_gap_makes_no_scaled_copy(self, t2):
+        # a dense 16 x 16 combined H with a non-uniform pi: its product scales v, not P, and its guard reads a
+        # block of rows at a time, so the gap holds less than the scaled copy of P and one block of rows
+        import tracemalloc
+
+        import slicegap.spectral_oracle as oracle
+
+        H = build_full_matrix(t2, Grid.for_target(t2, (16, 16)), KernelKind.COMBINED, 3.0)
+        assert type(H) is DiscreteKernel and H.pi.min() < H.pi.max()
+        tracemalloc.start()
+        try:
+            gap = spectral_gap(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap == pytest.approx(1.0 - spectrum(DiscreteKernel(P=H.P, pi=H.pi))[0], abs=1e-12)
+        assert peak < (H.n + oracle.ROW_BLOCK) * H.n * 8
+        # one row's weight moved off the diagonal by 1e-6: the rows still sum to one, detailed balance fails
+        P = H.P.copy()
+        P[100, [101, 100]] += [1e-6, -1e-6]
+        with pytest.raises(ValueError, match="off is not reversible"):
+            spectral_gap(DiscreteKernel(P=P, pi=H.pi, label="off"))
 
     @pytest.mark.parametrize(
         "P, pi",
